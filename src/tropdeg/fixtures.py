@@ -158,7 +158,7 @@ def generate_admissible(seed: int, max_m: int = 6, max_k: int = 3) -> TropicalCy
     for _ in range(cuts):
         i = rng.randint(1, blocks.k)
         b = blocks.blocks[i - 1]
-        lam = cyc.translate(ops.tropical_hyperplane([0] * (b + 1)),
+        lam = cyc.translate(md.standard_hyperplane(b),
                             rng.vector(b, num_bound=5, den_bound=3))
         pb = md.pullback(lam, i, blocks)
         cut = ops.stable_intersect(out, pb, seed=rng.randint(1, 1 << 30),
@@ -193,9 +193,8 @@ def _block_cycle(rng: Rng, b: int) -> TropicalCycle:
         return ops.tropical_hyperplane(coeffs)
     if choice == 2 and b >= 2:
         # hyperplane cut twice (codimension 2 when b allows, else a point)
-        lam1 = ops.tropical_hyperplane([0] * (b + 1))
-        lam2 = cyc.translate(ops.tropical_hyperplane([0] * (b + 1)),
-                             rng.vector(b, num_bound=5, den_bound=2))
+        lam1 = md.standard_hyperplane(b)
+        lam2 = cyc.translate(lam1, rng.vector(b, num_bound=5, den_bound=2))
         return ops.stable_intersect(lam1, lam2, seed=rng.randint(1, 1 << 30),
                                     verify=False)
     if b >= 2:

@@ -74,13 +74,6 @@ def primitive(v) -> IntVec:
     return tuple(x // g for x in ints)
 
 
-def scale_to_int(v) -> IntVec:
-    """Clear denominators of a rational vector (orientation preserved)."""
-    fv = [Fraction(e) for e in v]
-    den = lcm_list([e.denominator for e in fv]) if fv else 1
-    return tuple(int(e * den) for e in fv)
-
-
 def identity_rows(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 

@@ -1,16 +1,21 @@
 """Multidegrees, projection ranks, the positivity criterion, and MSupp.
 
-The multidegree of type n is the degree of the iterated stable
-intersection of a cycle with n_i generically translated pullbacks of a
-positive divisor per block.  The rank function I -> dim pi_I tabulates
-projection dimensions over all block subsets; the criterion compares the
-two.  The criterion's positivity prediction is only valid for
-translation-admissible cycles, and its result object says so.
+The multidegree of type n is deg(C . L_n), one stable intersection of the
+cycle C with L_n = Lambda_1^{n_1} x ... x Lambda_k^{n_k}, where
+Lambda_i^{n_i} is the n_i-fold stable self-intersection of block i's
+positive divisor.  By associativity of stable intersection and pull-back
+this equals the degree of C cut by n_i pullbacks of each divisor.  The
+divisor powers are computed once per (divisor, n_i) and cached.  The rank
+function I -> dim pi_I tabulates projection dimensions over all block
+subsets; the criterion compares the two.  The criterion's positivity
+prediction is only valid for translation-admissible cycles, and its
+result object says so.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import combinations
 
 from . import cycles as cyc
@@ -18,12 +23,9 @@ from . import ops
 from .cycles import BlockStructure, TropicalCycle, WeightedFacet
 from .errors import (
     NonPositiveDivisorError,
-    SeedDependenceError,
     TypeMismatchError,
     WrongDimensionError,
 )
-from .linalg import rank as mat_rank
-from .ops import DisplacementSeed, Rng
 from .polyhedra import Polyhedron
 
 ADMISSIBILITY_CAVEAT = (
@@ -39,8 +41,7 @@ class DivisorSet:
 
     @classmethod
     def standard(cls, blocks: BlockStructure) -> "DivisorSet":
-        divs = tuple(ops.tropical_hyperplane([0] * (b + 1)) for b in blocks.blocks)
-        return cls(blocks, divs)
+        return cls(blocks, tuple(standard_hyperplane(b) for b in blocks.blocks))
 
     def replaced(self, i: int, divisor: TropicalCycle) -> "DivisorSet":
         divs = list(self.divisors)
@@ -102,60 +103,77 @@ def _check_type(cycle: TropicalCycle, n) -> tuple[int, ...]:
     return n
 
 
-def pullback(divisor: TropicalCycle, block: int,
-             blocks: BlockStructure) -> TropicalCycle:
-    """divisor x product of the other blocks' full spaces, as a cycle in R^m."""
-    parts = []
-    for i, b in enumerate(blocks.blocks, 1):
-        if i == block:
-            parts.append(divisor)
-        else:
-            full = TropicalCycle(BlockStructure((b,)),
-                                 [WeightedFacet(Polyhedron.full_space(b), 1)])
-            parts.append(full)
+@lru_cache(maxsize=None)
+def standard_hyperplane(b: int) -> TropicalCycle:
+    """The standard tropical hyperplane in R^b, built and balance-checked once."""
+    hyperplane = ops.tropical_hyperplane([0] * (b + 1))
+    cyc.require_balanced(hyperplane)
+    return hyperplane
+
+
+def _full_space(b: int) -> TropicalCycle:
+    """R^b as a cycle with one unit-weight facet; trivially valid and balanced."""
+    full = TropicalCycle(BlockStructure((b,)),
+                         [WeightedFacet(Polyhedron.full_space(b), 1)])
+    return cyc.mark_complex_by_construction(full, balanced=True)
+
+
+def _block_product(parts, blocks: BlockStructure) -> TropicalCycle:
+    """Product of one cycle per block, over ``blocks``, keeping proven marks."""
     out = parts[0]
     for part in parts[1:]:
         out = cyc.product(out, part)
-    return TropicalCycle(blocks, out.facets)
+    reblocked = TropicalCycle(blocks, out.facets)
+    cyc._propagate_checks(out, reblocked)
+    return reblocked
+
+
+def pullback(divisor: TropicalCycle, block: int,
+             blocks: BlockStructure) -> TropicalCycle:
+    """divisor x product of the other blocks' full spaces, as a cycle in R^m.
+
+    The result is marked valid and balanced when the divisor is.
+    """
+    return _block_product(
+        [divisor if i == block else _full_space(b)
+         for i, b in enumerate(blocks.blocks, 1)], blocks)
+
+
+@lru_cache(maxsize=None)
+def divisor_power(divisor: TropicalCycle, n: int) -> TropicalCycle:
+    """Lambda^n: R^b for n = 0, else the n-fold stable self-intersection.
+
+    Each power is balance-checked once and cached; cycles hash by their
+    key, so the cache holds at most b + 1 entries per distinct divisor.
+    The self-intersections run with ``verify=True`` under a fixed seed;
+    their result does not depend on it.
+    """
+    if n == 0:
+        return _full_space(divisor.m)
+    cyc.require_balanced(divisor)
+    power = divisor
+    for _ in range(n - 1):
+        power = ops.stable_intersect(power, divisor, verify=True)
+    return power
 
 
 def multidegree(cycle: TropicalCycle, n, divs: DivisorSet | None = None,
                 seed=0) -> int:
-    """Degree of cycle . prod_i (pullback of Lambda_i)^{n_i}.
+    """deg(cycle . L_n) with L_n = prod_i Lambda_i^{n_i} (see divisor_power).
 
-    Each pullback copy is translated by a fresh generic vector; the whole
-    computation runs under two independent translation seeds and the
-    values must agree.
+    This is the degree of the cycle cut by n_i pullbacks of each block's
+    divisor, computed as one stable intersection of complementary
+    dimension.  ``seed`` drives the displacement of that intersection; it
+    is repeated under a second, derived seed and the two results must
+    agree cell by cell, otherwise SeedDependenceError is raised.
     """
     n = _check_type(cycle, n)
     if divs is None:
         divs = DivisorSet.standard(cycle.ambient)
     divs.validate()
-    seed = ops._as_seed(seed)
-    value = _multidegree_once(cycle, n, divs, seed)
-    again = _multidegree_once(cycle, n, divs, seed.derived(211))
-    if value != again:
-        raise SeedDependenceError(
-            f"multidegree differs across translation seeds: {value} vs {again}")
-    return value
-
-
-def _multidegree_once(cycle, n, divs, seed: DisplacementSeed):
-    blocks = cycle.ambient
-    rng = Rng(seed.seed)
-    cur = cycle
-    for i in range(1, blocks.k + 1):
-        b = blocks.blocks[i - 1]
-        for _ in range(n[i - 1]):
-            shift = rng.vector(b, den_bound=seed.den_bound)
-            lam = cyc.translate(divs.divisors[i - 1], shift)
-            pb = pullback(lam, i, blocks)
-            cur = ops.stable_intersect(cur, pb,
-                                       seed=seed.derived(rng.randint(1, 1 << 30)),
-                                       verify=False)
-            if cur.is_empty:
-                return 0
-    return cyc.degree0(cur)
+    lin = _block_product([divisor_power(d, e) for d, e in zip(divs.divisors, n)],
+                         cycle.ambient)
+    return cyc.degree0(ops.stable_intersect(cycle, lin, seed=seed, verify=True))
 
 
 def rank_function(cycle: TropicalCycle) -> RankFunction:
@@ -189,22 +207,13 @@ def facet_witness(cycle: TropicalCycle, n) -> WeightedFacet | None:
     """First facet (canonical order) with dim pi_I(facet) >= n_I for all I."""
     n = _check_type(cycle, n)
     blocks = cycle.ambient
-    subsets = [s for size in range(1, blocks.k + 1)
-               for s in combinations(range(1, blocks.k + 1), size)]
+    bounds = [(ops.projection_kernel(blocks, s), sum(n[i - 1] for i in s))
+              for size in range(1, blocks.k + 1)
+              for s in combinations(range(1, blocks.k + 1), size)]
     for f in cycle.support_facets:
-        if all(_facet_projection_dim(f.poly, blocks, s) >= sum(n[i - 1] for i in s)
-               for s in subsets):
+        if all(ops.projected_dim(f.poly, kernel) >= need for kernel, need in bounds):
             return f
     return None
-
-
-def _facet_projection_dim(poly: Polyhedron, blocks: BlockStructure, subset) -> int:
-    keep = set(blocks.coords_of(subset))
-    kernel = [tuple(1 if t == j else 0 for t in range(poly.m))
-              for j in range(poly.m) if j not in keep]
-    dirs = poly.direction_basis()
-    inter = len(dirs) + len(kernel) - mat_rank(list(dirs) + kernel)
-    return len(dirs) - inter
 
 
 def type_vectors(cycle: TropicalCycle):

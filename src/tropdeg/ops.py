@@ -379,15 +379,20 @@ def projection_dim(cycle: TropicalCycle, subset) -> int:
     subset = _check_subset(subset, blocks.k)
     if cycle.is_empty:
         raise WrongDimensionError("projection of an empty cycle")
+    kernel = projection_kernel(blocks, subset)
+    return max(projected_dim(f.poly, kernel) for f in cycle.support_facets)
+
+
+def projection_kernel(blocks: BlockStructure, subset) -> list[IntVec]:
+    """Unit vectors of the coordinates outside the given blocks."""
     keep = set(blocks.coords_of(subset))
-    kernel = [tuple(1 if t == j else 0 for t in range(cycle.m))
-              for j in range(cycle.m) if j not in keep]
-    best = 0
-    for f in cycle.support_facets:
-        dirs = f.poly.direction_basis()
-        inter = len(dirs) + len(kernel) - rank(list(dirs) + kernel)
-        best = max(best, len(dirs) - inter)
-    return best
+    return [tuple(1 if t == j else 0 for t in range(blocks.m))
+            for j in range(blocks.m) if j not in keep]
+
+
+def projected_dim(poly: Polyhedron, kernel) -> int:
+    """Dimension of the image of ``poly`` under a projection with this kernel."""
+    return rank(list(poly.direction_basis()) + kernel) - len(kernel)
 
 
 def projection_pushforward(cycle: TropicalCycle, subset) -> PushforwardResult:

@@ -6,8 +6,10 @@ from pathlib import Path
 import pytest
 
 from tropdeg import linalg
-from tropdeg.cycles import TropicalCycle
-from tropdeg.ops import Rng
+from tropdeg.cycles import TropicalCycle, degree0, translate
+from tropdeg.errors import SeedDependenceError
+from tropdeg.multidegree import DivisorSet, pullback
+from tropdeg.ops import Rng, _as_seed, stable_intersect
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_DIR = ROOT / "fixtures"
@@ -37,6 +39,43 @@ def transverse_degree_oracle(c1: TropicalCycle, c2: TropicalCycle) -> int:
             assert linalg.rank(dirs) == m, "oracle requires transverse position"
             total += f1.weight * f2.weight * linalg.lattice_index(dirs, m)
     return total
+
+
+def iterated_multidegree(cycle: TropicalCycle, n, divs=None, seed=0) -> int:
+    """Multidegree as a chain of |n| stable intersections in R^m.
+
+    Cuts the cycle by n_i pullbacks of block i's divisor, each translated
+    by a fresh generic vector, and repeats the chain under a second seed.
+    This is the definition that the one-intersection ``multidegree``
+    replaces; it is kept as a differential oracle.
+    """
+    if divs is None:
+        divs = DivisorSet.standard(cycle.ambient)
+    seed = _as_seed(seed)
+    value = _iterated_once(cycle, n, divs, seed)
+    again = _iterated_once(cycle, n, divs, seed.derived(211))
+    if value != again:
+        raise SeedDependenceError(
+            f"multidegree differs across translation seeds: {value} vs {again}")
+    return value
+
+
+def _iterated_once(cycle, n, divs, seed) -> int:
+    blocks = cycle.ambient
+    rng = Rng(seed.seed)
+    cur = cycle
+    for i in range(1, blocks.k + 1):
+        b = blocks.blocks[i - 1]
+        for _ in range(n[i - 1]):
+            shift = rng.vector(b, den_bound=seed.den_bound)
+            lam = translate(divs.divisors[i - 1], shift)
+            pb = pullback(lam, i, blocks)
+            cur = stable_intersect(cur, pb,
+                                   seed=seed.derived(rng.randint(1, 1 << 30)),
+                                   verify=False)
+            if cur.is_empty:
+                return 0
+    return degree0(cur)
 
 
 def min_attained_twice(coeffs, point) -> bool:

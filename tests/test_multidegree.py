@@ -1,12 +1,23 @@
 import pytest
 
-from conftest import transverse_degree_oracle
-from tropdeg import fixtures
-from tropdeg.cycles import BlockStructure, TropicalCycle, WeightedFacet, product, translate
-from tropdeg.errors import NonPositiveDivisorError, TypeMismatchError
+from conftest import fresh, iterated_multidegree, transverse_degree_oracle
+from tropdeg import fixtures, ops
+from tropdeg.cycles import (
+    BlockStructure,
+    TropicalCycle,
+    WeightedFacet,
+    check_balancing,
+    degree0,
+    empty_cycle,
+    product,
+    translate,
+    validate_complex,
+)
+from tropdeg.errors import NonPositiveDivisorError, SeedDependenceError, TypeMismatchError
 from tropdeg.multidegree import (
     DivisorSet,
     check_submodular,
+    divisor_power,
     exchange_property,
     facet_witness,
     msupp,
@@ -16,7 +27,7 @@ from tropdeg.multidegree import (
     rank_function,
     type_vectors,
 )
-from tropdeg.ops import tropical_hyperplane
+from tropdeg.ops import stable_intersect, tropical_hyperplane
 from tropdeg.polyhedra import Polyhedron
 
 
@@ -168,24 +179,112 @@ def test_facet_witness_implies_criterion():
 
 
 def test_divisor_choice_invariance():
-    """Positivity of the multidegree does not depend on the positive divisor."""
+    """Positivity of the multidegree does not depend on the positive divisor.
+
+    Every value is also checked against the iterated chain of intersections.
+    """
     g = diagonal()
     custom = DivisorSet(g.ambient, (tropical_hyperplane([1, -1]),
                                     tropical_hyperplane([0, 2])))
     for n in ((1, 0), (0, 1)):
-        standard_val = multidegree(g, n, seed=8)
-        custom_val = multidegree(g, n, custom, seed=9)
-        assert (standard_val > 0) == (custom_val > 0)
+        assert _agree(g, n, seed=8) == _agree(g, n, custom, seed=9) == 1
 
     prod = product(fixtures.standard_line(), fixtures.standard_line(),
                    BlockStructure((2, 2)))
     coord = DivisorSet(prod.ambient, (fixtures.coordinate_hyperplanes(2),
                                       fixtures.coordinate_hyperplanes(2)))
+    shifted = DivisorSet(prod.ambient, (tropical_hyperplane([0, 1, -2]),
+                                        tropical_hyperplane([3, 0, 1])))
     for n in type_vectors(prod):
-        assert (multidegree(prod, n, seed=10) > 0) == \
-            (multidegree(prod, n, coord, seed=11) > 0)
+        values = [_agree(prod, n, divs, seed=s)
+                  for divs, s in ((None, 10), (coord, 11), (shifted, 12))]
+        assert (values[0] > 0) == (values[1] > 0) == (values[2] > 0)
+    assert _agree(prod, (1, 1), coord, seed=13) == 4
 
 
 def test_type_vectors_enumeration():
     assert set(type_vectors(full((2, 1)))) == {(2, 1)}
     assert set(type_vectors(diagonal())) == {(1, 0), (0, 1)}
+
+
+def test_pullback_carries_marks():
+    lam = translate(tropical_hyperplane([0, 0, 0]), (1, 2))
+    assert check_balancing(lam).balanced
+    pb = pullback(lam, 2, BlockStructure((1, 2)))
+    assert pb._cache["valid"].ok and pb._cache["balance"].balanced
+    assert validate_complex(fresh(pb)).ok
+    assert check_balancing(fresh(pb)).balanced
+
+    unchecked = pullback(tropical_hyperplane([0, 0, 0]), 2, BlockStructure((1, 2)))
+    assert "valid" not in unchecked._cache and "balance" not in unchecked._cache
+
+
+def test_standard_divisors_built_once():
+    a = DivisorSet.standard(BlockStructure((2, 1)))
+    b = DivisorSet.standard(BlockStructure((1, 2)))
+    assert a.divisors[0] is b.divisors[1] and a.divisors[1] is b.divisors[0]
+    assert a.divisors[0] == tropical_hyperplane([0, 0, 0])
+
+
+def test_divisor_power():
+    line = fixtures.standard_line()
+    assert divisor_power(line, 0).support_facets[0].poly == Polyhedron.full_space(2)
+    assert divisor_power(line, 1) == line
+    point = divisor_power(line, 2)
+    assert point.dim == 0 and degree0(point) == 1
+    assert divisor_power(fixtures.standard_line(), 2) is point
+    assert degree0(divisor_power(fixtures.coordinate_hyperplanes(2), 2)) == 2
+    assert degree0(divisor_power(fixtures.standard_plane(), 3)) == 1
+    for power in (divisor_power(line, 0), point):
+        assert power._cache["valid"].ok and power._cache["balance"].balanced
+        assert validate_complex(fresh(power)).ok
+        assert check_balancing(fresh(power)).balanced
+
+
+# --- differential tests against the iterated chain of intersections --------
+
+def _agree(cycle, n, divs=None, seed=0):
+    value = multidegree(cycle, n, divs, seed=seed)
+    assert value == iterated_multidegree(cycle, n, divs, seed=seed), (cycle, n)
+    return value
+
+
+def test_matches_iterated_on_examples():
+    for cyc, seed in ((fixtures.example33a(), 11), (fixtures.example33b(), 12)):
+        for n in type_vectors(cyc):
+            _agree(cyc, n, seed=seed)
+
+
+def test_matches_iterated_on_generated_cycles():
+    for seed in range(20):
+        cycle = fixtures.generate_admissible(seed)
+        for n in type_vectors(cycle):
+            _agree(cycle, n, seed=seed)
+
+
+def test_matches_iterated_on_points():
+    pts = TropicalCycle(BlockStructure((1, 2)),
+                        [(Polyhedron.point((0, 1, 2)), 2),
+                         (Polyhedron.point((1, 0, "1/2")), 3)])
+    assert _agree(pts, (0, 0), seed=3) == 5
+
+
+def test_matches_iterated_on_empty_intersection():
+    g = fixtures.example33a()
+    lin = product(fixtures.standard_line(), fixtures.standard_line(),
+                  BlockStructure((2, 2)))
+    assert stable_intersect(g, lin, seed=4).is_empty
+    assert _agree(g, (1, 1), seed=4) == 0
+
+
+def test_seed_dependence_surfaces(monkeypatch):
+    original = ops._stable_once
+
+    def disagreeing(c1, c2, seed, out_dim):
+        if seed != ops.DisplacementSeed(5):
+            return empty_cycle(c1.ambient)
+        return original(c1, c2, seed, out_dim)
+
+    monkeypatch.setattr(ops, "_stable_once", disagreeing)
+    with pytest.raises(SeedDependenceError):
+        multidegree(diagonal(), (1, 0), seed=5)
