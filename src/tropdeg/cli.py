@@ -143,7 +143,11 @@ def _load(path) -> tuple[TropicalCycle, dict]:
     with open(path, "rb") as fh:
         raw = fh.read()
     digest = hashlib.sha256(raw).hexdigest()
-    cycle = cycfile.loads(raw.decode("utf-8"))
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
+    cycle = cycfile.loads(text)
     return cycle, {"path": path, "sha256": digest}
 
 

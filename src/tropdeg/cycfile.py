@@ -47,19 +47,33 @@ def rational_str(value: Fraction):
     return f"{value.numerator}/{value.denominator}"
 
 
+def _json_list(value, what) -> list:
+    if not isinstance(value, list):
+        raise InputError(f"{what} must be a JSON list, got {value!r}")
+    return value
+
+
+def _vectors(entry, key, parse, idx) -> list:
+    vecs = _json_list(entry.get(key, []), f'facet {idx}: "{key}"')
+    return [[parse(x) for x in _json_list(v, f"facet {idx}: {key} entry")]
+            for v in vecs]
+
+
 def cycle_from_dict(data) -> TropicalCycle:
     if not isinstance(data, dict):
         raise InputError("cycle file must contain a JSON object")
-    try:
-        blocks = BlockStructure(tuple(parse_int(b) for b in data["blocks"]))
-    except KeyError:
-        raise InputError('missing "blocks"') from None
+    if "blocks" not in data:
+        raise InputError('missing "blocks"')
+    blocks = BlockStructure(tuple(parse_int(b)
+                                  for b in _json_list(data["blocks"], '"blocks"')))
     m = blocks.m
     facets = []
-    for idx, entry in enumerate(data.get("facets", [])):
-        verts = [[parse_rational(x) for x in v] for v in entry.get("vertices", [])]
-        rays = [[parse_int(x) for x in r] for r in entry.get("rays", [])]
-        lin = [[parse_int(x) for x in l] for l in entry.get("lineality", [])]
+    for idx, entry in enumerate(_json_list(data.get("facets", []), '"facets"')):
+        if not isinstance(entry, dict):
+            raise InputError(f"facet {idx} must be a JSON object, got {entry!r}")
+        verts = _vectors(entry, "vertices", parse_rational, idx)
+        rays = _vectors(entry, "rays", parse_int, idx)
+        lin = _vectors(entry, "lineality", parse_int, idx)
         weight = parse_int(entry.get("weight", 1))
         if weight < 0:
             raise InputError(f"facet {idx}: negative weight {weight}")

@@ -4,13 +4,17 @@ Vectors are tuples (ints for lattice data, Fractions for affine data),
 matrices are lists/tuples of row tuples, and every computation is exact.
 Row convention throughout: a lattice or subspace is generated by the rows
 of its basis matrix, and x @ M means sum_i x[i] * M[i].
+
+``rref`` is the one elimination kernel.  It is fraction-free: it clears
+each row's denominators once and works in the integers, returning every
+row as a primitive integer row with a positive pivot.  Ranks, spans (with
+the residual ``reduce_mod``), coordinates and inverses read off its rows.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
 
 from .errors import InvariantError, ZeroVectorError
 
@@ -49,38 +53,37 @@ def is_zero_vec(u) -> bool:
     return all(a == 0 for a in u)
 
 
-def gcd_list(xs: Sequence[int]) -> int:
-    g = 0
-    for x in xs:
-        g = math.gcd(g, x)
-    return g
+def int_row(entries) -> IntVec:
+    """Primitive integer multiple of a rational vector, keeping orientation.
 
-
-def lcm_list(xs: Sequence[int]) -> int:
-    out = 1
-    for x in xs:
-        out = out * x // math.gcd(out, x)
-    return out
+    Denominators are cleared, then the entries are divided by their gcd;
+    a zero vector comes back as integer zeros.
+    """
+    if not all(type(e) is int for e in entries):
+        fv = [Fraction(e) for e in entries]
+        den = math.lcm(*(e.denominator for e in fv))
+        entries = [e.numerator * (den // e.denominator) for e in fv]
+    g = math.gcd(*entries)
+    return tuple(entries) if g <= 1 else tuple(x // g for x in entries)
 
 
 def primitive(v) -> IntVec:
     """The unique integer vector with coprime entries on the ray R>=0 * v."""
-    fv = [Fraction(e) for e in v]
-    if all(e == 0 for e in fv):
+    if is_zero_vec(v):
         raise ZeroVectorError("primitive() of the zero vector")
-    den = lcm_list([e.denominator for e in fv])
-    ints = [int(e * den) for e in fv]
-    g = gcd_list(ints)
-    return tuple(x // g for x in ints)
+    return int_row(v)
+
+
+def sign_normalized(vec: IntVec) -> IntVec:
+    """The vector or its negative, whichever has a positive first nonzero entry."""
+    for x in vec:
+        if x != 0:
+            return vec if x > 0 else tuple(-e for e in vec)
+    return vec
 
 
 def identity_rows(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_mul(a, b):
-    cols = list(zip(*b))
-    return [[vdot(row, col) for col in cols] for row in a]
 
 
 def row_times_mat(x, mat):
@@ -90,12 +93,19 @@ def row_times_mat(x, mat):
 
 
 # ---------------------------------------------------------------------------
-# rational elimination
+# exact elimination
 # ---------------------------------------------------------------------------
 
-def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
-    """Reduced row echelon form over Q; returns (rows, pivot columns)."""
-    mat = [[Fraction(e) for e in r] for r in rows]
+def rref(rows) -> tuple[list[IntVec], list[int]]:
+    """Reduced row echelon form over Q, computed fraction-free.
+
+    Each row is cleared of denominators once; a pivot column is then
+    eliminated from every other row by ``pv*row - f*pivot_row`` and the
+    result divided by its gcd, so all arithmetic stays in the integers.
+    Returns (rows, pivot columns): each row is the primitive integer
+    multiple of the corresponding RREF row with a positive pivot entry.
+    """
+    mat = [int_row(r) for r in rows]
     if not mat:
         return [], []
     ncols = len(mat[0])
@@ -105,18 +115,34 @@ def rref(rows) -> tuple[list[list[Fraction]], list[int]]:
         pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
         if pr is None:
             continue
-        mat[r], mat[pr] = mat[pr], mat[r]
-        pv = mat[r][c]
-        mat[r] = [x / pv for x in mat[r]]
+        prow = sign_normalized(mat[pr])   # its first nonzero entry is at c
+        mat[pr] = mat[r]
+        mat[r] = prow
+        pv = prow[c]
         for i in range(len(mat)):
-            if i != r and mat[i][c] != 0:
-                f = mat[i][c]
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+            f = mat[i][c]
+            if i != r and f != 0:
+                mat[i] = int_row([pv * a - f * b for a, b in zip(mat[i], prow)])
         pivots.append(c)
         r += 1
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+def reduce_mod(echelon_rows, vec) -> tuple:
+    """Exact residual of ``vec`` modulo the span of ``rref`` output rows.
+
+    The residual is the unique vector in vec + span whose entries at the
+    pivot columns are zero; it is zero exactly when vec lies in the span.
+    """
+    out = vec
+    for row in echelon_rows:
+        p = next(i for i, x in enumerate(row) if x != 0)
+        if out[p] != 0:
+            f = Fraction(out[p], row[p])
+            out = [a - f * b for a, b in zip(out, row)]
+    return tuple(out)
 
 
 def rank(rows) -> int:
@@ -130,65 +156,33 @@ def coords_in_rows(basis_rows, target):
     """
     n = len(basis_rows)
     if n == 0:
-        return () if all(Fraction(t) == 0 for t in target) else None
-    m = len(target)
-    aug = [[Fraction(basis_rows[j][i]) for j in range(n)] + [Fraction(target[i])]
-           for i in range(m)]
+        return () if is_zero_vec(target) else None
+    aug = [[row[i] for row in basis_rows] + [t] for i, t in enumerate(target)]
     red, piv = rref(aug)
     coords = [Fraction(0)] * n
     for row, p in zip(red, piv):
         if p == n:
             return None
-        coords[p] = row[n]
-    # dependent bases leave free columns; verify the chosen solution
-    for i in range(m):
-        if sum(coords[j] * basis_rows[j][i] for j in range(n)) != target[i]:
-            return None
+        coords[p] = Fraction(row[n], row[p])
     return tuple(coords)
 
 
 def in_span(basis_rows, target) -> bool:
-    return coords_in_rows(basis_rows, target) is not None
-
-
-def frac_det(rows) -> Fraction:
-    """Determinant of a square rational matrix (fraction-free enough at desk scale)."""
-    mat = [[Fraction(e) for e in r] for r in rows]
-    n = len(mat)
-    det = Fraction(1)
-    for c in range(n):
-        pr = next((i for i in range(c, n) if mat[i][c] != 0), None)
-        if pr is None:
-            return Fraction(0)
-        if pr != c:
-            mat[c], mat[pr] = mat[pr], mat[c]
-            det = -det
-        det *= mat[c][c]
-        inv = 1 / mat[c][c]
-        for i in range(c + 1, n):
-            if mat[i][c] != 0:
-                f = mat[i][c] * inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
-    return det
+    return is_zero_vec(reduce_mod(rref(basis_rows)[0], target))
 
 
 def int_inverse(mat) -> list[list[int]]:
     """Exact inverse of a unimodular integer matrix, as integers."""
     n = len(mat)
-    aug = [[Fraction(mat[i][j]) for j in range(n)] +
-           [Fraction(1 if i == j else 0) for j in range(n)] for i in range(n)]
+    aug = [list(mat[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
     red, piv = rref(aug)
     if piv != list(range(n)):
         raise InvariantError("matrix is singular")
-    out = []
-    for row in red:
-        ints = []
-        for x in row[n:]:
-            if x.denominator != 1:
-                raise InvariantError("matrix is not unimodular")
-            ints.append(int(x))
-        out.append(ints)
-    return out
+    # row i is the primitive multiple of (e_i | inverse row i); the inverse
+    # is integral exactly when every pivot is 1
+    if any(row[i] != 1 for i, row in enumerate(red)):
+        raise InvariantError("matrix is not unimodular")
+    return [list(row[n:]) for row in red]
 
 
 # ---------------------------------------------------------------------------
@@ -321,14 +315,7 @@ def int_kernel(rows, m: int) -> tuple[IntVec, ...]:
     diag = [D[i][i] for i in range(min(len(D), m))]
     r = sum(1 for d in diag if d != 0)
     basis = (tuple(V[i][j] for i in range(m)) for j in range(r, m))
-    return tuple(_sign_normalized(b) for b in basis)
-
-
-def _sign_normalized(vec: IntVec) -> IntVec:
-    for x in vec:
-        if x != 0:
-            return vec if x > 0 else tuple(-e for e in vec)
-    return vec
+    return tuple(sign_normalized(b) for b in basis)
 
 
 def lattice_index(gens, m: int):
@@ -363,12 +350,9 @@ def relative_lattice_index(ambient_basis, sub_gens):
         c = coords_in_rows(ambient_basis, g)
         if c is None:
             raise InvariantError("generator outside the ambient lattice span")
-        ints = []
-        for x in c:
-            if x.denominator != 1:
-                raise InvariantError("generator not in the ambient lattice")
-            ints.append(int(x))
-        coords.append(tuple(ints))
+        if any(x.denominator != 1 for x in c):
+            raise InvariantError("generator not in the ambient lattice")
+        coords.append(c)
     return lattice_index(coords, k)
 
 

@@ -12,6 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from . import cycles as cyc
 from . import linalg
@@ -27,12 +28,7 @@ from .errors import (
     WrongDimensionsError,
 )
 from .linalg import IntVec, is_zero_vec, primitive, rank, saturate, vsub
-from .polyhedra import (
-    Polyhedron,
-    common_refinement,
-    int_row,
-    is_covered,
-)
+from .polyhedra import Polyhedron, common_refinement, is_covered
 
 _MASK64 = (1 << 64) - 1
 _SEED_STRIDE = 0x9E3779B97F4A7C15
@@ -90,8 +86,10 @@ def stable_intersect(c1: TropicalCycle, c2: TropicalCycle, seed=0,
                      verify: bool = True) -> TropicalCycle:
     """Stable intersection with multiplicities from the displacement rule.
 
-    With ``verify`` the computation runs under two independent seeds and
-    the results are required to agree cell by cell.
+    The facet pairs, their refinement and weights are seed-independent and
+    computed once; the seed drives only the displacement vector.  With
+    ``verify`` the displacement rule runs under two independent seeds and
+    the resulting cycles are required to agree cell by cell.
     """
     if c1.m != c2.m:
         raise DimensionMismatchError(
@@ -104,54 +102,75 @@ def stable_intersect(c1: TropicalCycle, c2: TropicalCycle, seed=0,
     out_dim = c1.dim + c2.dim - c1.m
     if out_dim < 0:
         return cyc.empty_cycle(c1.ambient)
-    result = _stable_once(c1, c2, seed, out_dim)
+    setup = _stable_setup(c1, c2, out_dim)
+    result = _stable_once(setup, seed)
     if verify:
-        again = _stable_once(c1, c2, seed.derived(101), out_dim)
+        again = _stable_once(setup, seed.derived(101))
         if result.key != again.key:
             raise SeedDependenceError(
                 "stable intersection differs across displacement seeds")
     return result
 
 
-def _stable_once(c1, c2, seed, out_dim):
-    m = c1.m
-    s1, s2 = c1.support_facets, c2.support_facets
+class _StableSetup(NamedTuple):
+    """The part of a stable intersection that no displacement seed changes."""
 
-    facet_pairs = []           # (i, j, P, Q, C, full_span, lattice index)
+    ambient: BlockStructure
+    out_dim: int
+    full_pairs: list    # (i, j, P, Q): meeting facets with Lin(P)+Lin(Q) = R^m
+    low_spans: list     # echelon bases of the proper spans Lin(F)+Lin(F')
+    pieces: list        # (cell, [(i, j, weight)] of the candidates containing it)
+
+
+def _stable_setup(c1, c2, out_dim) -> _StableSetup:
+    m = c1.m
+    meeting = []               # (P, Q) of every meeting facet pair
+    full_pairs = []
+    candidates = []            # (i, j, P cap Q, weight product * lattice index)
     span_cache: dict = {}
-    for i, f1 in enumerate(s1):
-        for j, f2 in enumerate(s2):
-            inter = f1.poly.intersect(f2.poly)
+    for i, f1 in enumerate(c1.support_facets):
+        for j, f2 in enumerate(c2.support_facets):
+            p, q = f1.poly, f2.poly
+            inter = p.intersect(q)
             if inter.is_empty:
                 continue
-            full = _full_span(f1.poly, f2.poly, m, span_cache)
-            index = None
-            if full:
+            meeting.append((p, q))
+            if not _full_span(p, q, m, span_cache):
+                continue
+            full_pairs.append((i, j, p, q))
+            if inter.dim == out_dim:
                 index = linalg.lattice_index(
-                    f1.poly.direction_basis() + f2.poly.direction_basis(), m)
-            facet_pairs.append((i, j, f1.poly, f2.poly, inter, full, index))
+                    p.direction_basis() + q.direction_basis(), m)
+                candidates.append((i, j, inter, f1.weight * f2.weight * index))
 
     # Proper subspaces spanned by direction spaces of face pairs of meeting
     # facets.  A face pair meets after displacement by eps*v only when v
     # lies in Lin(F) + Lin(F'), so keeping v outside every proper such
     # span certifies that displaced meetings happen only with full span.
-    low_spans = _low_face_spans(facet_pairs, m)
+    low_spans = _low_face_spans(meeting, m)
 
+    pieces = []
+    for piece in common_refinement([c for _, _, c, _ in candidates]):
+        point = piece.relative_interior_point()
+        pieces.append((piece, [(i, j, w) for i, j, c, w in candidates
+                               if c.contains(point)]))
+    return _StableSetup(c1.ambient, out_dim, full_pairs, low_spans, pieces)
+
+
+def _stable_once(setup: _StableSetup, seed) -> TropicalCycle:
     rng = Rng(seed.seed)
     redraws = 0
     flags: dict = {}
-    for attempt in range(64):
-        v = rng.vector(m, den_bound=seed.den_bound)
-        ok = all(not _in_rref_span(basis, v) for basis in low_spans)
+    for _ in range(64):
+        v = rng.vector(setup.ambient.m, den_bound=seed.den_bound)
+        ok = all(not is_zero_vec(linalg.reduce_mod(basis, v))
+                 for basis in setup.low_spans)
         if ok:
             flags = {}
             disp_cache: dict = {}
-            for i, j, p, q, _, full, _ in facet_pairs:
-                if not full:
-                    flags[i, j] = False
-                    continue
+            for i, j, p, q in setup.full_pairs:
                 nonempty, qdim = _displaced(p, q, v, disp_cache)
-                if nonempty and qdim != out_dim + 1:
+                if nonempty and qdim != setup.out_dim + 1:
                     ok = False
                     break
                 flags[i, j] = nonempty
@@ -161,20 +180,12 @@ def _stable_once(c1, c2, seed, out_dim):
     else:
         raise InvariantError("no generic displacement found in 64 draws")
 
-    candidates = [(i, j, c, idx) for i, j, _, _, c, full, idx in facet_pairs
-                  if full and c.dim == out_dim]
-    pieces = common_refinement([c for _, _, c, _ in candidates])
-
     facets = []
-    for piece in pieces:
-        point = piece.relative_interior_point()
-        weight = 0
-        for i, j, c, idx in candidates:
-            if flags[i, j] and c.contains(point):
-                weight += s1[i].weight * s2[j].weight * idx
+    for piece, contributions in setup.pieces:
+        weight = sum(w for i, j, w in contributions if flags[i, j])
         if weight > 0:
             facets.append(WeightedFacet(piece, weight))
-    out = cyc.mark_complex_by_construction(TropicalCycle(c1.ambient, facets))
+    out = cyc.mark_complex_by_construction(TropicalCycle(setup.ambient, facets))
     _assert_balanced(out, "stable intersection")
     out._cache["displacement_redraws"] = redraws
     return out
@@ -187,11 +198,11 @@ def _full_span(p: Polyhedron, q: Polyhedron, m: int, cache: dict) -> bool:
     return cache[key]
 
 
-def _low_face_spans(facet_pairs, m: int):
+def _low_face_spans(meeting, m: int):
     """Canonical bases of the proper subspaces Lin(F)+Lin(F') over face pairs."""
     seen_pairs = set()
     spans: dict = {}
-    for _, _, p, q, _, _, _ in facet_pairs:
+    for p, q in meeting:
         for fa in p.all_faces():
             for fb in q.all_faces():
                 key = (fa.key, fb.key)
@@ -199,21 +210,9 @@ def _low_face_spans(facet_pairs, m: int):
                     continue
                 seen_pairs.add(key)
                 red, _ = linalg.rref(fa.direction_basis() + fb.direction_basis())
-                if len(red) == m:
-                    continue
-                spans.setdefault(tuple(tuple(x) for x in red), red)
-    return list(spans.values())
-
-
-def _in_rref_span(rref_rows, v) -> bool:
-    """Membership of v in the row span (rows in reduced echelon form)."""
-    residual = list(v)
-    for row in rref_rows:
-        p = next(i for i, x in enumerate(row) if x != 0)
-        if residual[p] != 0:
-            f = residual[p]
-            residual = [a - f * b for a, b in zip(residual, row)]
-    return all(x == 0 for x in residual)
+                if len(red) < m:
+                    spans.setdefault(tuple(red))
+    return list(spans)
 
 
 def _displaced(f: Polyhedron, g: Polyhedron, v, cache: dict):
@@ -225,9 +224,9 @@ def _displaced(f: Polyhedron, g: Polyhedron, v, cache: dict):
     rows = [r + (0,) for r in f.ineqs]
     eqs = [r + (0,) for r in f.eqs]
     for r in g.ineqs:
-        rows.append(int_row(r + (-sum(c * x for c, x in zip(r[1:], v)),)))
+        rows.append(r + (-sum(c * x for c, x in zip(r[1:], v)),))
     for r in g.eqs:
-        eqs.append(int_row(r + (-sum(c * x for c, x in zip(r[1:], v)),)))
+        eqs.append(r + (-sum(c * x for c, x in zip(r[1:], v)),))
     q = Polyhedron.from_hrep(f.m + 1, ineqs=rows, eqs=eqs)
     eps = f.m   # index of the eps coordinate
     if q.is_empty:
@@ -440,13 +439,13 @@ def tropical_hyperplane(coeffs) -> TropicalCycle:
     for i, j in combinations(range(m + 1), 2):
         ci, li = term_row(i)
         cj, lj = term_row(j)
-        eq = int_row([ci - cj] + [a - b for a, b in zip(li, lj)])
+        eq = [ci - cj] + [a - b for a, b in zip(li, lj)]
         ineqs = []
         for l in range(m + 1):
             if l in (i, j):
                 continue
             cl, ll = term_row(l)
-            ineqs.append(int_row([cl - ci] + [a - b for a, b in zip(ll, li)]))
+            ineqs.append([cl - ci] + [a - b for a, b in zip(ll, li)])
         cell = Polyhedron.from_hrep(m, ineqs=ineqs, eqs=[eq])
         if not cell.is_empty and cell.dim == m - 1:
             facets.append(WeightedFacet(cell, 1))

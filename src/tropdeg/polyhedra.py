@@ -33,12 +33,13 @@ from .linalg import (
     IntVec,
     Vec,
     frac_vec,
-    gcd_list,
     int_kernel,
+    int_row,
     is_zero_vec,
-    lcm_list,
     primitive,
+    reduce_mod,
     rref,
+    sign_normalized,
     vadd,
     vdot,
     vneg,
@@ -47,30 +48,6 @@ from .linalg import (
 )
 
 HomRow = IntVec  # length m+1: (c0, c1, ..., cm)
-
-
-def int_row(entries) -> HomRow:
-    """Clear denominators and divide by gcd, preserving orientation."""
-    if all(type(e) is int for e in entries):
-        g = gcd_list(entries)
-        if g > 1:
-            return tuple(x // g for x in entries)
-        return tuple(entries)
-    fv = [Fraction(e) for e in entries]
-    den = lcm_list([e.denominator for e in fv]) if fv else 1
-    ints = [int(e * den) for e in fv]
-    g = gcd_list(ints)
-    if g > 1:
-        ints = [x // g for x in ints]
-    return tuple(ints)
-
-
-def norm_hyperplane(row: HomRow) -> HomRow:
-    """Sign-normalized hyperplane key: first nonzero entry positive."""
-    for e in row:
-        if e != 0:
-            return row if e > 0 else tuple(-x for x in row)
-    return row
 
 
 def eval_row(row, point) -> Fraction:
@@ -115,7 +92,7 @@ def dual_description(dim: int, constraints) -> tuple[list[IntVec], list[IntVec]]
             for l in lin:
                 s = vdot(c, l)
                 if s != 0:
-                    l = _reduce(tuple(s0 * a - s * b for a, b in zip(l, pivot)))
+                    l = int_row([s0 * a - s * b for a, b in zip(l, pivot)])
                 new_lin.append(l)
             lin = new_lin
             new_rays = []
@@ -125,7 +102,7 @@ def dual_description(dim: int, constraints) -> tuple[list[IntVec], list[IntVec]]
                     vec = tuple(s0 * a - s * b for a, b in zip(vec, pivot))
                     if is_zero_vec(vec):
                         continue
-                    vec = _reduce(vec)
+                    vec = int_row(vec)
                 new_rays.append([vec, mask | bit])
             rays = _dedupe(new_rays)
             if not is_eq:
@@ -149,17 +126,12 @@ def dual_description(dim: int, constraints) -> tuple[list[IntVec], list[IntVec]]
                     w = tuple(sp * a - sn * b for a, b in zip(vn, vp))
                     if is_zero_vec(w):
                         continue
-                    combos.append([_reduce(w), t | bit])
+                    combos.append([int_row(w), t | bit])
             keep = zero if is_eq else [[v, m] for v, m, _ in pos] + zero
             rays = _dedupe(keep + combos)
         n_done += 1
         prior_mask |= bit
     return [r[0] for r in rays], lin
-
-
-def _reduce(vec: IntVec) -> IntVec:
-    g = gcd_list(vec)
-    return vec if g <= 1 else tuple(x // g for x in vec)
 
 
 def _dedupe(rays):
@@ -418,10 +390,10 @@ class Polyhedron:
         if len(v) != self.m:
             raise DimensionMismatchError(
                 f"translation vector of length {len(v)} in R^{self.m}")
-        eqs = _canon_eqs([int_row((r[0] - eval_dir(r, v),) + r[1:]) for r in self.eqs])
+        eqs = _canon_eqs([(r[0] - eval_dir(r, v),) + r[1:] for r in self.eqs])
         ineqs = _canon_ineqs([int_row((r[0] - eval_dir(r, v),) + r[1:])
                               for r in self.ineqs], eqs)
-        verts = sorted(_reduce_mod_lin(vadd(p, v), self.lineality)
+        verts = sorted(reduce_mod(self.lineality, vadd(p, v))
                        for p in self.vertices)
         return Polyhedron(m=self.m, eqs=eqs, ineqs=ineqs,
                           vertices=tuple(verts), rays=self.rays,
@@ -442,8 +414,8 @@ class Polyhedron:
                              for v2 in other.vertices))
         rays = tuple(sorted([r + (0,) * b for r in self.rays] +
                             [(0,) * a + r for r in other.rays]))
-        lin = _canon_lineality([l + (0,) * b for l in self.lineality] +
-                               [(0,) * a + l for l in other.lineality])
+        lin = _canon_eqs([l + (0,) * b for l in self.lineality] +
+                         [(0,) * a + l for l in other.lineality])
         return Polyhedron(m=a + b, eqs=eqs_c, ineqs=ineqs_c, vertices=verts,
                           rays=rays, lineality=lin, is_empty=False)._intern()
 
@@ -533,50 +505,25 @@ def _check_len(vec, m):
 
 
 def _canon_eqs(rows) -> tuple[HomRow, ...]:
-    red, _ = rref(rows)
-    return tuple(int_row(r) for r in red)
+    """RREF-canonical basis of a row space (equalities or lineality)."""
+    return tuple(rref(rows)[0])
 
 
 def _canon_ineqs(rows, eqs) -> tuple[HomRow, ...]:
-    pivots = [_pivot_col(e) for e in eqs]
     out = set()
     for row in rows:
-        fr = [Fraction(x) for x in row]
-        for e, p in zip(eqs, pivots):
-            if fr[p] != 0:
-                f = fr[p] / e[p]
-                fr = [a - f * b for a, b in zip(fr, e)]
-        if all(x == 0 for x in fr[1:]):
+        r = reduce_mod(eqs, row)
+        if is_zero_vec(r[1:]):
             continue   # trivial after reduction
-        out.add(int_row(fr))
+        out.add(int_row(r))
     return tuple(sorted(out))
 
 
-def _pivot_col(row) -> int:
-    return next(i for i, x in enumerate(row) if x != 0)
-
-
-def _canon_lineality(rows) -> tuple[IntVec, ...]:
-    red, _ = rref(rows)
-    return tuple(int_row(r) for r in red)
-
-
-def _reduce_mod_lin(vec, lin_rows):
-    """Zero out the lineality pivot coordinates of a vector."""
-    out = list(Fraction(x) for x in vec)
-    for l in lin_rows:
-        p = _pivot_col(l)
-        if out[p] != 0:
-            f = out[p] / l[p]
-            out = [a - f * b for a, b in zip(out, l)]
-    return tuple(out)
-
-
 def _canon_generators(vertices, rays, lineality):
-    lin = _canon_lineality(lineality)
-    rays_c = sorted({primitive(_reduce_mod_lin(r, lin))
-                     for r in rays if not is_zero_vec(_reduce_mod_lin(r, lin))})
-    verts_c = sorted({_reduce_mod_lin(v, lin) for v in vertices})
+    lin = _canon_eqs(lineality)
+    rays_c = sorted({primitive(r) for r in (reduce_mod(lin, x) for x in rays)
+                     if not is_zero_vec(r)})
+    verts_c = sorted({reduce_mod(lin, v) for v in vertices})
     return tuple(verts_c), tuple(rays_c), lin
 
 
@@ -590,7 +537,7 @@ def hyperplane_pool(polys) -> list[HomRow]:
     out = []
     for p in polys:
         for row in p.eqs + p.ineqs:
-            h = norm_hyperplane(row)
+            h = sign_normalized(row)
             if h not in seen:
                 seen.add(h)
                 out.append(h)

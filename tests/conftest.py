@@ -78,6 +78,57 @@ def _iterated_once(cycle, n, divs, seed) -> int:
     return degree0(cur)
 
 
+def fraction_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
+    """Reduced row echelon form over Q; returns (rows, pivot columns).
+
+    The textbook Fraction elimination that ``linalg.rref`` replaced; kept
+    as a differential oracle for the fraction-free kernel.
+    """
+    mat = [[Fraction(e) for e in r] for r in rows]
+    if not mat:
+        return [], []
+    ncols = len(mat[0])
+    pivots: list[int] = []
+    r = 0
+    for c in range(ncols):
+        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
+        if pr is None:
+            continue
+        mat[r], mat[pr] = mat[pr], mat[r]
+        pv = mat[r][c]
+        mat[r] = [x / pv for x in mat[r]]
+        for i in range(len(mat)):
+            if i != r and mat[i][c] != 0:
+                f = mat[i][c]
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
+        pivots.append(c)
+        r += 1
+        if r == len(mat):
+            break
+    return mat[:r], pivots
+
+
+def frac_det(rows) -> Fraction:
+    """Determinant of a square rational matrix (fraction-free enough at desk scale)."""
+    mat = [[Fraction(e) for e in r] for r in rows]
+    n = len(mat)
+    det = Fraction(1)
+    for c in range(n):
+        pr = next((i for i in range(c, n) if mat[i][c] != 0), None)
+        if pr is None:
+            return Fraction(0)
+        if pr != c:
+            mat[c], mat[pr] = mat[pr], mat[c]
+            det = -det
+        det *= mat[c][c]
+        inv = 1 / mat[c][c]
+        for i in range(c + 1, n):
+            if mat[i][c] != 0:
+                f = mat[i][c] * inv
+                mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
+    return det
+
+
 def min_attained_twice(coeffs, point) -> bool:
     """Membership oracle for the hyperplane locus, straight from the definition."""
     vals = [Fraction(coeffs[0])]

@@ -150,6 +150,30 @@ def test_cli_exit_codes(tmp_path):
     assert run_cli("nonsense").returncode == 1
 
 
+MALFORMED = {
+    "not_utf8": b'{"blocks": [2], "facets": []}\xff\xfe',
+    "facets_not_list": b'{"blocks": [2], "facets": 5}',
+    "facet_not_object": b'{"blocks": [2], "facets": [5]}',
+    "vector_not_list": b'{"blocks": [2], "facets": [{"vertices": [5]}]}',
+}
+
+
+@pytest.mark.parametrize("as_divisor", [False, True], ids=["file", "divisor"])
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_cli_malformed_input_reports_error(tmp_path, name, as_divisor):
+    bad = tmp_path / "bad.cyc"
+    bad.write_bytes(MALFORMED[name])
+    if as_divisor:
+        args = ("multidegree", str(fixture_path("diagonal_11")), "--type", "1,0",
+                "--divisor", f"1:{bad}")
+    else:
+        args = ("degree", str(bad))
+    proc = run_cli(*args)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr
+    assert "error" in json.loads(proc.stdout)
+
+
 def test_cli_output_file(tmp_path):
     out = tmp_path / "out.cyc"
     proc = run_cli("recession", str(fixture_path("standard_line")),

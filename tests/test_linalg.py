@@ -2,17 +2,20 @@ from fractions import Fraction
 
 import pytest
 
-from tropdeg.errors import ZeroVectorError
+from conftest import frac_det, fraction_rref
+from tropdeg.errors import InvariantError, ZeroVectorError
 from tropdeg.linalg import (
     INFINITE,
     QuotientLattice,
     coords_in_rows,
-    frac_det,
+    in_span,
     int_inverse,
     int_kernel,
+    int_row,
     lattice_index,
     primitive,
     rank,
+    reduce_mod,
     rref,
     saturate,
     snf,
@@ -138,3 +141,114 @@ def test_rref_and_rank():
     red, piv = rref([(2, 4), (1, 2)])
     assert len(red) == 1 and piv == [0]
     assert rank([(1, 0), (0, 1), (1, 1)]) == 2
+
+
+# ---------------------------------------------------------------------------
+# the fraction-free kernel against the Fraction elimination it replaced
+# ---------------------------------------------------------------------------
+
+def _random_matrix(rng):
+    """0-6 rows x 1-7 columns, with zero rows and dependent rows mixed in."""
+    nrows, ncols = rng.randint(0, 6), rng.randint(1, 7)
+    rational = rng.randint(0, 1) == 1
+
+    def entry():
+        if rng.randint(0, 2) == 0:
+            return 0
+        x = rng.randint(-9, 9)
+        return Fraction(x, rng.randint(1, 6)) if rational else x
+
+    rows = []
+    for _ in range(nrows):
+        kind = rng.randint(0, 4)
+        if kind == 0:
+            row = [0] * ncols
+        elif kind == 1 and rows:
+            a = rows[rng.randint(0, len(rows) - 1)]
+            b = rows[rng.randint(0, len(rows) - 1)]
+            ca, cb = rng.randint(-3, 3), Fraction(rng.randint(-4, 4), rng.randint(1, 3))
+            row = [ca * x + cb * y for x, y in zip(a, b)]
+            if not rational:
+                row = [int(x * cb.denominator) for x in row]
+        else:
+            row = [entry() for _ in range(ncols)]
+        rows.append(tuple(row))
+    return rows, ncols
+
+
+def _oracle_coords(basis_rows, target):
+    """Coordinates with free coefficients zero, by Fraction elimination."""
+    n = len(basis_rows)
+    if n == 0:
+        return () if all(t == 0 for t in target) else None
+    aug = [[basis_rows[j][i] for j in range(n)] + [target[i]]
+           for i in range(len(target))]
+    red, piv = fraction_rref(aug)
+    coords = [Fraction(0)] * n
+    for row, p in zip(red, piv):
+        if p == n:
+            return None
+        coords[p] = row[n]
+    return tuple(coords)
+
+
+def _unimodular(rng, n):
+    mat = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+    for _ in range(3 * n):
+        i, j = rng.randint(0, n - 1), rng.randint(0, n - 1)
+        if i != j:
+            f = rng.randint(-3, 3)
+            mat[i] = [a + f * b for a, b in zip(mat[i], mat[j])]
+    return mat
+
+
+def _check_inverse(mat):
+    det = frac_det(mat)
+    if det == 0:
+        with pytest.raises(InvariantError, match="singular"):
+            int_inverse(mat)
+    elif abs(det) != 1:
+        with pytest.raises(InvariantError, match="not unimodular"):
+            int_inverse(mat)
+    else:
+        inv = int_inverse(mat)
+        n = len(mat)
+        assert all(type(x) is int for row in inv for x in row)
+        assert mat_mul(mat, inv) == [[int(i == j) for j in range(n)]
+                                     for i in range(n)]
+
+
+def test_kernel_matches_fraction_oracle():
+    rng = Rng(31337)
+    outcomes = set()
+    for _ in range(300):
+        rows, ncols = _random_matrix(rng)
+        red, piv = rref(rows)
+        o_red, o_piv = fraction_rref(rows)
+        assert piv == o_piv
+        assert red == [int_row(r) for r in o_red]
+        assert rank(rows) == len(o_red)
+
+        in_target = tuple(sum((rng.randint(-2, 2) * r[c] for r in rows), 0)
+                          for c in range(ncols))
+        free_target = tuple(rng.fraction(9, 4) for _ in range(ncols))
+        for target in (in_target, free_target):
+            expected = len(fraction_rref(rows + [target])[0]) == len(o_red)
+            assert in_span(rows, target) == expected
+            residual = reduce_mod(red, target)
+            assert all(residual[p] == 0 for p in piv)
+            assert (all(x == 0 for x in residual)) == expected
+            coords = coords_in_rows(rows, target)
+            assert coords == _oracle_coords(rows, target)
+            assert (coords is not None) == expected
+            if coords is not None:
+                assert all(sum(c * r[i] for c, r in zip(coords, rows)) == t
+                           for i, t in enumerate(target))
+            outcomes.add(expected)
+
+        k = min(len(rows), ncols)
+        _check_inverse([list(int_row(r))[:k] for r in rows[:k]])
+        n = rng.randint(1, 5)
+        _check_inverse(_unimodular(rng, n))
+        _check_inverse([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+    assert outcomes == {True, False}

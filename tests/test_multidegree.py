@@ -280,10 +280,10 @@ def test_matches_iterated_on_empty_intersection():
 def test_seed_dependence_surfaces(monkeypatch):
     original = ops._stable_once
 
-    def disagreeing(c1, c2, seed, out_dim):
+    def disagreeing(setup, seed):
         if seed != ops.DisplacementSeed(5):
-            return empty_cycle(c1.ambient)
-        return original(c1, c2, seed, out_dim)
+            return empty_cycle(setup.ambient)
+        return original(setup, seed)
 
     monkeypatch.setattr(ops, "_stable_once", disagreeing)
     with pytest.raises(SeedDependenceError):
