@@ -142,13 +142,8 @@ def _seed(args) -> int:
 def _load(path) -> tuple[TropicalCycle, dict]:
     with open(path, "rb") as fh:
         raw = fh.read()
-    digest = hashlib.sha256(raw).hexdigest()
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise InputError(f"{path}: not UTF-8 text: {exc}") from exc
-    cycle = cycfile.loads(text)
-    return cycle, {"path": path, "sha256": digest}
+    cycle = cycfile.loads_bytes(raw, path)
+    return cycle, {"path": path, "sha256": hashlib.sha256(raw).hexdigest()}
 
 
 def _parse_ints(text, what) -> tuple[int, ...]:

@@ -17,7 +17,7 @@ import json
 from fractions import Fraction
 
 from .cycles import BlockStructure, TropicalCycle, WeightedFacet
-from .errors import InputError
+from .errors import DimensionMismatchError, InputError
 from .polyhedra import Polyhedron
 
 
@@ -64,8 +64,11 @@ def cycle_from_dict(data) -> TropicalCycle:
         raise InputError("cycle file must contain a JSON object")
     if "blocks" not in data:
         raise InputError('missing "blocks"')
-    blocks = BlockStructure(tuple(parse_int(b)
-                                  for b in _json_list(data["blocks"], '"blocks"')))
+    sizes = tuple(parse_int(b) for b in _json_list(data["blocks"], '"blocks"'))
+    try:
+        blocks = BlockStructure(sizes)
+    except DimensionMismatchError as exc:
+        raise InputError(str(exc)) from exc
     m = blocks.m
     facets = []
     for idx, entry in enumerate(_json_list(data.get("facets", []), '"facets"')):
@@ -113,9 +116,18 @@ def dumps(cycle: TropicalCycle) -> str:
     return json.dumps(cycle_to_dict(cycle), indent=1, sort_keys=True) + "\n"
 
 
+def loads_bytes(raw: bytes, source) -> TropicalCycle:
+    """Parse the raw bytes of a cycle file; ``source`` names it in errors."""
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InputError(f"{source}: not UTF-8 text: {exc}") from exc
+    return loads(text)
+
+
 def load(path) -> TropicalCycle:
-    with open(path, encoding="utf-8") as fh:
-        return loads(fh.read())
+    with open(path, "rb") as fh:
+        return loads_bytes(fh.read(), path)
 
 
 def save(path, cycle: TropicalCycle) -> None:

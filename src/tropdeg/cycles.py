@@ -17,7 +17,13 @@ from .errors import (
     WrongDimensionError,
 )
 from .linalg import IntVec, QuotientLattice, frac_vec, primitive, vsub
-from .polyhedra import Polyhedron, common_refinement, refine_by_hyperplanes
+from .polyhedra import (
+    Polyhedron,
+    common_refinement,
+    int_generators,
+    quickly_disjoint,
+    refine_by_hyperplanes,
+)
 
 
 @dataclass(frozen=True)
@@ -176,9 +182,13 @@ def validate_complex(cycle: TropicalCycle) -> ComplexReport:
     bad: list[tuple[int, int]] = []
     face_keys: list[set] = [
         {g.key for g in f.poly.all_faces()} for f in support]
+    gens = [int_generators(f.poly) for f in support]
     for i in range(len(support)):
         for j in range(i + 1, len(support)):
-            inter = support[i].poly.intersect(support[j].poly)
+            a, b = support[i].poly, support[j].poly
+            if quickly_disjoint(a, b, gens[i], gens[j]):
+                continue
+            inter = a.intersect(b)
             if inter.is_empty:
                 continue
             if inter.key not in face_keys[i] or inter.key not in face_keys[j]:

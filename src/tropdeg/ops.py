@@ -27,8 +27,16 @@ from .errors import (
     WrongDimensionError,
     WrongDimensionsError,
 )
-from .linalg import IntVec, is_zero_vec, primitive, rank, saturate, vsub
-from .polyhedra import Polyhedron, common_refinement, is_covered
+from .linalg import IntVec, int_row, is_zero_vec, primitive, rank, saturate, vsub
+from .polyhedra import (
+    Polyhedron,
+    common_refinement,
+    dual_description,
+    homogenized_constraints,
+    int_generators,
+    is_covered,
+    quickly_disjoint,
+)
 
 _MASK64 = (1 << 64) - 1
 _SEED_STRIDE = 0x9E3779B97F4A7C15
@@ -128,9 +136,13 @@ def _stable_setup(c1, c2, out_dim) -> _StableSetup:
     full_pairs = []
     candidates = []            # (i, j, P cap Q, weight product * lattice index)
     span_cache: dict = {}
+    gens2 = [int_generators(f2.poly) for f2 in c2.support_facets]
     for i, f1 in enumerate(c1.support_facets):
+        gens1 = int_generators(f1.poly)
         for j, f2 in enumerate(c2.support_facets):
             p, q = f1.poly, f2.poly
+            if quickly_disjoint(p, q, gens1, gens2[j]):
+                continue
             inter = p.intersect(q)
             if inter.is_empty:
                 continue
@@ -217,25 +229,31 @@ def _low_face_spans(meeting, m: int):
 
 def _displaced(f: Polyhedron, g: Polyhedron, v, cache: dict):
     """Whether f meets g + eps*v for arbitrarily small eps > 0, and the
-    dimension of the joint (x, eps) polyhedron."""
+    dimension of the joint (x, eps) polyhedron (-1 when it is empty).
+
+    Read off one double description of the joint homogenization cone in
+    (x0, x, eps): the polyhedron is empty when no ray has positive height
+    x0; the displaced facets meet when some ray has a positive eps entry
+    or some lineality vector a nonzero one; the dimension is the rank of
+    rays and lineality minus one.
+    """
     key = (f.key, g.key)
     if key in cache:
         return cache[key]
     rows = [r + (0,) for r in f.ineqs]
     eqs = [r + (0,) for r in f.eqs]
     for r in g.ineqs:
-        rows.append(r + (-sum(c * x for c, x in zip(r[1:], v)),))
+        rows.append(int_row(r + (-sum(c * x for c, x in zip(r[1:], v)),)))
     for r in g.eqs:
-        eqs.append(r + (-sum(c * x for c, x in zip(r[1:], v)),))
-    q = Polyhedron.from_hrep(f.m + 1, ineqs=rows, eqs=eqs)
-    eps = f.m   # index of the eps coordinate
-    if q.is_empty:
+        eqs.append(int_row(r + (-sum(c * x for c, x in zip(r[1:], v)),)))
+    gen_rays, gen_lin = dual_description(
+        f.m + 2, homogenized_constraints(f.m + 1, rows, eqs))
+    if not any(r[0] > 0 for r in gen_rays):
         result = (False, -1)
     else:
-        nonempty = (any(vert[eps] > 0 for vert in q.vertices)
-                    or any(ray[eps] > 0 for ray in q.rays)
-                    or any(l[eps] != 0 for l in q.lineality))
-        result = (nonempty, q.dim)
+        nonempty = (any(r[-1] > 0 for r in gen_rays)
+                    or any(l[-1] != 0 for l in gen_lin))
+        result = (nonempty, rank(gen_rays + gen_lin) - 1)
     cache[key] = result
     return result
 

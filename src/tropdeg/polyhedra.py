@@ -11,8 +11,10 @@ A polyhedron in R^m is stored in both representations at once:
   modulo the lineality space), primitive rays, and an RREF-canonical
   lineality basis.
 
-Conversion in both directions runs the double description method on the
-homogenization cone, entirely in integer arithmetic.  The empty
+H->V and V->H conversion run the double description method on the
+homogenization cone, entirely in integer arithmetic.  Faces skip the
+H->V step: a face's extreme generators are the polyhedron's own
+generators tight on it, so only its H-rep is computed.  The empty
 polyhedron is a first-class value.
 
 Polyhedra are immutable; the per-instance caches and the intern pool are
@@ -134,6 +136,14 @@ def dual_description(dim: int, constraints) -> tuple[list[IntVec], list[IntVec]]
     return [r[0] for r in rays], lin
 
 
+def homogenized_constraints(m, ineqs, eqs):
+    """Double description input for {x in R^m : ineqs >= 0, eqs == 0}:
+    the equalities, then ``x0 >= 0``, then the inequalities."""
+    x0 = (1,) + (0,) * m
+    return [(r, True) for r in eqs] + [(x0, False)] + \
+           [(r, False) for r in ineqs]
+
+
 def _dedupe(rays):
     seen = set()
     out = []
@@ -204,10 +214,8 @@ class Polyhedron:
                     return cls.empty(m)
                 continue
             eq_rows.append(r)
-        x0 = (1,) + (0,) * m
-        constraints = [(r, True) for r in eq_rows] + [(x0, False)] + \
-                      [(r, False) for r in ineq_rows]
-        gen_rays, gen_lin = dual_description(m + 1, constraints)
+        gen_rays, gen_lin = dual_description(
+            m + 1, homogenized_constraints(m, ineq_rows, eq_rows))
         return cls._from_cone_output(m, gen_rays, gen_lin)
 
     @classmethod
@@ -228,10 +236,8 @@ class Polyhedron:
         vertices_c, rays_c, lin_c = _canon_generators(verts, ray_vecs, lin_vecs)
         ineqs, eqs = cls._hrep_from_generators(m, vertices_c, rays_c, lin_c)
         # second pass makes the generator side irredundant and canonical
-        x0 = (1,) + (0,) * m
-        constraints = [(r, True) for r in eqs] + [(x0, False)] + \
-                      [(r, False) for r in ineqs]
-        gen_rays, gen_lin = dual_description(m + 1, constraints)
+        gen_rays, gen_lin = dual_description(
+            m + 1, homogenized_constraints(m, ineqs, eqs))
         poly = cls._from_cone_output(m, gen_rays, gen_lin, hrep=(ineqs, eqs))
         if poly.is_empty:
             raise InvariantError("generator input produced an empty polyhedron")
@@ -430,9 +436,15 @@ class Polyhedron:
         return Polyhedron.from_generators(m_out, verts, rays, lin)
 
     def face(self, ineq_row: HomRow) -> "Polyhedron":
-        """The face where one of this polyhedron's inequalities is tight."""
-        return Polyhedron.from_hrep(self.m, ineqs=self.ineqs,
-                                    eqs=self.eqs + (ineq_row,))
+        """The face where a valid inequality (one of ``ineqs``) is tight.
+
+        Read off the generators: the face is spanned by the vertices and
+        rays on the hyperplane plus the lineality, so only its H-rep needs
+        a double description.
+        """
+        verts, rays, lin = int_generators(self)
+        tight = [g for g in verts + rays if vdot(ineq_row, g) == 0]
+        return Polyhedron._from_cone_output(self.m, tight, lin)
 
     def facet_faces(self) -> tuple["Polyhedron", ...]:
         """Codimension-1 faces (one per irredundant inequality)."""
@@ -497,6 +509,20 @@ class Polyhedron:
 # ---------------------------------------------------------------------------
 # canonicalization helpers
 # ---------------------------------------------------------------------------
+
+def int_generators(p: Polyhedron):
+    """Homogenized integer generators (vertices, rays, lineality) of p.
+
+    A vertex v becomes ``int_row((1,) + v)``, a positive multiple of
+    ``(1, v)``, so the sign of ``vdot(row, g)`` is that of ``c0 + c.v``.
+    Callers compute these once per cell and pass them around; they are
+    deliberately not cached on the polyhedron, which the intern pool keeps
+    alive.
+    """
+    return (tuple(int_row((1,) + v) for v in p.vertices),
+            tuple((0,) + r for r in p.rays),
+            tuple((0,) + l for l in p.lineality))
+
 
 def _check_len(vec, m):
     if len(vec) != m + 1:
@@ -566,20 +592,29 @@ def face_key_set(poly: Polyhedron) -> frozenset:
     return poly._cache["face_keys"]
 
 
-def quickly_disjoint(a: Polyhedron, b: Polyhedron) -> bool:
-    """Cheap sufficient test: some constraint of one strictly avoids the other."""
-    for p, q in ((a, b), (b, a)):
+def _separates(row: HomRow, gens) -> bool:
+    """Whether ``row`` is negative on the whole polyhedron with ``gens``."""
+    verts, rays, lin = gens
+    return (all(vdot(row, g) < 0 for g in verts)
+            and all(vdot(row, g) <= 0 for g in rays)
+            and all(vdot(row, g) == 0 for g in lin))
+
+
+def quickly_disjoint(a: Polyhedron, b: Polyhedron, gens_a, gens_b) -> bool:
+    """Cheap sufficient test for a and b being disjoint.
+
+    Looks for a constraint of one polyhedron that is strictly violated on
+    the other, by integer dot products with the other's homogenized
+    generators (``gens_a = int_generators(a)``, likewise ``gens_b``).
+    True means the intersection is empty; False decides nothing.
+    """
+    for p, gens in ((a, gens_b), (b, gens_a)):
         for row in p.ineqs:
-            if all(eval_row(row, v) < 0 for v in q.vertices) \
-                    and all(eval_dir(row, r) <= 0 for r in q.rays) \
-                    and all(eval_dir(row, l) == 0 for l in q.lineality):
+            if _separates(row, gens):
                 return True
         for row in p.eqs:
-            for sign in (1, -1):
-                if all(sign * eval_row(row, v) < 0 for v in q.vertices) \
-                        and all(sign * eval_dir(row, r) <= 0 for r in q.rays) \
-                        and all(eval_dir(row, l) == 0 for l in q.lineality):
-                    return True
+            if _separates(row, gens) or _separates(vneg(row), gens):
+                return True
     return False
 
 
@@ -598,10 +633,11 @@ def common_refinement(cells) -> list[Polyhedron]:
     current = sorted(out.values(), key=lambda p: p.key)
     for _ in range(8):
         cuts: dict = {}
+        gens = [int_generators(c) for c in current]
         for ia in range(len(current)):
             for ib in range(ia + 1, len(current)):
                 a, b = current[ia], current[ib]
-                if quickly_disjoint(a, b):
+                if quickly_disjoint(a, b, gens[ia], gens[ib]):
                     continue
                 inter = a.intersect(b)
                 if inter.is_empty:

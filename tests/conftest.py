@@ -10,6 +10,7 @@ from tropdeg.cycles import TropicalCycle, degree0, translate
 from tropdeg.errors import SeedDependenceError
 from tropdeg.multidegree import DivisorSet, pullback
 from tropdeg.ops import Rng, _as_seed, stable_intersect
+from tropdeg.polyhedra import Polyhedron
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_DIR = ROOT / "fixtures"
@@ -127,6 +128,41 @@ def frac_det(rows) -> Fraction:
                 f = mat[i][c] * inv
                 mat[i] = [a - f * b for a, b in zip(mat[i], mat[c])]
     return det
+
+
+def displaced_oracle(f: Polyhedron, g: Polyhedron, v, cache: dict):
+    """Whether f meets g + eps*v for arbitrarily small eps > 0, and the
+    dimension of the joint (x, eps) polyhedron.
+
+    The construction that ``ops._displaced`` replaced: the joint polyhedron
+    is built and canonicalized with ``from_hrep`` and the answer read off
+    its V-rep.  Kept as a differential oracle.
+    """
+    key = (f.key, g.key)
+    if key in cache:
+        return cache[key]
+    rows = [r + (0,) for r in f.ineqs]
+    eqs = [r + (0,) for r in f.eqs]
+    for r in g.ineqs:
+        rows.append(r + (-sum(c * x for c, x in zip(r[1:], v)),))
+    for r in g.eqs:
+        eqs.append(r + (-sum(c * x for c, x in zip(r[1:], v)),))
+    q = Polyhedron.from_hrep(f.m + 1, ineqs=rows, eqs=eqs)
+    eps = f.m   # index of the eps coordinate
+    if q.is_empty:
+        result = (False, -1)
+    else:
+        nonempty = (any(vert[eps] > 0 for vert in q.vertices)
+                    or any(ray[eps] > 0 for ray in q.rays)
+                    or any(l[eps] != 0 for l in q.lineality))
+        result = (nonempty, q.dim)
+    cache[key] = result
+    return result
+
+
+def face_oracle(p: Polyhedron, row) -> Polyhedron:
+    """The face of p where ``row`` is tight, by a fresh H->V conversion."""
+    return Polyhedron.from_hrep(p.m, p.ineqs, p.eqs + (row,))
 
 
 def min_attained_twice(coeffs, point) -> bool:

@@ -68,6 +68,13 @@ def test_parse_errors():
             {"vertices": [], "rays": [[1]], "weight": 1}]}))
 
 
+def test_load_rejects_non_utf8(tmp_path):
+    bad = tmp_path / "bad.cyc"
+    bad.write_bytes(b'{"blocks": [2], "facets": []}\xff')
+    with pytest.raises(InputError, match="not UTF-8"):
+        cycfile.load(bad)
+
+
 def test_shipped_fixtures_parse_validate_balance():
     for path in sorted(FIXTURE_DIR.glob("*.cyc")):
         cycle = cycfile.load(path)
@@ -155,6 +162,8 @@ MALFORMED = {
     "facets_not_list": b'{"blocks": [2], "facets": 5}',
     "facet_not_object": b'{"blocks": [2], "facets": [5]}',
     "vector_not_list": b'{"blocks": [2], "facets": [{"vertices": [5]}]}',
+    "zero_block_size": b'{"blocks": [0], "facets": []}',
+    "no_blocks": b'{"blocks": [], "facets": []}',
 }
 
 

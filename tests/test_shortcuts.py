@@ -1,0 +1,91 @@
+"""Differential tests: each generator-side shortcut against its slow path.
+
+On the multidegrees of generator seeds 0-9 (every type vector) and the
+complex validation of those cycles:
+
+* ``quickly_disjoint`` answers True only for pairs whose ``intersect`` is
+  empty;
+* ``ops._displaced`` agrees with ``displaced_oracle`` on every call;
+* ``Polyhedron.face`` agrees with ``face_oracle`` in key and V-rep for
+  every inequality of every polyhedron the run left in the intern pool.
+"""
+
+import pytest
+
+from conftest import displaced_oracle, face_oracle, fresh
+from tropdeg import cycles, fixtures, ops, polyhedra
+from tropdeg.cycles import validate_complex
+from tropdeg.multidegree import multidegree, type_vectors
+from tropdeg.polyhedra import Polyhedron
+
+SEEDS = range(10)
+
+
+@pytest.fixture(scope="module")
+def run():
+    """Calls to the shortcuts recorded over the seeds, and the pool they left."""
+    disjoint_calls = []
+    displaced_calls = []
+
+    def record_disjoint(a, b, gens_a, gens_b):
+        answer = real_disjoint(a, b, gens_a, gens_b)
+        disjoint_calls.append((a, b, answer))
+        return answer
+
+    def record_displaced(f, g, v, cache):
+        answer = real_displaced(f, g, v, cache)
+        displaced_calls.append((f, g, v, answer))
+        return answer
+
+    real_disjoint = polyhedra.quickly_disjoint
+    real_displaced = ops._displaced
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Polyhedron, "_interned", {})
+        for module in (polyhedra, ops, cycles):
+            mp.setattr(module, "quickly_disjoint", record_disjoint)
+        mp.setattr(ops, "_displaced", record_displaced)
+        for seed in SEEDS:
+            cycle = fixtures.generate_admissible(seed)
+            for n in type_vectors(cycle):
+                multidegree(cycle, n, seed=seed)
+            validate_complex(fresh(cycle))
+        pool = list(Polyhedron._interned.values())
+    return disjoint_calls, displaced_calls, pool
+
+
+def test_quickly_disjoint_is_sound(run):
+    calls, _, _ = run
+    separated = [(a, b) for a, b, answer in calls if answer]
+    assert separated and len(separated) < len(calls)
+    for a, b in separated:
+        assert a.intersect(b).is_empty
+
+
+def test_displaced_matches_oracle(run):
+    _, calls, _ = run
+    assert calls
+    assert any(answer[0] for *_, answer in calls)
+    for f, g, v, answer in calls:
+        assert answer == displaced_oracle(f, g, v, {})
+
+
+def uninterned(build):
+    """Build with an empty intern pool, so the result is a fresh instance."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Polyhedron, "_interned", {})
+        return build()
+
+
+def test_face_matches_oracle(run):
+    _, _, pool = run
+    rows = 0
+    for p in pool:
+        for row in p.ineqs:
+            got = uninterned(lambda: p.face(row))
+            want = uninterned(lambda: face_oracle(p, row))
+            assert got is not want
+            assert got.key == want.key
+            assert (got.vertices, got.rays, got.lineality) == \
+                (want.vertices, want.rays, want.lineality)
+            rows += 1
+    assert rows
