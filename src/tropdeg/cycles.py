@@ -159,17 +159,16 @@ _KNOWN_VALID = ComplexReport(ok=True, pure=True, weights_ok=True, bad_pairs=())
 _KNOWN_BALANCED = BalanceReport(balanced=True, violations=())
 
 
-def mark_complex_by_construction(cycle: TropicalCycle,
-                                 balanced: bool = False) -> TropicalCycle:
+def mark_complex_by_construction(cycle: TropicalCycle) -> TropicalCycle:
     """Record that a cycle is a valid complex by construction.
 
     Used for outputs assembled from closed cells of one hyperplane
     arrangement (pairwise intersections are then common faces) so later
-    operations do not re-run the quadratic validation.
+    operations do not re-run the quadratic validation.  It marks validity
+    only; balancing is always computed, or carried by ``product`` and
+    ``_propagate_checks`` from computed verdicts.
     """
     cycle._cache.setdefault("valid", _KNOWN_VALID)
-    if balanced:
-        cycle._cache.setdefault("balance", _KNOWN_BALANCED)
     return cycle
 
 
@@ -292,7 +291,12 @@ def _propagate_checks(src: TropicalCycle, dst: TropicalCycle) -> None:
 
 def product(c1: TropicalCycle, c2: TropicalCycle,
             blocks: BlockStructure | None = None) -> TropicalCycle:
-    """Direct product; weights multiply, dimensions add."""
+    """Direct product; weights multiply, dimensions add.
+
+    The product keeps the valid and balanced marks when both factors carry
+    them: a product of valid, balanced cycles is valid and balanced
+    (Allermann-Rau 2010).
+    """
     if blocks is None:
         blocks = BlockStructure(c1.ambient.blocks + c2.ambient.blocks)
     if blocks.m != c1.m + c2.m:

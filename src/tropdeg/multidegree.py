@@ -112,10 +112,15 @@ def standard_hyperplane(b: int) -> TropicalCycle:
 
 
 def _full_space(b: int) -> TropicalCycle:
-    """R^b as a cycle with one unit-weight facet; trivially valid and balanced."""
+    """R^b as a cycle with one unit-weight facet, validated and balance-checked.
+
+    The checks are trivial (one facet, no codimension-1 face) and let
+    products with it carry both marks.
+    """
     full = TropicalCycle(BlockStructure((b,)),
                          [WeightedFacet(Polyhedron.full_space(b), 1)])
-    return cyc.mark_complex_by_construction(full, balanced=True)
+    cyc.require_balanced(full)
+    return full
 
 
 def _block_product(parts, blocks: BlockStructure) -> TropicalCycle:

@@ -375,7 +375,15 @@ def pushforward_linear(cycle: TropicalCycle, matrix,
 
 
 def minkowski_sum_subspace(cycle: TropicalCycle, span_gens) -> PushforwardResult:
-    """Minkowski sum with the rational linear span of the given vectors."""
+    """Minkowski sum with the rational linear span of the given vectors.
+
+    The sum is the push-forward of ``cycle x W`` along ``(x, y) -> x + y``,
+    where ``W`` is the span as a cycle with one unit-weight facet.  The
+    input and ``W`` are both validated and balance-checked (for ``W`` that
+    is one facet with no codimension-1 face), so the product carries both
+    marks and is not checked again; the push-forward's output is
+    balance-checked.
+    """
     cyc.require_balanced(cycle)
     m = cycle.m
     basis = saturate(span_gens, m)
@@ -384,6 +392,7 @@ def minkowski_sum_subspace(cycle: TropicalCycle, span_gens) -> PushforwardResult
     subspace = Polyhedron.from_generators(m, vertices=[(0,) * m],
                                           lineality=basis)
     w = TropicalCycle(BlockStructure((m,)), [WeightedFacet(subspace, 1)])
+    cyc.require_balanced(w)
     prod = cyc.product(cycle, w)
     sum_map = [tuple(1 if (j == i or j == m + i) else 0 for j in range(2 * m))
                for i in range(m)]

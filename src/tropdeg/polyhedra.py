@@ -426,10 +426,17 @@ class Polyhedron:
                           rays=rays, lineality=lin, is_empty=False)._intern()
 
     def linear_image(self, matrix, m_out: int) -> "Polyhedron":
-        """Image under x -> matrix @ x (matrix given as m_out rows of length m)."""
+        """Image under x -> matrix @ x (matrix given as m_out rows of length m).
+
+        The matrix is applied through each row's nonzero entries; the maps
+        used here (sums, coordinate projections) have one or two per row.
+        """
+        if any(len(row) != self.m for row in matrix):
+            raise DimensionMismatchError(f"matrix row length is not {self.m}")
         if self.is_empty:
             return Polyhedron.empty(m_out)
-        apply = lambda x: tuple(vdot(row, x) for row in matrix)
+        sparse = [[(j, c) for j, c in enumerate(row) if c] for row in matrix]
+        apply = lambda x: tuple(sum(c * x[j] for j, c in row) for row in sparse)
         verts = [apply(v) for v in self.vertices]
         rays = [r2 for r2 in (apply(r) for r in self.rays) if not is_zero_vec(r2)]
         lin = [l2 for l2 in (apply(l) for l in self.lineality) if not is_zero_vec(l2)]

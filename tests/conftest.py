@@ -6,10 +6,14 @@ from pathlib import Path
 import pytest
 
 from tropdeg import linalg
-from tropdeg.cycles import TropicalCycle, degree0, translate
+from tropdeg import cycles as cyc
+from tropdeg.cycles import (BlockStructure, TropicalCycle, WeightedFacet,
+                            degree0, translate)
 from tropdeg.errors import SeedDependenceError
+from tropdeg.linalg import is_zero_vec, saturate, vdot
 from tropdeg.multidegree import DivisorSet, pullback
-from tropdeg.ops import Rng, _as_seed, stable_intersect
+from tropdeg.ops import (PushforwardResult, Rng, _as_seed, pushforward_linear,
+                         stable_intersect)
 from tropdeg.polyhedra import Polyhedron
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -165,6 +169,43 @@ def face_oracle(p: Polyhedron, row) -> Polyhedron:
     return Polyhedron.from_hrep(p.m, p.ineqs, p.eqs + (row,))
 
 
+def minkowski_oracle(cycle: TropicalCycle, span_gens) -> PushforwardResult:
+    """Minkowski sum with the span of ``span_gens``, the subspace unchecked.
+
+    The body ``ops.minkowski_sum_subspace`` had before it checked the
+    subspace cycle W: the product ``cycle x W`` then carries no marks, so
+    the push-forward validates and balance-checks it in full.  Kept as a
+    differential oracle for the marks the product now carries.
+    """
+    cyc.require_balanced(cycle)
+    m = cycle.m
+    basis = saturate(span_gens, m)
+    if not basis:
+        return PushforwardResult(cycle, None)
+    subspace = Polyhedron.from_generators(m, vertices=[(0,) * m],
+                                          lineality=basis)
+    w = TropicalCycle(BlockStructure((m,)), [WeightedFacet(subspace, 1)])
+    prod = cyc.product(cycle, w)
+    sum_map = [tuple(1 if (j == i or j == m + i) else 0 for j in range(2 * m))
+               for i in range(m)]
+    return pushforward_linear(prod, sum_map, cycle.ambient)
+
+
+def linear_image_oracle(p: Polyhedron, matrix, m_out: int) -> Polyhedron:
+    """Image of p under x -> matrix @ x with a dense dot product per row.
+
+    The apply that ``Polyhedron.linear_image`` replaced with a sparse one;
+    kept as a differential oracle.
+    """
+    if p.is_empty:
+        return Polyhedron.empty(m_out)
+    apply = lambda x: tuple(vdot(row, x) for row in matrix)
+    verts = [apply(v) for v in p.vertices]
+    rays = [r2 for r2 in (apply(r) for r in p.rays) if not is_zero_vec(r2)]
+    lin = [l2 for l2 in (apply(l) for l in p.lineality) if not is_zero_vec(l2)]
+    return Polyhedron.from_generators(m_out, verts, rays, lin)
+
+
 def min_attained_twice(coeffs, point) -> bool:
     """Membership oracle for the hyperplane locus, straight from the definition."""
     vals = [Fraction(coeffs[0])]
@@ -187,6 +228,13 @@ def seeded_points(seed: int, count: int, m: int, num_bound: int = 40,
 def fresh(cycle: TropicalCycle) -> TropicalCycle:
     """Same cycle, new object: drops memoized validation verdicts."""
     return TropicalCycle(cycle.ambient, cycle.facets)
+
+
+def uninterned(build):
+    """Build with an empty intern pool, so the result is a fresh instance."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(Polyhedron, "_interned", {})
+        return build()
 
 
 @pytest.fixture

@@ -48,7 +48,13 @@ MULTIDEGREES = [f"multidegree fixtures/{name}.cyc --type {t} --seed {seed}"
 
 MSUPP = [f"msupp fixtures/{name}.cyc --mode bruteforce" for name in TYPES]
 
-COMMANDS = list(dict.fromkeys(README + MULTIDEGREES + MSUPP))
+# The admissibility search, the CLI's user of Minkowski sums, on every
+# shipped fixture with both candidate strategies.
+FIXTURES = sorted(p.stem for p in (ROOT / "fixtures").glob("*.cyc"))
+ADMISSIBLE = [f"admissible fixtures/{name}.cyc --strategy {strategy}"
+              for name in FIXTURES for strategy in ("coords", "spans")]
+
+COMMANDS = list(dict.fromkeys(README + MULTIDEGREES + MSUPP + ADMISSIBLE))
 
 
 def run(command: str) -> subprocess.CompletedProcess:

@@ -168,6 +168,13 @@ def test_linear_image():
     assert squash.dim == 0
 
 
+def test_linear_image_rejects_wrong_row_length():
+    diag = Polyhedron.from_generators(2, vertices=[(0, 0)], lineality=[(1, 1)])
+    for matrix in ([(1,)], [(1, 0, 0)], [(1, 0), (0,)]):
+        with pytest.raises(DimensionMismatchError):
+            diag.linear_image(matrix, len(matrix))
+
+
 def test_roundtrip_membership_agreement():
     """H->V->H preserves membership on seeded rational points."""
     rng = Rng(99)

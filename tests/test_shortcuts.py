@@ -12,7 +12,7 @@ complex validation of those cycles:
 
 import pytest
 
-from conftest import displaced_oracle, face_oracle, fresh
+from conftest import displaced_oracle, face_oracle, fresh, uninterned
 from tropdeg import cycles, fixtures, ops, polyhedra
 from tropdeg.cycles import validate_complex
 from tropdeg.multidegree import multidegree, type_vectors
@@ -67,13 +67,6 @@ def test_displaced_matches_oracle(run):
     assert any(answer[0] for *_, answer in calls)
     for f, g, v, answer in calls:
         assert answer == displaced_oracle(f, g, v, {})
-
-
-def uninterned(build):
-    """Build with an empty intern pool, so the result is a fresh instance."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(Polyhedron, "_interned", {})
-        return build()
 
 
 def test_face_matches_oracle(run):
