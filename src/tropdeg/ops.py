@@ -21,6 +21,7 @@ from .errors import (
     BadBlockIndexError,
     DimensionMismatchError,
     EmptySubsetError,
+    InputError,
     InvariantError,
     SeedDependenceError,
     WrongCodimensionError,
@@ -326,77 +327,76 @@ class PushforwardResult:
 
 def pushforward_linear(cycle: TropicalCycle, matrix,
                        out_blocks: BlockStructure) -> PushforwardResult:
-    """Image cycle under an integer linear map (rows of length m).
+    """Image cycle under an integer linear map (rows of length m): each
+    facet's ``linear_image``, with the images of its direction basis as
+    lattice generators, through ``_image_cycle``."""
+    cyc.require_balanced(cycle)
+    matrix = [tuple(int(e) for e in row) for row in matrix]
+    if len(matrix) != out_blocks.m or any(len(r) != cycle.m for r in matrix):
+        raise DimensionMismatchError("matrix shape does not match the map")
+    return _image_cycle([(f.poly.linear_image(matrix, out_blocks.m), f.weight,
+                          [tuple(linalg.vdot(row, b) for row in matrix)
+                           for b in f.poly.direction_basis()])
+                         for f in cycle.support_facets], out_blocks)
 
-    Pure images get the lattice-index weight rule on the top-dimensional
-    part; image facets of lower dimension covered by the top-dimensional
-    ones are absorbed and reported; an uncovered one yields an impurity
-    report instead of a cycle.
+
+def minkowski_sum_subspace(cycle: TropicalCycle, span_gens) -> PushforwardResult:
+    """Minkowski sum with the rational linear span V of the given vectors.
+
+    Built facet by facet in R^m: sigma + V, with the weight lattice
+    L_sigma + L_V (the image of L_sigma x L_V under (x, y) -> x + y).
     """
     cyc.require_balanced(cycle)
-    m_out = out_blocks.m
-    matrix = [tuple(int(e) for e in row) for row in matrix]
-    if len(matrix) != m_out or any(len(r) != cycle.m for r in matrix):
-        raise DimensionMismatchError("matrix shape does not match the map")
-    support = cycle.support_facets
-    if not support:
-        return PushforwardResult(cyc.empty_cycle(out_blocks), None)
-    images = [(idx, f.poly.linear_image(matrix, m_out), f.weight)
-              for idx, f in enumerate(support)]
-    d = max(img.dim for _, img, _ in images)
-    top = [(idx, img, w) for idx, img, w in images if img.dim == d]
+    if any(len(vec) != cycle.m for vec in span_gens):
+        raise DimensionMismatchError(f"span vectors must have length {cycle.m}")
+    basis = saturate(span_gens, cycle.m)
+    if not basis:
+        return PushforwardResult(cycle, None)
+    return _image_cycle(_facet_sums(cycle, basis), cycle.ambient)
+
+
+def _facet_sums(cycle: TropicalCycle, basis):
+    """(sigma + V, weight, generators of L_sigma + L_V) per support facet."""
+    return [(Polyhedron.from_generators(cycle.m, f.poly.vertices, f.poly.rays,
+                                        f.poly.lineality + basis),
+             f.weight, f.poly.direction_basis() + basis)
+            for f in cycle.support_facets]
+
+
+def _purity(images) -> PushforwardResult:
+    """Purity of the union of (image, weight, lattice generators) triples,
+    from the supports alone: lower images covered by the top-dimensional
+    ones are absorbed, the first uncovered one is the witness; no cycle."""
+    d = max((img.dim for img, _, _ in images), default=-1)
+    top = [img for img, _, _ in images if img.dim == d]
     absorbed = []
-    for idx, img, _ in images:
+    for idx, (img, _, _) in enumerate(images):
         if img.dim == d:
             continue
-        if is_covered(img, [t[1] for t in top]):
-            absorbed.append(idx)
-        else:
+        if not is_covered(img, top):
             return PushforwardResult(None, ImpurityReport(idx, img, d))
+        absorbed.append(idx)
+    return PushforwardResult(None, None, tuple(absorbed))
 
-    pieces = common_refinement([img for _, img, _ in top])
+
+def _image_cycle(images, out_blocks: BlockStructure) -> PushforwardResult:
+    """``_purity``, then lattice-index weights on a common refinement of the
+    top-dimensional (not absorbed) images; the cycle is balance-checked."""
+    verdict = _purity(images)
+    if not verdict.is_pure:
+        return verdict
+    top = [t for i, t in enumerate(images) if i not in verdict.absorbed]
     facets = []
-    for piece in pieces:
+    for piece in common_refinement([img for img, _, _ in top]):
         point = piece.relative_interior_point()
-        ambient_basis = piece.direction_basis()
-        weight = 0
-        for idx, img, w in top:
-            if not img.contains(point):
-                continue
-            gens = [tuple(sum(row[t] * b[t] for t in range(cycle.m))
-                          for row in matrix)
-                    for b in support[idx].poly.direction_basis()]
-            weight += w * linalg.relative_lattice_index(ambient_basis, gens)
+        basis = piece.direction_basis()
+        weight = sum(w * linalg.relative_lattice_index(basis, gens)
+                     for img, w, gens in top if img.contains(point))
         if weight > 0:
             facets.append(WeightedFacet(piece, weight))
     out = cyc.mark_complex_by_construction(TropicalCycle(out_blocks, facets))
     _assert_balanced(out, "push-forward")
-    return PushforwardResult(out, None, tuple(absorbed))
-
-
-def minkowski_sum_subspace(cycle: TropicalCycle, span_gens) -> PushforwardResult:
-    """Minkowski sum with the rational linear span of the given vectors.
-
-    The sum is the push-forward of ``cycle x W`` along ``(x, y) -> x + y``,
-    where ``W`` is the span as a cycle with one unit-weight facet.  The
-    input and ``W`` are both validated and balance-checked (for ``W`` that
-    is one facet with no codimension-1 face), so the product carries both
-    marks and is not checked again; the push-forward's output is
-    balance-checked.
-    """
-    cyc.require_balanced(cycle)
-    m = cycle.m
-    basis = saturate(span_gens, m)
-    if not basis:
-        return PushforwardResult(cycle, None)
-    subspace = Polyhedron.from_generators(m, vertices=[(0,) * m],
-                                          lineality=basis)
-    w = TropicalCycle(BlockStructure((m,)), [WeightedFacet(subspace, 1)])
-    cyc.require_balanced(w)
-    prod = cyc.product(cycle, w)
-    sum_map = [tuple(1 if (j == i or j == m + i) else 0 for j in range(2 * m))
-               for i in range(m)]
-    return pushforward_linear(prod, sum_map, cycle.ambient)
+    return PushforwardResult(out, None, verdict.absorbed)
 
 
 def projection_dim(cycle: TropicalCycle, subset) -> int:
@@ -551,7 +551,8 @@ class AdmissibilityVerdict:
 def check_admissible(cycle: TropicalCycle, strategy: str = "coords",
                      seed: int = 0, dim_bound: int | None = None,
                      span_size: int = 2) -> AdmissibilityVerdict:
-    """Search candidate subspaces V for an impure Minkowski sum cycle+V."""
+    """Search candidate subspaces V for an impure Minkowski sum cycle+V,
+    read off the supports of the facet sums alone (no weights computed)."""
     cyc.require_balanced(cycle)
     m = cycle.m
     tested = 0
@@ -563,18 +564,17 @@ def check_admissible(cycle: TropicalCycle, strategy: str = "coords",
         if basis in seen:
             continue
         seen.add(basis)
-        result = minkowski_sum_subspace(cycle, basis)
         tested += 1
-        if not result.is_pure:
+        if not _purity(_facet_sums(cycle, basis)).is_pure:
             return AdmissibilityVerdict(COUNTEREXAMPLE_FOUND, basis,
                                         strategy, tested)
     return AdmissibilityVerdict(NO_COUNTEREXAMPLE_FOUND, None, strategy, tested)
 
 
 def _candidates(cycle, strategy, seed, dim_bound, span_size):
+    parts = [_strategy_part(part) for part in strategy.split("+")]
     m = cycle.m
-    for part in strategy.split("+"):
-        part = part.strip()
+    for part, n in parts:
         if part == "coords":
             bound = dim_bound if dim_bound is not None else m
             basis = [tuple(1 if t == j else 0 for t in range(m))
@@ -587,8 +587,7 @@ def _candidates(cycle, strategy, seed, dim_bound, span_size):
             for size in range(1, span_size + 1):
                 for subset in combinations(pool, size):
                     yield list(subset)
-        elif part.startswith("random:"):
-            n = int(part.split(":", 1)[1])
+        else:
             rng = Rng(seed)
             lines = []
             for _ in range(n):
@@ -599,8 +598,18 @@ def _candidates(cycle, strategy, seed, dim_bound, span_size):
                 yield [line]
             for pair in combinations(lines, 2):
                 yield list(pair)
-        else:
-            raise ValueError(f"unknown strategy {part!r}")
+
+
+def _strategy_part(text: str):
+    """(name, N) of one part of a strategy: coords, spans or random:N."""
+    part = text.strip()
+    if part in ("coords", "spans"):
+        return part, 0
+    name, _, count = part.partition(":")
+    if name == "random" and count.strip().isdecimal():
+        return name, int(count)
+    raise InputError(f"bad strategy {part!r}: want coords, spans or random:N "
+                     "with an integer N >= 0")
 
 
 def _direction_pool(cycle):

@@ -428,8 +428,8 @@ class Polyhedron:
     def linear_image(self, matrix, m_out: int) -> "Polyhedron":
         """Image under x -> matrix @ x (matrix given as m_out rows of length m).
 
-        The matrix is applied through each row's nonzero entries; the maps
-        used here (sums, coordinate projections) have one or two per row.
+        The matrix is applied through each row's nonzero entries; the
+        coordinate projections it serves here have one per row.
         """
         if any(len(row) != self.m for row in matrix):
             raise DimensionMismatchError(f"matrix row length is not {self.m}")

@@ -170,12 +170,13 @@ def face_oracle(p: Polyhedron, row) -> Polyhedron:
 
 
 def minkowski_oracle(cycle: TropicalCycle, span_gens) -> PushforwardResult:
-    """Minkowski sum with the span of ``span_gens``, the subspace unchecked.
+    """Minkowski sum with the span of ``span_gens``, through the product.
 
-    The body ``ops.minkowski_sum_subspace`` had before it checked the
-    subspace cycle W: the product ``cycle x W`` then carries no marks, so
-    the push-forward validates and balance-checks it in full.  Kept as a
-    differential oracle for the marks the product now carries.
+    The push-forward of ``cycle x W`` along ``(x, y) -> x + y``, where W is
+    the span as an unchecked one-facet cycle, so the product carries no
+    marks and the push-forward validates and balance-checks it in full.
+    ``ops.minkowski_sum_subspace`` replaced this route with facet sums
+    built in R^m; kept as a differential oracle.
     """
     cyc.require_balanced(cycle)
     m = cycle.m

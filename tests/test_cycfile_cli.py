@@ -183,6 +183,26 @@ def test_cli_malformed_input_reports_error(tmp_path, name, as_divisor):
     assert "error" in json.loads(proc.stdout)
 
 
+BAD_ARGUMENTS = {
+    # span vectors whose length is not the ambient dimension
+    "minkowski standard_line 0,0,5": 2,
+    "minkowski standard_line 1": 2,
+    # admissibility strategies that name no candidate set
+    "admissible standard_line --strategy bogus": 1,
+    "admissible standard_line --strategy random:x": 1,
+    "admissible standard_line --strategy random:-3": 1,
+}
+
+
+@pytest.mark.parametrize("command", sorted(BAD_ARGUMENTS))
+def test_cli_bad_arguments_report_error(command):
+    name, fixture, *rest = command.split()
+    proc = run_cli(name, str(fixture_path(fixture)), *rest)
+    assert proc.returncode == BAD_ARGUMENTS[command]
+    assert "Traceback" not in proc.stderr
+    assert "error" in json.loads(proc.stdout)
+
+
 def test_cli_output_file(tmp_path):
     out = tmp_path / "out.cyc"
     proc = run_cli("recession", str(fixture_path("standard_line")),

@@ -24,6 +24,7 @@ from tropdeg.errors import (
     BadBlockIndexError,
     DimensionMismatchError,
     EmptySubsetError,
+    InputError,
     UnbalancedCycleError,
     WrongCodimensionError,
     WrongDimensionsError,
@@ -207,6 +208,13 @@ def test_minkowski_facet_translation_invariance():
     assert grown.is_pure and grown.cycle.dim == par.dim + 1
 
 
+def test_minkowski_rejects_span_vectors_of_wrong_length():
+    line = fixtures.standard_line()
+    for gens in ([(0, 0, 5)], [(1,)], [(1, 0), (1, 0, 0)]):
+        with pytest.raises(DimensionMismatchError):
+            minkowski_sum_subspace(line, gens)
+
+
 def test_projection_dim():
     g = fixtures.example33a()
     assert projection_dim(g, [1]) == 2
@@ -352,6 +360,17 @@ def test_admissible_parallel_lines():
     verdict = check_admissible(fixtures.parallel_lines(), "coords+spans")
     assert not verdict.found
     assert verdict.tested > 0
+
+
+def test_admissible_rejects_bad_strategies():
+    line = fixtures.standard_line()
+    for strategy in ("bogus", "random:x", "random:-3", "random", "coords+"):
+        with pytest.raises(InputError):
+            check_admissible(line, strategy)
+    # checked before the first candidate, so a counterexample found by
+    # an earlier part does not hide a bad later one
+    with pytest.raises(InputError):
+        check_admissible(fixtures.example33a(), "coords+bogus")
 
 
 def test_displacement_seed_determinism():
