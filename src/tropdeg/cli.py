@@ -203,8 +203,22 @@ def _cycle_summary(cycle: TropicalCycle) -> dict:
     }
 
 
+def _pushforward_report(args, info, result, outputs):
+    """Report and output cycle of a ``PushforwardResult``."""
+    outputs["pure"] = result.is_pure
+    if not result.is_pure:
+        outputs["impurity"] = str(result.impurity)
+        return _report(args, [info], outputs), None
+    outputs["cycle"] = _cycle_summary(result.cycle)
+    caveats = []
+    if result.absorbed:
+        outputs["absorbed_facets"] = list(result.absorbed)
+        caveats.append("lower-dimensional image facets absorbed")
+    return _report(args, [info], outputs, caveats=caveats), result.cycle
+
+
 def _require_balance(cycle) -> None:
-    report = cyc.validate_complex(cycle)
+    report = cyc.complex_report(cycle)
     if not report.ok:
         raise ContractError(f"input is not a valid complex: {report}")
     cyc.require_balanced(cycle)
@@ -214,7 +228,7 @@ def _require_balance(cycle) -> None:
 
 def _cmd_check_balance(args):
     cycle, info = _load(args.file)
-    complex_report = cyc.validate_complex(cycle)
+    complex_report = cyc.complex_report(cycle)
     outputs = {"valid_complex": complex_report.ok,
                "pure": complex_report.pure,
                "weights_ok": complex_report.weights_ok,
@@ -273,18 +287,7 @@ def _cmd_minkowski(args):
     _require_balance(cycle)
     vectors = [_parse_ints(v, "vector") for v in args.vectors]
     result = ops.minkowski_sum_subspace(cycle, vectors)
-    outputs = {"pure": result.is_pure}
-    caveats = []
-    out_cycle = None
-    if result.is_pure:
-        outputs["cycle"] = _cycle_summary(result.cycle)
-        out_cycle = result.cycle
-        if result.absorbed:
-            outputs["absorbed_facets"] = list(result.absorbed)
-            caveats.append("lower-dimensional image facets absorbed")
-    else:
-        outputs["impurity"] = str(result.impurity)
-    return _report(args, [info], outputs, caveats=caveats), out_cycle
+    return _pushforward_report(args, info, result, {})
 
 
 def _cmd_project(args):
@@ -292,19 +295,8 @@ def _cmd_project(args):
     _require_balance(cycle)
     subset = _parse_ints(_require(args, "block_subset", "--blocks"), "--blocks")
     result = ops.projection_pushforward(cycle, subset)
-    outputs = {"pure": result.is_pure,
-               "projection_dim": ops.projection_dim(cycle, subset)}
-    caveats = []
-    out_cycle = None
-    if result.is_pure:
-        outputs["cycle"] = _cycle_summary(result.cycle)
-        out_cycle = result.cycle
-        if result.absorbed:
-            outputs["absorbed_facets"] = list(result.absorbed)
-            caveats.append("lower-dimensional image facets absorbed")
-    else:
-        outputs["impurity"] = str(result.impurity)
-    return _report(args, [info], outputs, caveats=caveats), out_cycle
+    outputs = {"projection_dim": ops.projection_dim(cycle, subset)}
+    return _pushforward_report(args, info, result, outputs)
 
 
 def _cmd_hyperplane(args):

@@ -20,8 +20,7 @@ from .linalg import IntVec, QuotientLattice, frac_vec, primitive, vsub
 from .polyhedra import (
     Polyhedron,
     common_refinement,
-    int_generators,
-    quickly_disjoint,
+    face_key_set,
     refine_by_hyperplanes,
 )
 
@@ -179,28 +178,29 @@ def validate_complex(cycle: TropicalCycle) -> ComplexReport:
     pure = len(dims) <= 1
     weights_ok = all(f.weight >= 0 for f in cycle.facets)
     bad: list[tuple[int, int]] = []
-    face_keys: list[set] = [
-        {g.key for g in f.poly.all_faces()} for f in support]
-    gens = [int_generators(f.poly) for f in support]
     for i in range(len(support)):
         for j in range(i + 1, len(support)):
             a, b = support[i].poly, support[j].poly
-            if quickly_disjoint(a, b, gens[i], gens[j]):
-                continue
             inter = a.intersect(b)
             if inter.is_empty:
                 continue
-            if inter.key not in face_keys[i] or inter.key not in face_keys[j]:
+            if inter.key not in face_key_set(a) or inter.key not in face_key_set(b):
                 bad.append((i, j))
     ok = pure and weights_ok and not bad
     return ComplexReport(ok=ok, pure=pure, weights_ok=weights_ok,
                          bad_pairs=tuple(bad))
 
 
-def _require_valid(cycle: TropicalCycle) -> None:
+def complex_report(cycle: TropicalCycle) -> ComplexReport:
+    """``validate_complex`` at most once per cycle: the verdict is memoized
+    on the cycle, and a validity mark carried by construction stands in."""
     if "valid" not in cycle._cache:
         cycle._cache["valid"] = validate_complex(cycle)
-    report = cycle._cache["valid"]
+    return cycle._cache["valid"]
+
+
+def _require_valid(cycle: TropicalCycle) -> None:
+    report = complex_report(cycle)
     if not report.ok:
         raise InvalidComplexError(
             f"not a valid complex (pure={report.pure}, "

@@ -34,9 +34,7 @@ from .polyhedra import (
     common_refinement,
     dual_description,
     homogenized_constraints,
-    int_generators,
     is_covered,
-    quickly_disjoint,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -137,13 +135,9 @@ def _stable_setup(c1, c2, out_dim) -> _StableSetup:
     full_pairs = []
     candidates = []            # (i, j, P cap Q, weight product * lattice index)
     span_cache: dict = {}
-    gens2 = [int_generators(f2.poly) for f2 in c2.support_facets]
     for i, f1 in enumerate(c1.support_facets):
-        gens1 = int_generators(f1.poly)
         for j, f2 in enumerate(c2.support_facets):
             p, q = f1.poly, f2.poly
-            if quickly_disjoint(p, q, gens1, gens2[j]):
-                continue
             inter = p.intersect(q)
             if inter.is_empty:
                 continue
@@ -549,15 +543,14 @@ class AdmissibilityVerdict:
 
 
 def check_admissible(cycle: TropicalCycle, strategy: str = "coords",
-                     seed: int = 0, dim_bound: int | None = None,
-                     span_size: int = 2) -> AdmissibilityVerdict:
+                     seed: int = 0) -> AdmissibilityVerdict:
     """Search candidate subspaces V for an impure Minkowski sum cycle+V,
     read off the supports of the facet sums alone (no weights computed)."""
     cyc.require_balanced(cycle)
     m = cycle.m
     tested = 0
     seen = set()
-    for cand in _candidates(cycle, strategy, seed, dim_bound, span_size):
+    for cand in _candidates(cycle, strategy, seed):
         basis = saturate(cand, m)
         if not basis or len(basis) == m:
             continue        # V = 0 or V = R^m: the sum is trivially pure
@@ -571,20 +564,19 @@ def check_admissible(cycle: TropicalCycle, strategy: str = "coords",
     return AdmissibilityVerdict(NO_COUNTEREXAMPLE_FOUND, None, strategy, tested)
 
 
-def _candidates(cycle, strategy, seed, dim_bound, span_size):
+def _candidates(cycle, strategy, seed):
     parts = [_strategy_part(part) for part in strategy.split("+")]
     m = cycle.m
     for part, n in parts:
         if part == "coords":
-            bound = dim_bound if dim_bound is not None else m
             basis = [tuple(1 if t == j else 0 for t in range(m))
                      for j in range(m)]
-            for size in range(1, bound + 1):
+            for size in range(1, m + 1):
                 for subset in combinations(range(m), size):
                     yield [basis[j] for j in subset]
         elif part == "spans":
             pool = _direction_pool(cycle)
-            for size in range(1, span_size + 1):
+            for size in (1, 2):
                 for subset in combinations(pool, size):
                     yield list(subset)
         else:

@@ -7,9 +7,11 @@ A polyhedron in R^m is stored in both representations at once:
   are kept in RREF-canonical form; inequality normals are reduced modulo
   the equality space, scaled primitive, and sorted, so the H-rep of a
   point set is unique and drives equality/hashing.
-* V-rep: vertices (representative points of the minimal faces, reduced
-  modulo the lineality space), primitive rays, and an RREF-canonical
-  lineality basis.
+* V-rep: sorted vertex rows, primitive rays, and an RREF-canonical
+  lineality basis.  A vertex v (a point of a minimal face, reduced modulo
+  the lineality) is the primitive integer row ``(d, d*v)`` with ``d > 0``
+  that double description produces, so the sign of ``vdot(row, g)`` is
+  that of ``c0 + c.v``; ``vertices`` gives the ``Fraction`` points.
 
 H->V and V->H conversion run the double description method on the
 homogenization cone, entirely in integer arithmetic.  Faces skip the
@@ -168,17 +170,17 @@ def _adjacent(t, rays, vp, vn) -> bool:
 # ---------------------------------------------------------------------------
 
 class Polyhedron:
-    __slots__ = ("m", "eqs", "ineqs", "vertices", "rays", "lineality",
+    __slots__ = ("m", "eqs", "ineqs", "vertex_rows", "rays", "lineality",
                  "is_empty", "_cache")
 
     #: canonical instances by H-rep key, so face/lattice caches are shared
     _interned: dict = {}
 
-    def __init__(self, *, m, eqs, ineqs, vertices, rays, lineality, is_empty):
+    def __init__(self, *, m, eqs, ineqs, vertex_rows, rays, lineality, is_empty):
         self.m = m
         self.eqs = eqs
         self.ineqs = ineqs
-        self.vertices = vertices
+        self.vertex_rows = vertex_rows
         self.rays = rays
         self.lineality = lineality
         self.is_empty = is_empty
@@ -191,7 +193,7 @@ class Polyhedron:
 
     @classmethod
     def empty(cls, m: int) -> "Polyhedron":
-        return cls(m=m, eqs=(), ineqs=(), vertices=(), rays=(), lineality=(),
+        return cls(m=m, eqs=(), ineqs=(), vertex_rows=(), rays=(), lineality=(),
                    is_empty=True)._intern()
 
     @classmethod
@@ -224,17 +226,22 @@ class Polyhedron:
 
         At least one vertex is required for a nonempty result.
         """
-        verts = [frac_vec(v) for v in vertices]
-        for v in verts:
-            if len(v) != m:
+        rows = [int_row((1, *v)) for v in vertices]
+        for r in rows:
+            if len(r) != m + 1:
                 raise DimensionMismatchError(
-                    f"vertex of length {len(v)} in R^{m}")
+                    f"vertex of length {len(r) - 1} in R^{m}")
         ray_vecs = [primitive(r) for r in rays if not is_zero_vec(r)]
         lin_vecs = [primitive(l) for l in lineality if not is_zero_vec(l)]
-        if not verts:
+        return cls._from_generator_rows(m, rows, ray_vecs, lin_vecs)
+
+    @classmethod
+    def _from_generator_rows(cls, m, vert_rows, rays, lineality) -> "Polyhedron":
+        """``from_generators`` on vertex rows ``(d, d*v)``, ``d > 0``."""
+        if not vert_rows:
             return cls.empty(m)
-        vertices_c, rays_c, lin_c = _canon_generators(verts, ray_vecs, lin_vecs)
-        ineqs, eqs = cls._hrep_from_generators(m, vertices_c, rays_c, lin_c)
+        ineqs, eqs = cls._hrep_from_generators(
+            m, *_canon_generators(vert_rows, rays, lineality))
         # second pass makes the generator side irredundant and canonical
         gen_rays, gen_lin = dual_description(
             m + 1, homogenized_constraints(m, ineqs, eqs))
@@ -250,42 +257,33 @@ class Polyhedron:
 
     @classmethod
     def full_space(cls, m: int) -> "Polyhedron":
-        zero = (Fraction(0),) * m
         basis = tuple(tuple(r) for r in linalg.identity_rows(m))
-        return cls(m=m, eqs=(), ineqs=(), vertices=(zero,), rays=(),
-                   lineality=basis, is_empty=False)._intern()
+        return cls(m=m, eqs=(), ineqs=(), vertex_rows=((1,) + (0,) * m,),
+                   rays=(), lineality=basis, is_empty=False)._intern()
 
     @classmethod
     def _from_cone_output(cls, m, gen_rays, gen_lin, hrep=None) -> "Polyhedron":
-        verts, rays = [], []
-        for r in gen_rays:
-            if r[0] > 0:
-                verts.append(tuple(Fraction(x, r[0]) for x in r[1:]))
-            elif r[0] == 0:
-                rays.append(tuple(r[1:]))
-            else:
-                raise InvariantError("homogenization ray with negative height")
-        lin = []
-        for l in gen_lin:
-            if l[0] != 0:
-                raise InvariantError("homogenization lineality with nonzero height")
-            lin.append(tuple(l[1:]))
+        if any(r[0] < 0 for r in gen_rays):
+            raise InvariantError("homogenization ray with negative height")
+        if any(l[0] != 0 for l in gen_lin):
+            raise InvariantError("homogenization lineality with nonzero height")
+        verts = [r for r in gen_rays if r[0] > 0]
         if not verts:
             return cls.empty(m)
-        vertices_c, rays_c, lin_c = _canon_generators(verts, rays, lin)
+        vert_rows, rays_c, lin_c = _canon_generators(
+            verts, [r[1:] for r in gen_rays if r[0] == 0], [l[1:] for l in gen_lin])
         if hrep is None:
-            ineqs, eqs = cls._hrep_from_generators(m, vertices_c, rays_c, lin_c)
+            ineqs, eqs = cls._hrep_from_generators(m, vert_rows, rays_c, lin_c)
         else:
             ineqs, eqs = hrep
-        return cls(m=m, eqs=eqs, ineqs=ineqs, vertices=vertices_c,
+        return cls(m=m, eqs=eqs, ineqs=ineqs, vertex_rows=vert_rows,
                    rays=rays_c, lineality=lin_c, is_empty=False)._intern()
 
     @staticmethod
-    def _hrep_from_generators(m, vertices, rays, lineality):
+    def _hrep_from_generators(m, vert_rows, rays, lineality):
         constraints = [((0,) + tuple(l), True) for l in lineality]
-        gens = [int_row((1,) + tuple(v)) for v in vertices] + \
-               [(0,) + tuple(r) for r in rays]
-        constraints += [(g, False) for g in gens]
+        constraints += [(g, False) for g in vert_rows]
+        constraints += [((0,) + tuple(r), False) for r in rays]
         dual_rays, dual_lin = dual_description(m + 1, constraints)
         eq_rows = [row for row in dual_lin if not is_zero_vec(row[1:])]
         eqs = _canon_eqs(eq_rows)
@@ -312,7 +310,7 @@ class Polyhedron:
             return f"Polyhedron.empty({self.m})"
         return (f"Polyhedron(m={self.m}, dim={self.dim}, "
                 f"#eq={len(self.eqs)}, #ineq={len(self.ineqs)}, "
-                f"#V={len(self.vertices)}, #R={len(self.rays)}, "
+                f"#V={len(self.vertex_rows)}, #R={len(self.rays)}, "
                 f"#L={len(self.lineality)})")
 
     # -- basic geometry -------------------------------------------------------
@@ -322,6 +320,12 @@ class Polyhedron:
         if self.is_empty:
             return -1
         return self.m - len(self.eqs)
+
+    @property
+    def vertices(self) -> tuple[Vec, ...]:
+        """The vertex rows divided by their heights, as sorted points."""
+        return tuple(sorted(tuple(Fraction(x, r[0]) for x in r[1:])
+                            for r in self.vertex_rows))
 
     def contains(self, point) -> bool:
         if self.is_empty:
@@ -352,8 +356,8 @@ class Polyhedron:
             raise EmptyPolyhedronError("relative interior of the empty set")
         if "relint" in self._cache:
             return self._cache["relint"]
-        nv = len(self.vertices)
-        base = tuple(sum(v[i] for v in self.vertices) / nv for i in range(self.m))
+        verts = self.vertices
+        base = tuple(sum(v[i] for v in verts) / len(verts) for i in range(self.m))
         bump = (Fraction(0),) * self.m
         for r in self.rays:
             bump = vadd(bump, r)
@@ -371,10 +375,12 @@ class Polyhedron:
     # -- derived polyhedra ----------------------------------------------------
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
+        """Intersection from the joint H-rep; empty without a double
+        description when ``quickly_disjoint`` separates the pair."""
         if self.m != other.m:
             raise DimensionMismatchError(
                 f"ambient dimensions differ: {self.m} vs {other.m}")
-        if self.is_empty or other.is_empty:
+        if self.is_empty or other.is_empty or quickly_disjoint(self, other):
             return Polyhedron.empty(self.m)
         return Polyhedron.from_hrep(self.m,
                                     ineqs=self.ineqs + other.ineqs,
@@ -399,10 +405,11 @@ class Polyhedron:
         eqs = _canon_eqs([(r[0] - eval_dir(r, v),) + r[1:] for r in self.eqs])
         ineqs = _canon_ineqs([int_row((r[0] - eval_dir(r, v),) + r[1:])
                               for r in self.ineqs], eqs)
-        verts = sorted(reduce_mod(self.lineality, vadd(p, v))
-                       for p in self.vertices)
+        shift = reduce_mod(self.lineality, v)
+        verts = sorted(int_row((r[0],) + vadd(r[1:], vscale(r[0], shift)))
+                       for r in self.vertex_rows)
         return Polyhedron(m=self.m, eqs=eqs, ineqs=ineqs,
-                          vertices=tuple(verts), rays=self.rays,
+                          vertex_rows=tuple(verts), rays=self.rays,
                           lineality=self.lineality, is_empty=False)._intern()
 
     def product(self, other: "Polyhedron") -> "Polyhedron":
@@ -416,13 +423,14 @@ class Polyhedron:
                 [(r[0],) + (0,) * a + r[1:] for r in other.ineqs]
         eqs_c = _canon_eqs(eqs)
         ineqs_c = tuple(sorted(ineqs))
-        verts = tuple(sorted(v1 + v2 for v1 in self.vertices
-                             for v2 in other.vertices))
+        verts = tuple(sorted(
+            int_row(vscale(r2[0], r1) + vscale(r1[0], r2[1:]))
+            for r1 in self.vertex_rows for r2 in other.vertex_rows))
         rays = tuple(sorted([r + (0,) * b for r in self.rays] +
                             [(0,) * a + r for r in other.rays]))
         lin = _canon_eqs([l + (0,) * b for l in self.lineality] +
                          [(0,) * a + l for l in other.lineality])
-        return Polyhedron(m=a + b, eqs=eqs_c, ineqs=ineqs_c, vertices=verts,
+        return Polyhedron(m=a + b, eqs=eqs_c, ineqs=ineqs_c, vertex_rows=verts,
                           rays=rays, lineality=lin, is_empty=False)._intern()
 
     def linear_image(self, matrix, m_out: int) -> "Polyhedron":
@@ -437,10 +445,10 @@ class Polyhedron:
             return Polyhedron.empty(m_out)
         sparse = [[(j, c) for j, c in enumerate(row) if c] for row in matrix]
         apply = lambda x: tuple(sum(c * x[j] for j, c in row) for row in sparse)
-        verts = [apply(v) for v in self.vertices]
+        verts = [(r[0],) + apply(r[1:]) for r in self.vertex_rows]
         rays = [r2 for r2 in (apply(r) for r in self.rays) if not is_zero_vec(r2)]
         lin = [l2 for l2 in (apply(l) for l in self.lineality) if not is_zero_vec(l2)]
-        return Polyhedron.from_generators(m_out, verts, rays, lin)
+        return Polyhedron._from_generator_rows(m_out, verts, rays, lin)
 
     def face(self, ineq_row: HomRow) -> "Polyhedron":
         """The face where a valid inequality (one of ``ineqs``) is tight.
@@ -449,8 +457,9 @@ class Polyhedron:
         rays on the hyperplane plus the lineality, so only its H-rep needs
         a double description.
         """
-        verts, rays, lin = int_generators(self)
-        tight = [g for g in verts + rays if vdot(ineq_row, g) == 0]
+        tight = [g for g in self.vertex_rows if vdot(ineq_row, g) == 0]
+        tight += [(0,) + r for r in self.rays if eval_dir(ineq_row, r) == 0]
+        lin = [(0,) + l for l in self.lineality]
         return Polyhedron._from_cone_output(self.m, tight, lin)
 
     def facet_faces(self) -> tuple["Polyhedron", ...]:
@@ -486,8 +495,8 @@ class Polyhedron:
     def evaluate_signs(self, row: HomRow):
         """(has_positive, has_negative) of c0 + c.x over the polyhedron."""
         has_pos = has_neg = False
-        for v in self.vertices:
-            s = eval_row(row, v)
+        for g in self.vertex_rows:
+            s = vdot(row, g)
             has_pos |= s > 0
             has_neg |= s < 0
         for r in self.rays:
@@ -517,20 +526,6 @@ class Polyhedron:
 # canonicalization helpers
 # ---------------------------------------------------------------------------
 
-def int_generators(p: Polyhedron):
-    """Homogenized integer generators (vertices, rays, lineality) of p.
-
-    A vertex v becomes ``int_row((1,) + v)``, a positive multiple of
-    ``(1, v)``, so the sign of ``vdot(row, g)`` is that of ``c0 + c.v``.
-    Callers compute these once per cell and pass them around; they are
-    deliberately not cached on the polyhedron, which the intern pool keeps
-    alive.
-    """
-    return (tuple(int_row((1,) + v) for v in p.vertices),
-            tuple((0,) + r for r in p.rays),
-            tuple((0,) + l for l in p.lineality))
-
-
 def _check_len(vec, m):
     if len(vec) != m + 1:
         raise DimensionMismatchError(
@@ -552,11 +547,12 @@ def _canon_ineqs(rows, eqs) -> tuple[HomRow, ...]:
     return tuple(sorted(out))
 
 
-def _canon_generators(vertices, rays, lineality):
+def _canon_generators(vert_rows, rays, lineality):
     lin = _canon_eqs(lineality)
     rays_c = sorted({primitive(r) for r in (reduce_mod(lin, x) for x in rays)
                      if not is_zero_vec(r)})
-    verts_c = sorted({reduce_mod(lin, v) for v in vertices})
+    verts_c = sorted({int_row((r[0],) + reduce_mod(lin, r[1:]))
+                      for r in vert_rows})
     return tuple(verts_c), tuple(rays_c), lin
 
 
@@ -599,28 +595,28 @@ def face_key_set(poly: Polyhedron) -> frozenset:
     return poly._cache["face_keys"]
 
 
-def _separates(row: HomRow, gens) -> bool:
-    """Whether ``row`` is negative on the whole polyhedron with ``gens``."""
-    verts, rays, lin = gens
-    return (all(vdot(row, g) < 0 for g in verts)
-            and all(vdot(row, g) <= 0 for g in rays)
-            and all(vdot(row, g) == 0 for g in lin))
+def _separates(row: HomRow, p: Polyhedron) -> bool:
+    """Whether ``row`` is negative on the whole of p."""
+    return (all(vdot(row, g) < 0 for g in p.vertex_rows)
+            and all(eval_dir(row, r) <= 0 for r in p.rays)
+            and all(eval_dir(row, l) == 0 for l in p.lineality))
 
 
-def quickly_disjoint(a: Polyhedron, b: Polyhedron, gens_a, gens_b) -> bool:
-    """Cheap sufficient test for a and b being disjoint.
+def quickly_disjoint(a: Polyhedron, b: Polyhedron) -> bool:
+    """Cheap sufficient test for nonempty a and b being disjoint; the
+    prefilter of ``Polyhedron.intersect``.
 
     Looks for a constraint of one polyhedron that is strictly violated on
-    the other, by integer dot products with the other's homogenized
-    generators (``gens_a = int_generators(a)``, likewise ``gens_b``).
-    True means the intersection is empty; False decides nothing.
+    the other, by integer dot products with the other's stored vertex
+    rows, rays and lineality.  True means the intersection is empty;
+    False decides nothing.
     """
-    for p, gens in ((a, gens_b), (b, gens_a)):
+    for p, q in ((a, b), (b, a)):
         for row in p.ineqs:
-            if _separates(row, gens):
+            if _separates(row, q):
                 return True
         for row in p.eqs:
-            if _separates(row, gens) or _separates(vneg(row), gens):
+            if _separates(row, q) or _separates(vneg(row), q):
                 return True
     return False
 
@@ -640,12 +636,9 @@ def common_refinement(cells) -> list[Polyhedron]:
     current = sorted(out.values(), key=lambda p: p.key)
     for _ in range(8):
         cuts: dict = {}
-        gens = [int_generators(c) for c in current]
         for ia in range(len(current)):
             for ib in range(ia + 1, len(current)):
                 a, b = current[ia], current[ib]
-                if quickly_disjoint(a, b, gens[ia], gens[ib]):
-                    continue
                 inter = a.intersect(b)
                 if inter.is_empty:
                     continue

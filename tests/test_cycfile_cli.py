@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from conftest import FIXTURE_DIR, fixture_path, fresh
-from tropdeg import cycfile, fixtures
+from tropdeg import cli, cycfile, cycles, fixtures
 from tropdeg.cycles import check_balancing, validate_complex
 from tropdeg.errors import InputError
 
@@ -98,6 +98,27 @@ def test_cli_check_balance():
     assert proc.returncode == 0
     report = json.loads(proc.stdout)
     assert report["outputs"]["balanced"] is True
+
+
+@pytest.mark.parametrize("argv", [
+    ["check-balance", "fixtures/example33a.cyc"],
+    ["admissible", "fixtures/example33a.cyc"],
+    ["intersect", "fixtures/standard_line.cyc", "fixtures/scaled_line_d2.cyc"],
+])
+def test_cli_validates_each_input_once(argv, monkeypatch, capsys):
+    calls = []
+
+    def counting(cycle):
+        calls.append(cycle)
+        return real(cycle)
+
+    real = cycles.validate_complex
+    monkeypatch.setattr(cycles, "validate_complex", counting)
+    monkeypatch.chdir(FIXTURE_DIR.parent)
+    assert cli.main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["command"] == argv[0]
+    assert len(calls) == len(argv) - 1
+    assert len({id(c) for c in calls}) == len(calls)
 
 
 def test_cli_multidegree_example33a():

@@ -3,18 +3,24 @@
 On the multidegrees of generator seeds 0-9 (every type vector) and the
 complex validation of those cycles:
 
-* ``quickly_disjoint`` answers True only for pairs whose ``intersect`` is
-  empty;
+* ``quickly_disjoint`` answers True only for pairs whose joint H-rep
+  (``from_hrep``, bypassing the prefilter inside ``intersect``)
+  is empty;
 * ``ops._displaced`` agrees with ``displaced_oracle`` on every call;
 * ``Polyhedron.face`` agrees with ``face_oracle`` in key and V-rep for
-  every inequality of every polyhedron the run left in the intern pool.
+  every inequality of every polyhedron the run left in the intern pool;
+* every polyhedron in that pool stores canonical vertex rows.
 """
+
+import math
+from fractions import Fraction
 
 import pytest
 
 from conftest import displaced_oracle, face_oracle, fresh, uninterned
-from tropdeg import cycles, fixtures, ops, polyhedra
+from tropdeg import fixtures, ops, polyhedra
 from tropdeg.cycles import validate_complex
+from tropdeg.linalg import rref
 from tropdeg.multidegree import multidegree, type_vectors
 from tropdeg.polyhedra import Polyhedron
 
@@ -27,8 +33,8 @@ def run():
     disjoint_calls = []
     displaced_calls = []
 
-    def record_disjoint(a, b, gens_a, gens_b):
-        answer = real_disjoint(a, b, gens_a, gens_b)
+    def record_disjoint(a, b):
+        answer = real_disjoint(a, b)
         disjoint_calls.append((a, b, answer))
         return answer
 
@@ -41,8 +47,7 @@ def run():
     real_displaced = ops._displaced
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Polyhedron, "_interned", {})
-        for module in (polyhedra, ops, cycles):
-            mp.setattr(module, "quickly_disjoint", record_disjoint)
+        mp.setattr(polyhedra, "quickly_disjoint", record_disjoint)
         mp.setattr(ops, "_displaced", record_displaced)
         for seed in SEEDS:
             cycle = fixtures.generate_admissible(seed)
@@ -58,7 +63,8 @@ def test_quickly_disjoint_is_sound(run):
     separated = [(a, b) for a, b, answer in calls if answer]
     assert separated and len(separated) < len(calls)
     for a, b in separated:
-        assert a.intersect(b).is_empty
+        assert Polyhedron.from_hrep(a.m, a.ineqs + b.ineqs,
+                                    a.eqs + b.eqs).is_empty
 
 
 def test_displaced_matches_oracle(run):
@@ -82,3 +88,23 @@ def test_face_matches_oracle(run):
                 (want.vertices, want.rays, want.lineality)
             rows += 1
     assert rows
+
+
+def test_pool_stores_canonical_vertex_rows(run):
+    _, _, pool = run
+    nonempty = 0
+    for p in pool:
+        pivots = [next(i for i, x in enumerate(l) if x) for l in p.lineality]
+        assert rref(p.lineality)[0] == list(p.lineality)
+        for row in p.vertex_rows:
+            assert row[0] > 0 and math.gcd(*row) == 1
+            assert all(row[1 + c] == 0 for c in pivots)
+        assert list(p.vertex_rows) == sorted(set(p.vertex_rows))
+        assert p.vertices == tuple(sorted(
+            tuple(Fraction(x, row[0]) for x in row[1:]) for row in p.vertex_rows))
+        rebuilt = uninterned(lambda: Polyhedron.from_generators(
+            p.m, p.vertices, p.rays, p.lineality))
+        assert rebuilt is not p
+        assert (rebuilt.key, rebuilt.vertex_rows) == (p.key, p.vertex_rows)
+        nonempty += not p.is_empty
+    assert nonempty
