@@ -16,7 +16,7 @@ from .errors import (
     UnbalancedCycleError,
     WrongDimensionError,
 )
-from .linalg import IntVec, QuotientLattice, frac_vec, primitive, vsub
+from .linalg import IntVec, frac_vec, vdot
 from .polyhedra import (
     Polyhedron,
     common_refinement,
@@ -138,7 +138,10 @@ class ComplexReport:
 @dataclass(frozen=True)
 class Codim1Record:
     face: Polyhedron
-    incident: tuple[tuple[int, IntVec], ...]   # (facet index, primitive quotient generator)
+    # (facet index i, a lift in L_P of the lattice normal u_{P/Q}), P the
+    # i-th support facet: a vector of L_P on which P's facet row takes its
+    # least positive value; primitive, and unique modulo L_Q
+    incident: tuple[tuple[int, IntVec], ...]
 
 
 @dataclass(frozen=True)
@@ -208,11 +211,12 @@ def _require_valid(cycle: TropicalCycle) -> None:
 
 
 def codim1_faces(cycle: TropicalCycle) -> tuple[Codim1Record, ...]:
-    """Codimension-1 faces of the support with primitive quotient generators.
+    """Codimension-1 faces of the support with their lattice normals.
 
-    Faces equal as point sets are merged across facets; for every incident
-    facet P the stored integer vector maps to the primitive generator of
-    P's image ray in Z^m / (Lin(Q) cap Z^m).
+    Faces equal as point sets are merged across facets.  For every
+    incident facet P, with Q = P cap {row = 0} for its facet row, the
+    stored vector lies in L_P = Lin(P) cap Z^m and maps to the generator
+    u_{P/Q} of L_P / L_Q that points into P (Allermann-Rau 2010).
     """
     if "codim1" in cycle._cache:
         return cycle._cache["codim1"]
@@ -220,9 +224,10 @@ def codim1_faces(cycle: TropicalCycle) -> tuple[Codim1Record, ...]:
     support = cycle.support_facets
     merged: dict = {}
     for idx, wf in enumerate(support):
-        for q in wf.poly.facet_faces():
+        p = wf.poly
+        for row, q in zip(p.ineqs, p.facet_faces()):
             entry = merged.setdefault(q.key, (q, []))
-            entry[1].append((idx, _primitive_quotient_generator(wf.poly, q)))
+            entry[1].append((idx, _lattice_normal(p, row)))
     records = tuple(
         Codim1Record(face=q, incident=tuple(sorted(inc)))
         for q, inc in (merged[k] for k in sorted(merged)))
@@ -230,11 +235,19 @@ def codim1_faces(cycle: TropicalCycle) -> tuple[Codim1Record, ...]:
     return records
 
 
-def _primitive_quotient_generator(p: Polyhedron, q: Polyhedron) -> IntVec:
-    quotient = QuotientLattice(q.direction_basis(), p.m)
-    u = vsub(p.relative_interior_point(), q.relative_interior_point())
-    image = primitive(quotient.project(u))
-    return quotient.lift(image)
+def _lattice_normal(p: Polyhedron, row) -> IntVec:
+    """The vector of L_P with the least positive value of the facet row's
+    linear form: an xgcd fold over the saturated basis of L_P.
+
+    The values of that form on L_P are gcd * Z and its kernel there is
+    L_Q, so the vector maps to the generator of L_P / L_Q on P's side; it
+    is primitive, since a proper multiple would take a smaller value.
+    """
+    g, normal = 0, (0,) * p.m
+    for b in p.direction_basis():
+        g, s, t = linalg._xgcd(g, vdot(row[1:], b))
+        normal = tuple(s * x + t * y for x, y in zip(normal, b))
+    return normal
 
 
 def check_balancing(cycle: TropicalCycle) -> BalanceReport:
@@ -347,8 +360,8 @@ def recession_cycle(cycle: TropicalCycle) -> TropicalCycle:
     pieces = common_refinement(top)
     facets = []
     for piece in pieces:
-        point = piece.relative_interior_point()
-        weight = sum(w for cone, w in rec if cone.dim == d and cone.contains(point))
+        row = piece.interior_row()
+        weight = sum(w for cone, w in rec if cone.dim == d and cone.contains_row(row))
         if weight > 0:
             facets.append(WeightedFacet(piece, weight))
     out = mark_complex_by_construction(TropicalCycle(cycle.ambient, facets))

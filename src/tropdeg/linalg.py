@@ -8,7 +8,7 @@ of its basis matrix, and x @ M means sum_i x[i] * M[i].
 ``rref`` is the one elimination kernel.  It is fraction-free: it clears
 each row's denominators once and works in the integers, returning every
 row as a primitive integer row with a positive pivot.  Ranks, spans (with
-the residual ``reduce_mod``), coordinates and inverses read off its rows.
+the residual ``reduce_mod``) and coordinates read off its rows.
 """
 
 from __future__ import annotations
@@ -84,12 +84,6 @@ def sign_normalized(vec: IntVec) -> IntVec:
 
 def identity_rows(n: int) -> list[list[int]]:
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def row_times_mat(x, mat):
-    """x @ mat for a row vector x."""
-    n = len(mat[0]) if mat else 0
-    return tuple(sum(x[i] * mat[i][j] for i in range(len(x))) for j in range(n))
 
 
 # ---------------------------------------------------------------------------
@@ -169,20 +163,6 @@ def coords_in_rows(basis_rows, target):
 
 def in_span(basis_rows, target) -> bool:
     return is_zero_vec(reduce_mod(rref(basis_rows)[0], target))
-
-
-def int_inverse(mat) -> list[list[int]]:
-    """Exact inverse of a unimodular integer matrix, as integers."""
-    n = len(mat)
-    aug = [list(mat[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
-    red, piv = rref(aug)
-    if piv != list(range(n)):
-        raise InvariantError("matrix is singular")
-    # row i is the primitive multiple of (e_i | inverse row i); the inverse
-    # is integral exactly when every pivot is 1
-    if any(row[i] != 1 for i, row in enumerate(red)):
-        raise InvariantError("matrix is not unimodular")
-    return [list(row[n:]) for row in red]
 
 
 # ---------------------------------------------------------------------------
@@ -355,34 +335,3 @@ def relative_lattice_index(ambient_basis, sub_gens):
         coords.append(c)
     return lattice_index(coords, k)
 
-
-class QuotientLattice:
-    """Coordinates on Z^m / L for a saturated sublattice L (torsion-free quotient)."""
-
-    def __init__(self, sat_basis, m: int):
-        self.m = m
-        self.k = len(sat_basis)
-        if self.k == 0:
-            self._V = None
-            self._Vinv = None
-            return
-        D, _, V = snf(sat_basis)
-        diag = [D[i][i] for i in range(min(len(D), m))]
-        if any(d != 1 for d in diag[: self.k]):
-            raise InvariantError("basis does not generate a saturated lattice")
-        self._V = V
-        self._Vinv = int_inverse(V)
-
-    def project(self, x):
-        """Image of x in the quotient, as a vector of length m - k."""
-        if self.k == 0:
-            return tuple(x)
-        y = row_times_mat(x, self._V)
-        return tuple(y[self.k:])
-
-    def lift(self, w) -> IntVec:
-        """An integer vector of Z^m mapping to w in the quotient."""
-        if self.k == 0:
-            return tuple(int(e) for e in w)
-        full = (0,) * self.k + tuple(w)
-        return tuple(int(e) for e in row_times_mat(full, self._Vinv))

@@ -46,11 +46,9 @@ class DisplacementSeed:
     """Deterministic source of generic rational vectors."""
 
     seed: int = 0
-    den_bound: int = 16
 
     def derived(self, salt: int) -> "DisplacementSeed":
-        return DisplacementSeed((self.seed + salt * _SEED_STRIDE) & _MASK64,
-                                self.den_bound)
+        return DisplacementSeed((self.seed + salt * _SEED_STRIDE) & _MASK64)
 
 
 class Rng:
@@ -158,9 +156,9 @@ def _stable_setup(c1, c2, out_dim) -> _StableSetup:
 
     pieces = []
     for piece in common_refinement([c for _, _, c, _ in candidates]):
-        point = piece.relative_interior_point()
+        row = piece.interior_row()
         pieces.append((piece, [(i, j, w) for i, j, c, w in candidates
-                               if c.contains(point)]))
+                               if c.contains_row(row)]))
     return _StableSetup(c1.ambient, out_dim, full_pairs, low_spans, pieces)
 
 
@@ -169,7 +167,9 @@ def _stable_once(setup: _StableSetup, seed) -> TropicalCycle:
     redraws = 0
     flags: dict = {}
     for _ in range(64):
-        v = rng.vector(setup.ambient.m, den_bound=seed.den_bound)
+        # an integer multiple of the drawn vector; both tests below are
+        # invariant under positive scaling
+        v = int_row(rng.vector(setup.ambient.m))
         ok = all(not is_zero_vec(linalg.reduce_mod(basis, v))
                  for basis in setup.low_spans)
         if ok:
@@ -276,8 +276,8 @@ def transverse_check(c1: TropicalCycle, c2: TropicalCycle) -> bool:
             inter = fa.intersect(fb)
             if inter.is_empty:
                 continue
-            point = inter.relative_interior_point()
-            if fa.relint_contains(point) and fb.relint_contains(point):
+            row = inter.interior_row()
+            if fa.relint_contains_row(row) and fb.relint_contains_row(row):
                 if not _full_span(fa, fb, m, span_cache):
                     return False
     return True
@@ -382,10 +382,10 @@ def _image_cycle(images, out_blocks: BlockStructure) -> PushforwardResult:
     top = [t for i, t in enumerate(images) if i not in verdict.absorbed]
     facets = []
     for piece in common_refinement([img for img, _, _ in top]):
-        point = piece.relative_interior_point()
+        row = piece.interior_row()
         basis = piece.direction_basis()
         weight = sum(w * linalg.relative_lattice_index(basis, gens)
-                     for img, w, gens in top if img.contains(point))
+                     for img, w, gens in top if img.contains_row(row))
         if weight > 0:
             facets.append(WeightedFacet(piece, weight))
     out = cyc.mark_complex_by_construction(TropicalCycle(out_blocks, facets))

@@ -10,8 +10,16 @@ A polyhedron in R^m is stored in both representations at once:
 * V-rep: sorted vertex rows, primitive rays, and an RREF-canonical
   lineality basis.  A vertex v (a point of a minimal face, reduced modulo
   the lineality) is the primitive integer row ``(d, d*v)`` with ``d > 0``
-  that double description produces, so the sign of ``vdot(row, g)`` is
-  that of ``c0 + c.v``; ``vertices`` gives the ``Fraction`` points.
+  that double description produces; ``vertices`` gives the ``Fraction``
+  points.
+
+Points are rows: a point x is handled as an integer row ``(d, d*x)`` with
+``d > 0``, so the sign of ``vdot(row, point_row)`` is that of ``c0 + c.x``
+and containment is a set of integer sign tests.  ``interior_row`` is the
+sum of the vertex rows and the rays, a strictly positive combination of
+every generator and hence a point of the relative interior.  The
+``Fraction`` entry points (``contains``, ``relint_contains``,
+``relative_interior_point``) clear or restore one denominator around them.
 
 H->V and V->H conversion run the double description method on the
 homogenization cone, entirely in integer arithmetic.  Faces skip the
@@ -48,15 +56,9 @@ from .linalg import (
     vdot,
     vneg,
     vscale,
-    vsub,
 )
 
 HomRow = IntVec  # length m+1: (c0, c1, ..., cm)
-
-
-def eval_row(row, point) -> Fraction:
-    """c0 + c . x at a point."""
-    return row[0] + sum(c * x for c, x in zip(row[1:], point, strict=True))
 
 
 def eval_dir(row, direction):
@@ -226,13 +228,11 @@ class Polyhedron:
 
         At least one vertex is required for a nonempty result.
         """
-        rows = [int_row((1, *v)) for v in vertices]
-        for r in rows:
-            if len(r) != m + 1:
-                raise DimensionMismatchError(
-                    f"vertex of length {len(r) - 1} in R^{m}")
-        ray_vecs = [primitive(r) for r in rays if not is_zero_vec(r)]
-        lin_vecs = [primitive(l) for l in lineality if not is_zero_vec(l)]
+        rows = [_point_row(v, m, "vertex") for v in vertices]
+        ray_vecs = [primitive(r) for r in _of_length(rays, m, "ray")
+                    if not is_zero_vec(r)]
+        lin_vecs = [primitive(l) for l in _of_length(lineality, m, "lineality vector")
+                    if not is_zero_vec(l)]
         return cls._from_generator_rows(m, rows, ray_vecs, lin_vecs)
 
     @classmethod
@@ -324,22 +324,27 @@ class Polyhedron:
     @property
     def vertices(self) -> tuple[Vec, ...]:
         """The vertex rows divided by their heights, as sorted points."""
-        return tuple(sorted(tuple(Fraction(x, r[0]) for x in r[1:])
-                            for r in self.vertex_rows))
+        return tuple(sorted(_row_point(r) for r in self.vertex_rows))
+
+    def contains_row(self, row: HomRow) -> bool:
+        """Whether the point with integer row ``(d, d*x)``, ``d > 0``, lies
+        in the polyhedron."""
+        return (not self.is_empty
+                and all(vdot(r, row) == 0 for r in self.eqs)
+                and all(vdot(r, row) >= 0 for r in self.ineqs))
+
+    def relint_contains_row(self, row: HomRow) -> bool:
+        """Whether the point with integer row ``(d, d*x)``, ``d > 0``, lies
+        in the relative interior."""
+        return (not self.is_empty
+                and all(vdot(r, row) == 0 for r in self.eqs)
+                and all(vdot(r, row) > 0 for r in self.ineqs))
 
     def contains(self, point) -> bool:
-        if self.is_empty:
-            return False
-        p = frac_vec(point)
-        return (all(eval_row(r, p) == 0 for r in self.eqs)
-                and all(eval_row(r, p) >= 0 for r in self.ineqs))
+        return self.contains_row(_point_row(point, self.m))
 
     def relint_contains(self, point) -> bool:
-        if self.is_empty:
-            return False
-        p = frac_vec(point)
-        return (all(eval_row(r, p) == 0 for r in self.eqs)
-                and all(eval_row(r, p) > 0 for r in self.ineqs))
+        return self.relint_contains_row(_point_row(point, self.m))
 
     def direction_basis(self) -> tuple[IntVec, ...]:
         """Saturated lattice basis of Lin(P) (== Lin(P) spanning rows)."""
@@ -351,26 +356,17 @@ class Polyhedron:
                 self._cache["dirs"] = int_kernel(homog, self.m)
         return self._cache["dirs"]
 
-    def relative_interior_point(self) -> Vec:
+    def interior_row(self) -> HomRow:
+        """A relative interior point as an integer row ``(d, d*x)``, ``d > 0``:
+        the sum of the vertex rows and the rays, which is strictly positive
+        on every inequality that is not tight on the whole polyhedron."""
         if self.is_empty:
             raise EmptyPolyhedronError("relative interior of the empty set")
-        if "relint" in self._cache:
-            return self._cache["relint"]
-        verts = self.vertices
-        base = tuple(sum(v[i] for v in verts) / len(verts) for i in range(self.m))
-        bump = (Fraction(0),) * self.m
-        for r in self.rays:
-            bump = vadd(bump, r)
-        for i, l in enumerate(self.lineality):
-            bump = vadd(bump, l) if i % 2 == 0 else vsub(bump, l)
-        coeff = Fraction(1, 2 * (len(self.rays) + len(self.lineality) + 1))
-        for _ in range(128):
-            p = vadd(base, vscale(coeff, bump))
-            if all(eval_row(r, p) > 0 for r in self.ineqs):
-                self._cache["relint"] = p
-                return p
-            coeff /= 2
-        raise InvariantError("relative interior search did not converge")
+        gens = self.vertex_rows + tuple((0,) + r for r in self.rays)
+        return int_row([sum(col) for col in zip(*gens)])
+
+    def relative_interior_point(self) -> Vec:
+        return _row_point(self.interior_row())
 
     # -- derived polyhedra ----------------------------------------------------
 
@@ -532,6 +528,28 @@ def _check_len(vec, m):
             f"vector of length {len(vec)} in ambient dimension {m + 1}")
 
 
+def _of_length(vecs, m, what) -> list:
+    """The vectors as a list, after checking that each has length m."""
+    vecs = list(vecs)
+    for v in vecs:
+        if len(v) != m:
+            raise DimensionMismatchError(f"{what} of length {len(v)} in R^{m}")
+    return vecs
+
+
+def _point_row(point, m, what="point") -> HomRow:
+    """The integer row ``(d, d*x)``, ``d > 0``, of a rational point of R^m."""
+    row = int_row((1, *point))
+    if len(row) != m + 1:
+        raise DimensionMismatchError(f"{what} of length {len(row) - 1} in R^{m}")
+    return row
+
+
+def _row_point(row: HomRow) -> Vec:
+    """The point of an integer row ``(d, d*x)``, ``d > 0``."""
+    return tuple(Fraction(x, row[0]) for x in row[1:])
+
+
 def _canon_eqs(rows) -> tuple[HomRow, ...]:
     """RREF-canonical basis of a row space (equalities or lineality)."""
     return tuple(rref(rows)[0])
@@ -627,14 +645,19 @@ def common_refinement(cells) -> list[Polyhedron]:
 
     In transverse position the input already is a complex and no cell is
     touched; otherwise only cells with offending overlaps are split, by
-    the constraint rows of their counterparts.  Falls back to the full
-    hyperplane-arrangement refinement if the local process stalls.
+    the constraint rows of their counterparts, round after round until no
+    cuts remain.  A pair whose intersection is not a common face has a
+    constraint row of one cell that cuts the other, so every round splits
+    a cell.  When the cells share one affine hull every piece is a cell of
+    the finite arrangement of the input rows, which bounds the rounds;
+    cells in different hulls are cut by rows reduced modulo the hull of
+    the cell they come from, and for those no bound is proven.
     """
     out: dict = {}
     for cell in cells:
         out.setdefault(cell.key, cell)
     current = sorted(out.values(), key=lambda p: p.key)
-    for _ in range(8):
+    while True:
         cuts: dict = {}
         for ia in range(len(current)):
             for ib in range(ia + 1, len(current)):
@@ -656,12 +679,6 @@ def common_refinement(cells) -> list[Polyhedron]:
             else:
                 out.setdefault(cell.key, cell)
         current = sorted(out.values(), key=lambda p: p.key)
-    pool = hyperplane_pool(current)
-    out = {}
-    for cell in current:
-        for piece in refine_by_hyperplanes(cell, pool):
-            out.setdefault(piece.key, piece)
-    return sorted(out.values(), key=lambda p: p.key)
 
 
 def is_covered(target: Polyhedron, cover) -> bool:
@@ -678,7 +695,7 @@ def is_covered(target: Polyhedron, cover) -> bool:
         if has_pos and has_neg:
             pool.append(row)
     for cell in refine_by_hyperplanes(target, pool):
-        point = cell.relative_interior_point()
-        if not any(p.contains(point) for p in cover):
+        row = cell.interior_row()
+        if not any(p.contains_row(row) for p in cover):
             return False
     return True

@@ -9,8 +9,9 @@ from tropdeg import linalg
 from tropdeg import cycles as cyc
 from tropdeg.cycles import (BlockStructure, TropicalCycle, WeightedFacet,
                             degree0, translate)
-from tropdeg.errors import SeedDependenceError
-from tropdeg.linalg import is_zero_vec, saturate, vdot
+from tropdeg.errors import InvariantError, SeedDependenceError
+from tropdeg.linalg import (IntVec, is_zero_vec, primitive, rref, saturate, snf,
+                            vdot, vsub)
 from tropdeg.multidegree import DivisorSet, pullback
 from tropdeg.ops import (PushforwardResult, Rng, _as_seed, pushforward_linear,
                          stable_intersect)
@@ -72,7 +73,7 @@ def _iterated_once(cycle, n, divs, seed) -> int:
     for i in range(1, blocks.k + 1):
         b = blocks.blocks[i - 1]
         for _ in range(n[i - 1]):
-            shift = rng.vector(b, den_bound=seed.den_bound)
+            shift = rng.vector(b)
             lam = translate(divs.divisors[i - 1], shift)
             pb = pullback(lam, i, blocks)
             cur = stable_intersect(cur, pb,
@@ -205,6 +206,91 @@ def linear_image_oracle(p: Polyhedron, matrix, m_out: int) -> Polyhedron:
     rays = [r2 for r2 in (apply(r) for r in p.rays) if not is_zero_vec(r2)]
     lin = [l2 for l2 in (apply(l) for l in p.lineality) if not is_zero_vec(l2)]
     return Polyhedron.from_generators(m_out, verts, rays, lin)
+
+
+def eval_row(row, point) -> Fraction:
+    """c0 + c . x at a point."""
+    return row[0] + sum(c * x for c, x in zip(row[1:], point, strict=True))
+
+
+def contains_oracle(p: Polyhedron, point, relint: bool = False) -> bool:
+    """Membership of a rational point by evaluating every constraint row.
+
+    The ``Fraction`` test that ``Polyhedron.contains`` and
+    ``relint_contains`` replaced with integer sign tests on the point's
+    row; kept as a differential oracle.
+    """
+    if p.is_empty:
+        return False
+    return (all(eval_row(r, point) == 0 for r in p.eqs)
+            and all(eval_row(r, point) > 0 if relint else eval_row(r, point) >= 0
+                    for r in p.ineqs))
+
+
+def row_times_mat(x, mat):
+    """x @ mat for a row vector x."""
+    n = len(mat[0]) if mat else 0
+    return tuple(sum(x[i] * mat[i][j] for i in range(len(x))) for j in range(n))
+
+
+def int_inverse(mat) -> list[list[int]]:
+    """Exact inverse of a unimodular integer matrix, as integers."""
+    n = len(mat)
+    aug = [list(mat[i]) + [1 if i == j else 0 for j in range(n)] for i in range(n)]
+    red, piv = rref(aug)
+    if piv != list(range(n)):
+        raise InvariantError("matrix is singular")
+    # row i is the primitive multiple of (e_i | inverse row i); the inverse
+    # is integral exactly when every pivot is 1
+    if any(row[i] != 1 for i, row in enumerate(red)):
+        raise InvariantError("matrix is not unimodular")
+    return [list(row[n:]) for row in red]
+
+
+class QuotientLattice:
+    """Coordinates on Z^m / L for a saturated sublattice L (torsion-free quotient)."""
+
+    def __init__(self, sat_basis, m: int):
+        self.m = m
+        self.k = len(sat_basis)
+        if self.k == 0:
+            self._V = None
+            self._Vinv = None
+            return
+        D, _, V = snf(sat_basis)
+        diag = [D[i][i] for i in range(min(len(D), m))]
+        if any(d != 1 for d in diag[: self.k]):
+            raise InvariantError("basis does not generate a saturated lattice")
+        self._V = V
+        self._Vinv = int_inverse(V)
+
+    def project(self, x):
+        """Image of x in the quotient, as a vector of length m - k."""
+        if self.k == 0:
+            return tuple(x)
+        y = row_times_mat(x, self._V)
+        return tuple(y[self.k:])
+
+    def lift(self, w) -> IntVec:
+        """An integer vector of Z^m mapping to w in the quotient."""
+        if self.k == 0:
+            return tuple(int(e) for e in w)
+        full = (0,) * self.k + tuple(w)
+        return tuple(int(e) for e in row_times_mat(full, self._Vinv))
+
+
+def quotient_normal_oracle(p: Polyhedron, q: Polyhedron):
+    """The normal of a facet p at its face q through Z^m / L_Q.
+
+    Projects the difference of two relative interior points to the
+    quotient, takes the primitive vector on its ray and lifts it.  This
+    is the route that ``cycles.codim1_faces`` replaced with an xgcd fold
+    over L_P; kept as a differential oracle.
+    """
+    quotient = QuotientLattice(q.direction_basis(), p.m)
+    u = vsub(p.relative_interior_point(), q.relative_interior_point())
+    image = primitive(quotient.project(u))
+    return quotient.lift(image)
 
 
 def min_attained_twice(coeffs, point) -> bool:

@@ -54,7 +54,21 @@ FIXTURES = sorted(p.stem for p in (ROOT / "fixtures").glob("*.cyc"))
 ADMISSIBLE = [f"admissible fixtures/{name}.cyc --strategy {strategy}"
               for name in FIXTURES for strategy in ("coords", "spans")]
 
-COMMANDS = list(dict.fromkeys(README + MULTIDEGREES + MSUPP + ADMISSIBLE))
+# Balance checks (codimension-1 normals), recession fans (containment on
+# a common refinement) and stable intersections (displacement flags).
+BALANCE = [f"{command} fixtures/{name}.cyc" for name in FIXTURES
+           for command in ("check-balance", "recession")]
+INTERSECT = [
+    "intersect fixtures/standard_line.cyc fixtures/scaled_line_d2.cyc",
+    "intersect fixtures/standard_plane.cyc fixtures/standard_plane.cyc",
+    "intersect fixtures/coordinate_hyperplanes_3.cyc fixtures/standard_plane.cyc",
+    "intersect fixtures/example33a.cyc fixtures/example33a.cyc --seed 5",
+    "intersect fixtures/coordinate_hyperplanes_2.cyc fixtures/standard_line.cyc"
+    " --seed 3",
+]
+
+COMMANDS = list(dict.fromkeys(README + MULTIDEGREES + MSUPP + ADMISSIBLE
+                              + BALANCE + INTERSECT))
 
 
 def run(command: str) -> subprocess.CompletedProcess:

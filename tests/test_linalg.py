@@ -2,14 +2,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import frac_det, fraction_rref
+from conftest import QuotientLattice, frac_det, fraction_rref, int_inverse
 from tropdeg.errors import InvariantError, ZeroVectorError
 from tropdeg.linalg import (
     INFINITE,
-    QuotientLattice,
     coords_in_rows,
     in_span,
-    int_inverse,
     int_kernel,
     int_row,
     lattice_index,

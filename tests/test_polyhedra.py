@@ -53,6 +53,17 @@ def test_intersect_examples():
         a.intersect(box)
 
 
+def test_vector_lengths_checked():
+    for kwargs in ({"rays": [(1, 0, 0)]}, {"lineality": [(1, 0, 0)]},
+                   {"rays": [(0, 0, 0)]}):
+        with pytest.raises(DimensionMismatchError):
+            Polyhedron.from_generators(2, [(0, 0)], **kwargs)
+    point = Polyhedron.point((0, 0))
+    for test in (point.contains, point.relint_contains):
+        with pytest.raises(DimensionMismatchError):
+            test((0, 0, 0))
+
+
 def test_recession_cone():
     box = Polyhedron.from_generators(2, vertices=[(0, 0), (1, 0), (0, 1)])
     rec = box.recession_cone()
@@ -199,8 +210,7 @@ def test_roundtrip_membership_agreement():
 
 def test_dd_fuzz_membership_consistency():
     """Canonical polyhedra answer membership exactly like the raw input rows."""
-    from conftest import seeded_points
-    from tropdeg.polyhedra import eval_row
+    from conftest import eval_row, seeded_points
 
     rng = Rng(2718281)
     for trial in range(60):
@@ -258,6 +268,22 @@ def test_common_refinement_overlap():
     assert len(cells) == 3
     keys = {tuple(sorted(v[0] for v in c.vertices)) for c in cells}
     assert keys == {(0, 1), (1, 2), (2, 3)}
+
+
+def test_common_refinement_three_overlapping_cells():
+    from tropdeg.cycles import BlockStructure, TropicalCycle, validate_complex
+
+    a = Polyhedron.from_generators(2, vertices=[(0, 0), (4, 0), (0, 4), (4, 4)])
+    b = a.translate((2, 2))
+    c = Polyhedron.from_generators(2, vertices=[(1, 1), (5, 1), (3, 5)])
+    cells = [a, b, c]
+    assert all(p.intersect(q).dim == 2 for p in cells for q in cells)
+    pieces = common_refinement(cells)
+    assert len(pieces) > 3 and all(p.dim == 2 for p in pieces)
+    complex_ = TropicalCycle(BlockStructure((2,)), [(p, 1) for p in pieces])
+    assert validate_complex(complex_).ok
+    assert all(is_covered(cell, pieces) for cell in cells)
+    assert all(is_covered(piece, cells) for piece in pieces)
 
 
 def test_common_refinement_already_complex():
