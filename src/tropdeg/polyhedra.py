@@ -204,7 +204,7 @@ class Polyhedron:
         ineq_rows, eq_rows = [], []
         for row in ineqs:
             r = int_row(row)
-            _check_len(r, m)
+            _check_len(r, m + 1, "constraint row")
             if is_zero_vec(r[1:]):
                 if r[0] < 0:
                     return cls.empty(m)
@@ -212,7 +212,7 @@ class Polyhedron:
             ineq_rows.append(r)
         for row in eqs:
             r = int_row(row)
-            _check_len(r, m)
+            _check_len(r, m + 1, "constraint row")
             if is_zero_vec(r[1:]):
                 if r[0] != 0:
                     return cls.empty(m)
@@ -229,10 +229,10 @@ class Polyhedron:
         At least one vertex is required for a nonempty result.
         """
         rows = [_point_row(v, m, "vertex") for v in vertices]
-        ray_vecs = [primitive(r) for r in _of_length(rays, m, "ray")
-                    if not is_zero_vec(r)]
-        lin_vecs = [primitive(l) for l in _of_length(lineality, m, "lineality vector")
-                    if not is_zero_vec(l)]
+        ray_vecs = [primitive(r) for r in rays
+                    if not is_zero_vec(_check_len(r, m, "ray"))]
+        lin_vecs = [primitive(l) for l in lineality
+                    if not is_zero_vec(_check_len(l, m, "lineality vector"))]
         return cls._from_generator_rows(m, rows, ray_vecs, lin_vecs)
 
     @classmethod
@@ -326,19 +326,20 @@ class Polyhedron:
         """The vertex rows divided by their heights, as sorted points."""
         return tuple(sorted(_row_point(r) for r in self.vertex_rows))
 
+    def _sign_test(self, row: HomRow, strict: bool) -> bool:
+        return (not self.is_empty
+                and all(vdot(r, row) == 0 for r in self.eqs)
+                and all(vdot(r, row) > 0 if strict else vdot(r, row) >= 0
+                        for r in self.ineqs))
+
     def contains_row(self, row: HomRow) -> bool:
         """Whether the point with integer row ``(d, d*x)``, ``d > 0``, lies
         in the polyhedron."""
-        return (not self.is_empty
-                and all(vdot(r, row) == 0 for r in self.eqs)
-                and all(vdot(r, row) >= 0 for r in self.ineqs))
+        return self._sign_test(row, strict=False)
 
     def relint_contains_row(self, row: HomRow) -> bool:
-        """Whether the point with integer row ``(d, d*x)``, ``d > 0``, lies
-        in the relative interior."""
-        return (not self.is_empty
-                and all(vdot(r, row) == 0 for r in self.eqs)
-                and all(vdot(r, row) > 0 for r in self.ineqs))
+        """The same for the relative interior."""
+        return self._sign_test(row, strict=True)
 
     def contains(self, point) -> bool:
         return self.contains_row(_point_row(point, self.m))
@@ -522,27 +523,16 @@ class Polyhedron:
 # canonicalization helpers
 # ---------------------------------------------------------------------------
 
-def _check_len(vec, m):
-    if len(vec) != m + 1:
-        raise DimensionMismatchError(
-            f"vector of length {len(vec)} in ambient dimension {m + 1}")
-
-
-def _of_length(vecs, m, what) -> list:
-    """The vectors as a list, after checking that each has length m."""
-    vecs = list(vecs)
-    for v in vecs:
-        if len(v) != m:
-            raise DimensionMismatchError(f"{what} of length {len(v)} in R^{m}")
-    return vecs
+def _check_len(vec, n, what="vector"):
+    """The vector, after checking that it has length n."""
+    if len(vec) != n:
+        raise DimensionMismatchError(f"{what} of length {len(vec)}, expected {n}")
+    return vec
 
 
 def _point_row(point, m, what="point") -> HomRow:
     """The integer row ``(d, d*x)``, ``d > 0``, of a rational point of R^m."""
-    row = int_row((1, *point))
-    if len(row) != m + 1:
-        raise DimensionMismatchError(f"{what} of length {len(row) - 1} in R^{m}")
-    return row
+    return int_row((1, *_check_len(tuple(point), m, what)))
 
 
 def _row_point(row: HomRow) -> Vec:
@@ -644,18 +634,20 @@ def common_refinement(cells) -> list[Polyhedron]:
     common face.
 
     In transverse position the input already is a complex and no cell is
-    touched; otherwise only cells with offending overlaps are split, by
-    the constraint rows of their counterparts, round after round until no
-    cuts remain.  A pair whose intersection is not a common face has a
-    constraint row of one cell that cuts the other, so every round splits
-    a cell.  When the cells share one affine hull every piece is a cell of
-    the finite arrangement of the input rows, which bounds the rounds;
-    cells in different hulls are cut by rows reduced modulo the hull of
-    the cell they come from, and for those no bound is proven.
+    touched; otherwise only cells with offending overlaps are split, round
+    after round until no cuts remain.  Each cell carries the input rows
+    (equalities and facet rows of the given cells) that cut it out, and an
+    offending pair is cut only by each other's carried rows, so every piece
+    is a cell of the arrangement of the input rows.  If neither cut split
+    the pair, both cells would be sign cells of the union of their rows and
+    their intersection a common face; so every round splits a cell, and
+    the finite arrangement bounds the rounds.
     """
     out: dict = {}
+    rows: dict = {}
     for cell in cells:
         out.setdefault(cell.key, cell)
+        rows.setdefault(cell.key, set()).update(cell.eqs + cell.ineqs)
     current = sorted(out.values(), key=lambda p: p.key)
     while True:
         cuts: dict = {}
@@ -667,17 +659,17 @@ def common_refinement(cells) -> list[Polyhedron]:
                     continue
                 if inter.key in face_key_set(a) and inter.key in face_key_set(b):
                     continue
-                cuts.setdefault(ia, set()).update(b.eqs + b.ineqs)
-                cuts.setdefault(ib, set()).update(a.eqs + a.ineqs)
+                cuts.setdefault(ia, set()).update(rows[b.key])
+                cuts.setdefault(ib, set()).update(rows[a.key])
         if not cuts:
             return current
-        out = {}
+        out, carried = {}, {}
         for idx, cell in enumerate(current):
-            if idx in cuts:
-                for piece in refine_by_hyperplanes(cell, sorted(cuts[idx])):
-                    out.setdefault(piece.key, piece)
-            else:
-                out.setdefault(cell.key, cell)
+            cut = cuts.get(idx, set())
+            for piece in refine_by_hyperplanes(cell, sorted(cut)):
+                out.setdefault(piece.key, piece)
+                carried.setdefault(piece.key, set()).update(rows[cell.key], cut)
+        rows = carried
         current = sorted(out.values(), key=lambda p: p.key)
 
 

@@ -4,7 +4,8 @@ import pytest
 
 from tropdeg.errors import DimensionMismatchError, EmptyPolyhedronError
 from tropdeg.ops import Rng
-from tropdeg.polyhedra import Polyhedron, common_refinement, is_covered
+from tropdeg.polyhedra import (Polyhedron, common_refinement, hyperplane_pool,
+                               is_covered)
 
 
 def test_unit_square_h_to_v():
@@ -270,20 +271,67 @@ def test_common_refinement_overlap():
     assert keys == {(0, 1), (1, 2), (2, 3)}
 
 
-def test_common_refinement_three_overlapping_cells():
+def _assert_refines(cells):
+    """common_refinement(cells) is a complex with the union of the cells,
+    and each piece is a cell of the arrangement of the input rows: every
+    facet of a piece lies on an input hyperplane that does not contain the
+    piece."""
     from tropdeg.cycles import BlockStructure, TropicalCycle, validate_complex
 
+    pieces = common_refinement(cells)
+    m, d = cells[0].m, cells[0].dim
+    assert all(p.dim == d for p in pieces)
+    complex_ = TropicalCycle(BlockStructure((m,)), [(p, 1) for p in pieces])
+    assert validate_complex(complex_).ok
+    assert all(is_covered(cell, pieces) for cell in cells)
+    assert all(is_covered(piece, cells) for piece in pieces)
+    pool = hyperplane_pool(cells)
+    for p in pieces:
+        for f in p.all_faces():
+            if f.dim == d - 1:
+                assert any(f.evaluate_signs(r) == (False, False)
+                           and p.evaluate_signs(r) != (False, False) for r in pool)
+    return pieces
+
+
+def test_common_refinement_three_overlapping_cells():
     a = Polyhedron.from_generators(2, vertices=[(0, 0), (4, 0), (0, 4), (4, 4)])
     b = a.translate((2, 2))
     c = Polyhedron.from_generators(2, vertices=[(1, 1), (5, 1), (3, 5)])
     cells = [a, b, c]
     assert all(p.intersect(q).dim == 2 for p in cells for q in cells)
-    pieces = common_refinement(cells)
-    assert len(pieces) > 3 and all(p.dim == 2 for p in pieces)
-    complex_ = TropicalCycle(BlockStructure((2,)), [(p, 1) for p in pieces])
-    assert validate_complex(complex_).ok
-    assert all(is_covered(cell, pieces) for cell in cells)
-    assert all(is_covered(piece, cells) for piece in pieces)
+    assert len(_assert_refines(cells)) > 3
+
+
+def test_common_refinement_cuts_with_carried_rows():
+    # the piece [5,10]x[0,2] of the first square, cut by the third cell,
+    # overlaps the piece [5,10]x[0,10] of the second square, which only
+    # the first square's cut rows split
+    def box(x0, x1, y0, y1):
+        return Polyhedron.from_generators(
+            2, vertices=[(x0, y0), (x1, y0), (x0, y1), (x1, y1)])
+
+    _assert_refines([box(0, 10, 0, 10), box(5, 15, 0, 10), box(1, 4, 2, 3)])
+
+
+def test_common_refinement_cells_in_different_planes():
+    def triangle(*vertices):
+        return Polyhedron.from_generators(3, vertices=vertices)
+
+    crossing = [triangle((-2, -2, 0), (4, -2, 0), (-2, 4, 0)),
+                triangle((0, -3, -3), (0, 3, -3), (0, 0, 3)),
+                triangle((-3, 0, -2), (3, 0, -2), (0, 0, 4))]
+    assert all(p.intersect(q).dim == 1 for p in crossing for q in crossing if p != q)
+    assert len(_assert_refines(crossing)) > 3
+    rng = Rng(1)
+    for _ in range(12):
+        cells = []
+        while len(cells) < 3:
+            p = triangle(*(tuple(rng.randint(-3, 3) for _ in range(3))
+                           for _ in range(3)))
+            if p.dim == 2:
+                cells.append(p)
+        _assert_refines(cells)
 
 
 def test_common_refinement_already_complex():
