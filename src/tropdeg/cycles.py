@@ -12,11 +12,12 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import (
     DimensionMismatchError,
+    InputError,
     InvalidComplexError,
     UnbalancedCycleError,
     WrongDimensionError,
 )
-from .linalg import IntVec, frac_vec, vdot
+from .linalg import IntVec, frac_vec, integral_row, vdot
 from .polyhedra import (
     Polyhedron,
     common_refinement,
@@ -331,7 +332,7 @@ def refine_against(cycle: TropicalCycle, hyperplanes) -> TropicalCycle:
     """Subdivide every facet by linear hyperplanes (integer covectors)."""
     rows = []
     for h in hyperplanes:
-        h = tuple(int(e) for e in h)
+        h = integral_row(h, InputError, "covector")
         if len(h) != cycle.m:
             raise DimensionMismatchError(
                 f"covector of length {len(h)} in R^{cycle.m}")

@@ -7,8 +7,12 @@ of its basis matrix, and x @ M means sum_i x[i] * M[i].
 
 ``rref`` is the one elimination kernel.  It is fraction-free: it clears
 each row's denominators once and works in the integers, returning every
-row as a primitive integer row with a positive pivot.  Ranks, spans (with
-the residual ``reduce_mod``) and coordinates read off its rows.
+row as a primitive integer row with a positive pivot.  Ranks and spans
+read off its rows; ``reduce_mod`` eliminates a vector against them the
+same way and returns the residual as a primitive integer row, a positive
+multiple of the exact one.  Lattice indices are products of Smith
+invariant factors: ``saturation_index`` is the index of a lattice in its
+saturation, ``lattice_index`` the index in Z^m.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-from .errors import InvariantError, ZeroVectorError
+from .errors import ContractError, ZeroVectorError
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -65,6 +69,21 @@ def int_row(entries) -> IntVec:
         entries = [e.numerator * (den // e.denominator) for e in fv]
     g = math.gcd(*entries)
     return tuple(entries) if g <= 1 else tuple(x // g for x in entries)
+
+
+def integral_row(entries, error, what: str) -> IntVec:
+    """The entries as ints; raises ``error`` when one is not an integral
+    number, where ``int`` would truncate it."""
+    entries = tuple(entries)
+    if all(type(e) is int for e in entries):
+        return entries
+    try:
+        fv = [Fraction(e) for e in entries]
+    except (TypeError, ValueError, OverflowError):
+        raise error(f"{what} {entries!r} is not numeric") from None
+    if any(e.denominator != 1 for e in fv):
+        raise error(f"{what} {entries!r} has a non-integral entry")
+    return tuple(e.numerator for e in fv)
 
 
 def primitive(v) -> IntVec:
@@ -124,41 +143,28 @@ def rref(rows) -> tuple[list[IntVec], list[int]]:
     return mat[:r], pivots
 
 
-def reduce_mod(echelon_rows, vec) -> tuple:
-    """Exact residual of ``vec`` modulo the span of ``rref`` output rows.
+def reduce_mod(echelon_rows, vec) -> IntVec:
+    """Residual of ``vec`` modulo the span of ``rref`` output rows, as the
+    primitive integer row that is a positive multiple of the exact one.
 
-    The residual is the unique vector in vec + span whose entries at the
-    pivot columns are zero; it is zero exactly when vec lies in the span.
+    The exact residual is the unique vector in vec + span whose entries at
+    the pivot columns are zero; it is zero exactly when vec lies in the
+    span, and then so is the returned row.  ``vec`` is cleared of
+    denominators once and each pivot is eliminated by ``pv*out -
+    out[p]*row`` with ``pv > 0``, so the orientation is kept.
     """
-    out = vec
+    out = int_row(vec)
     for row in echelon_rows:
         p = next(i for i, x in enumerate(row) if x != 0)
-        if out[p] != 0:
-            f = Fraction(out[p], row[p])
-            out = [a - f * b for a, b in zip(out, row)]
-    return tuple(out)
+        f = out[p]
+        if f != 0:
+            pv = row[p]
+            out = int_row([pv * a - f * b for a, b in zip(out, row)])
+    return out
 
 
 def rank(rows) -> int:
     return len(rref(rows)[0])
-
-
-def coords_in_rows(basis_rows, target):
-    """Coefficients c with sum_i c[i]*basis_rows[i] == target, or None.
-
-    Free coefficients (for linearly dependent bases) are set to zero.
-    """
-    n = len(basis_rows)
-    if n == 0:
-        return () if is_zero_vec(target) else None
-    aug = [[row[i] for row in basis_rows] + [t] for i, t in enumerate(target)]
-    red, piv = rref(aug)
-    coords = [Fraction(0)] * n
-    for row, p in zip(red, piv):
-        if p == n:
-            return None
-        coords[p] = Fraction(row[n], row[p])
-    return tuple(coords)
 
 
 def in_span(basis_rows, target) -> bool:
@@ -298,16 +304,23 @@ def int_kernel(rows, m: int) -> tuple[IntVec, ...]:
     return tuple(sign_normalized(b) for b in basis)
 
 
+def saturation_index(gens) -> int:
+    """Index [L : <gens>] of the lattice generated by integer vectors in its
+    saturation L = span(gens) ∩ Z^m: the product of the nonzero Smith
+    invariant factors of the generator matrix (1 for no generators).
+    A non-integral entry raises ``ContractError``."""
+    rows = [integral_row(g, ContractError, "lattice generator") for g in gens]
+    rows = [g for g in rows if not is_zero_vec(g)]
+    if not rows:
+        return 1
+    return math.prod(d for d in snf_diagonal(rows) if d != 0)
+
+
 def lattice_index(gens, m: int):
     """Index [Z^m : L] of the lattice generated by integer vectors, or INFINITE."""
-    gens = [tuple(int(e) for e in g) for g in gens if not is_zero_vec(g)]
-    if not gens:
-        return 1 if m == 0 else INFINITE
-    diag = snf_diagonal(gens)
-    nonzero = [d for d in diag if d != 0]
-    if len(nonzero) < m:
+    if rank(gens) < m:
         return INFINITE
-    return math.prod(nonzero)
+    return saturation_index(gens)
 
 
 def saturate(gens, m: int) -> tuple[IntVec, ...]:
@@ -319,19 +332,4 @@ def saturate(gens, m: int) -> tuple[IntVec, ...]:
     if not perp:
         return tuple(tuple(r) for r in identity_rows(m))
     return int_kernel(perp, m)
-
-
-def relative_lattice_index(ambient_basis, sub_gens):
-    """Index of the lattice generated by sub_gens inside the lattice with the
-    given basis (both living in a common Z^m); INFINITE if ranks differ."""
-    k = len(ambient_basis)
-    coords = []
-    for g in sub_gens:
-        c = coords_in_rows(ambient_basis, g)
-        if c is None:
-            raise InvariantError("generator outside the ambient lattice span")
-        if any(x.denominator != 1 for x in c):
-            raise InvariantError("generator not in the ambient lattice")
-        coords.append(c)
-    return lattice_index(coords, k)
 

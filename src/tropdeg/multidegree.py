@@ -26,6 +26,7 @@ from .errors import (
     TypeMismatchError,
     WrongDimensionError,
 )
+from .linalg import integral_row
 from .polyhedra import Polyhedron
 
 ADMISSIBILITY_CAVEAT = (
@@ -90,7 +91,7 @@ class CriterionResult:
 
 def _check_type(cycle: TropicalCycle, n) -> tuple[int, ...]:
     blocks = cycle.ambient
-    n = tuple(int(e) for e in n)
+    n = integral_row(n, TypeMismatchError, "type vector")
     if len(n) != blocks.k:
         raise TypeMismatchError(f"type vector length {len(n)} for k={blocks.k}")
     if any(e < 0 for e in n):

@@ -28,7 +28,8 @@ from .errors import (
     WrongDimensionError,
     WrongDimensionsError,
 )
-from .linalg import IntVec, int_row, is_zero_vec, primitive, rank, saturate, vsub
+from .linalg import (IntVec, int_row, integral_row, is_zero_vec, primitive, rank,
+                     saturate, vdot, vsub)
 from .polyhedra import (
     Polyhedron,
     common_refinement,
@@ -322,16 +323,20 @@ class PushforwardResult:
 def pushforward_linear(cycle: TropicalCycle, matrix,
                        out_blocks: BlockStructure) -> PushforwardResult:
     """Image cycle under an integer linear map (rows of length m): each
-    facet's ``linear_image``, with the images of its direction basis as
-    lattice generators, through ``_image_cycle``."""
+    facet's image through ``_image_cycle``."""
     cyc.require_balanced(cycle)
-    matrix = [tuple(int(e) for e in row) for row in matrix]
+    matrix = [integral_row(row, InputError, "matrix row") for row in matrix]
     if len(matrix) != out_blocks.m or any(len(r) != cycle.m for r in matrix):
         raise DimensionMismatchError("matrix shape does not match the map")
-    return _image_cycle([(f.poly.linear_image(matrix, out_blocks.m), f.weight,
-                          [tuple(linalg.vdot(row, b) for row in matrix)
-                           for b in f.poly.direction_basis()])
-                         for f in cycle.support_facets], out_blocks)
+    return _image_cycle(_linear_images(cycle, matrix, out_blocks.m), out_blocks)
+
+
+def _linear_images(cycle: TropicalCycle, matrix, m_out: int):
+    """(``linear_image``, weight, images of the direction basis as lattice
+    generators) per support facet."""
+    return [(f.poly.linear_image(matrix, m_out), f.weight,
+             [tuple(vdot(row, b) for row in matrix) for b in f.poly.direction_basis()])
+            for f in cycle.support_facets]
 
 
 def minkowski_sum_subspace(cycle: TropicalCycle, span_gens) -> PushforwardResult:
@@ -351,9 +356,7 @@ def minkowski_sum_subspace(cycle: TropicalCycle, span_gens) -> PushforwardResult
 
 def _facet_sums(cycle: TropicalCycle, basis):
     """(sigma + V, weight, generators of L_sigma + L_V) per support facet."""
-    return [(Polyhedron.from_generators(cycle.m, f.poly.vertices, f.poly.rays,
-                                        f.poly.lineality + basis),
-             f.weight, f.poly.direction_basis() + basis)
+    return [(f.poly.plus_span(basis), f.weight, f.poly.direction_basis() + basis)
             for f in cycle.support_facets]
 
 
@@ -375,22 +378,40 @@ def _purity(images) -> PushforwardResult:
 
 def _image_cycle(images, out_blocks: BlockStructure) -> PushforwardResult:
     """``_purity``, then lattice-index weights on a common refinement of the
-    top-dimensional (not absorbed) images; the cycle is balance-checked."""
+    top-dimensional (not absorbed) images; the cycle is balance-checked.
+
+    Each top image ``img`` with weight ``w`` and lattice generators ``gens``
+    carries the weight ``w * [L_img : <gens>]`` once, where ``L_img`` is
+    ``Lin(img) ∩ Z^m``.  A refined piece sums the weights of the images
+    containing it.  That is its lattice-index weight: a piece is top
+    dimensional inside each such image, so ``Lin(piece) = Lin(img)`` and
+    ``L_piece = L_img``, and as ``L_img`` is saturated the index is the
+    product of the nonzero Smith invariant factors of ``gens``.
+    """
     verdict = _purity(images)
     if not verdict.is_pure:
         return verdict
-    top = [t for i, t in enumerate(images) if i not in verdict.absorbed]
+    top = [(img, _image_weight(img, w, gens))
+           for i, (img, w, gens) in enumerate(images) if i not in verdict.absorbed]
     facets = []
-    for piece in common_refinement([img for img, _, _ in top]):
+    for piece in common_refinement([img for img, _ in top]):
         row = piece.interior_row()
-        basis = piece.direction_basis()
-        weight = sum(w * linalg.relative_lattice_index(basis, gens)
-                     for img, w, gens in top if img.contains_row(row))
+        weight = sum(w for img, w in top if img.contains_row(row))
         if weight > 0:
             facets.append(WeightedFacet(piece, weight))
     out = cyc.mark_complex_by_construction(TropicalCycle(out_blocks, facets))
     _assert_balanced(out, "push-forward")
     return PushforwardResult(out, None, verdict.absorbed)
+
+
+def _image_weight(img: Polyhedron, weight: int, gens) -> int:
+    """``weight * [L_img : <gens>]``, after checking that the generators lie
+    in and span Lin(img)."""
+    if any(vdot(eq[1:], g) != 0 for eq in img.eqs for g in gens):
+        raise InvariantError("lattice generator outside the image's linear span")
+    if rank(gens) != img.dim:
+        raise InvariantError("lattice generators do not span the image's linear span")
+    return weight * linalg.saturation_index(gens)
 
 
 def projection_dim(cycle: TropicalCycle, subset) -> int:

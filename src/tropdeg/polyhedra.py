@@ -52,7 +52,6 @@ from .linalg import (
     reduce_mod,
     rref,
     sign_normalized,
-    vadd,
     vdot,
     vneg,
     vscale,
@@ -395,19 +394,33 @@ class Polyhedron:
     def translate(self, v) -> "Polyhedron":
         if self.is_empty:
             return self
-        v = frac_vec(v)
+        v = tuple(v)
         if len(v) != self.m:
             raise DimensionMismatchError(
                 f"translation vector of length {len(v)} in R^{self.m}")
-        eqs = _canon_eqs([(r[0] - eval_dir(r, v),) + r[1:] for r in self.eqs])
-        ineqs = _canon_ineqs([int_row((r[0] - eval_dir(r, v),) + r[1:])
-                              for r in self.ineqs], eqs)
-        shift = reduce_mod(self.lineality, v)
-        verts = sorted(int_row((r[0],) + vadd(r[1:], vscale(r[0], shift)))
+        d, *dv = _point_row(v, self.m)     # (d, d*v), d > 0
+        # c0 + c.(x - v) >= 0 scaled by d
+        shifted = [(d * r[0] - vdot(r[1:], dv),) + tuple(d * c for c in r[1:])
+                   for r in self.eqs + self.ineqs]
+        eqs = _canon_eqs(shifted[:len(self.eqs)])
+        ineqs = _canon_ineqs(shifted[len(self.eqs):], eqs)
+        # (e, e*s), e > 0, for the residual s of v modulo the lineality
+        e, *es = reduce_mod([(0,) + l for l in self.lineality], (d, *dv))
+        verts = sorted(int_row((e * r[0],) + tuple(e * a + r[0] * b
+                                                   for a, b in zip(r[1:], es)))
                        for r in self.vertex_rows)
         return Polyhedron(m=self.m, eqs=eqs, ineqs=ineqs,
                           vertex_rows=tuple(verts), rays=self.rays,
                           lineality=self.lineality, is_empty=False)._intern()
+
+    def plus_span(self, basis) -> "Polyhedron":
+        """Minkowski sum with the linear span of the given vectors: the
+        same generators with the vectors added to the lineality."""
+        if self.is_empty:
+            return self
+        lin = [_check_len(tuple(b), self.m, "span vector") for b in basis]
+        return Polyhedron._from_generator_rows(self.m, self.vertex_rows, self.rays,
+                                               self.lineality + tuple(lin))
 
     def product(self, other: "Polyhedron") -> "Polyhedron":
         """Cartesian product, coordinates of ``other`` appended after self's."""
@@ -551,16 +564,16 @@ def _canon_ineqs(rows, eqs) -> tuple[HomRow, ...]:
         r = reduce_mod(eqs, row)
         if is_zero_vec(r[1:]):
             continue   # trivial after reduction
-        out.add(int_row(r))
+        out.add(r)
     return tuple(sorted(out))
 
 
 def _canon_generators(vert_rows, rays, lineality):
     lin = _canon_eqs(lineality)
-    rays_c = sorted({primitive(r) for r in (reduce_mod(lin, x) for x in rays)
+    rays_c = sorted({r for r in (reduce_mod(lin, x) for x in rays)
                      if not is_zero_vec(r)})
-    verts_c = sorted({int_row((r[0],) + reduce_mod(lin, r[1:]))
-                      for r in vert_rows})
+    lin_rows = [(0,) + l for l in lin]
+    verts_c = sorted({reduce_mod(lin_rows, r) for r in vert_rows})
     return tuple(verts_c), tuple(rays_c), lin
 
 

@@ -1,6 +1,7 @@
 """Shared helpers: independent oracles and deterministic sampling."""
 
 from fractions import Fraction
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -10,8 +11,8 @@ from tropdeg import cycles as cyc
 from tropdeg.cycles import (BlockStructure, TropicalCycle, WeightedFacet,
                             degree0, translate)
 from tropdeg.errors import InvariantError, SeedDependenceError
-from tropdeg.linalg import (IntVec, is_zero_vec, primitive, rref, saturate, snf,
-                            vdot, vsub)
+from tropdeg.linalg import (IntVec, is_zero_vec, lattice_index, primitive, rref,
+                            saturate, snf, vdot, vsub)
 from tropdeg.multidegree import DivisorSet, pullback
 from tropdeg.ops import (PushforwardResult, Rng, _as_seed, pushforward_linear,
                          stable_intersect)
@@ -112,6 +113,58 @@ def fraction_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
         if r == len(mat):
             break
     return mat[:r], pivots
+
+
+def fraction_reduce_mod(echelon_rows, vec) -> tuple:
+    """Exact residual of ``vec`` modulo the span of ``rref`` output rows.
+
+    The Fraction loop that the fraction-free ``linalg.reduce_mod``
+    replaced; kept as a differential oracle.
+    """
+    out = [Fraction(x) for x in vec]
+    for row in echelon_rows:
+        p = next(i for i, x in enumerate(row) if x != 0)
+        if out[p] != 0:
+            f = out[p] / row[p]
+            out = [a - f * b for a, b in zip(out, row)]
+    return tuple(out)
+
+
+def coords_in_rows(basis_rows, target):
+    """Coefficients c with sum_i c[i]*basis_rows[i] == target, or None.
+
+    Free coefficients (for linearly dependent bases) are set to zero.
+    """
+    n = len(basis_rows)
+    if n == 0:
+        return () if is_zero_vec(target) else None
+    aug = [[row[i] for row in basis_rows] + [t] for i, t in enumerate(target)]
+    red, piv = rref(aug)
+    coords = [Fraction(0)] * n
+    for row, p in zip(red, piv):
+        if p == n:
+            return None
+        coords[p] = Fraction(row[n], row[p])
+    return tuple(coords)
+
+
+def relative_lattice_index(ambient_basis, sub_gens):
+    """Index of the lattice generated by sub_gens inside the lattice with the
+    given basis (both living in a common Z^m); INFINITE if ranks differ.
+
+    The per-piece weight rule that ``ops._image_cycle`` replaced with one
+    Smith normal form per image; kept as a differential oracle.
+    """
+    k = len(ambient_basis)
+    coords = []
+    for g in sub_gens:
+        c = coords_in_rows(ambient_basis, g)
+        if c is None:
+            raise InvariantError("generator outside the ambient lattice span")
+        if any(x.denominator != 1 for x in c):
+            raise InvariantError("generator not in the ambient lattice")
+        coords.append(c)
+    return lattice_index(coords, k)
 
 
 def frac_det(rows) -> Fraction:
@@ -303,6 +356,13 @@ def min_attained_twice(coeffs, point) -> bool:
 
 def cycle_contains(cycle: TropicalCycle, point) -> bool:
     return any(f.poly.contains(point) for f in cycle.support_facets)
+
+
+def coordinate_subspaces(m: int):
+    """(coordinates, unit vectors) of every proper nonzero coordinate subspace."""
+    for size in range(1, m):
+        for coords in combinations(range(m), size):
+            yield coords, [tuple(int(t == j) for t in range(m)) for j in coords]
 
 
 def seeded_points(seed: int, count: int, m: int, num_bound: int = 40,

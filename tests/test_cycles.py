@@ -20,6 +20,7 @@ from tropdeg.cycles import (
 )
 from tropdeg.errors import (
     DimensionMismatchError,
+    InputError,
     InvalidComplexError,
     UnbalancedCycleError,
     WrongDimensionError,
@@ -164,6 +165,14 @@ def test_refine_against():
     refined2 = refine_against(line, [(1, -1)])
     assert check_balancing(fresh(refined2)).balanced
     assert degree0(two_points()) == degree0(refine_against(two_points(), [(1, 0)]))
+
+
+def test_refine_against_rejects_non_integral_covectors():
+    line = fixtures.standard_line()
+    for covector in ((Fraction(1, 2), 1), (1, 0.5)):
+        with pytest.raises(InputError):
+            refine_against(line, [covector])
+    assert refine_against(line, [(Fraction(4, 2), 1.0)]) == refine_against(line, [(2, 1)])
 
 
 def test_recession_of_fan_is_identity():

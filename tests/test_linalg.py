@@ -2,11 +2,11 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import QuotientLattice, frac_det, fraction_rref, int_inverse
-from tropdeg.errors import InvariantError, ZeroVectorError
+from conftest import (QuotientLattice, coords_in_rows, frac_det, fraction_reduce_mod,
+                      fraction_rref, int_inverse)
+from tropdeg.errors import ContractError, InvariantError, ZeroVectorError
 from tropdeg.linalg import (
     INFINITE,
-    coords_in_rows,
     in_span,
     int_kernel,
     int_row,
@@ -16,6 +16,7 @@ from tropdeg.linalg import (
     reduce_mod,
     rref,
     saturate,
+    saturation_index,
     snf,
 )
 from tropdeg.ops import Rng
@@ -66,6 +67,12 @@ def test_lattice_index_examples():
     assert lattice_index([(1, 0), (0, 1)], 2) == 1
     assert lattice_index([(1, 1), (1, -1)], 2) == 2
     assert lattice_index([(1, 1)], 2) is INFINITE
+    assert saturation_index([(2, 2), (0, 3)]) == 6
+    assert saturation_index([(2, 4), (1, 2)]) == 1
+    assert saturation_index([]) == lattice_index([], 0) == 1
+    for gens in ([(Fraction(1, 2),)], [(1.5, 0), (0, 1)]):
+        with pytest.raises(ContractError):
+            lattice_index(gens, len(gens[0]))
 
 
 def test_lattice_index_matches_determinant():
@@ -249,4 +256,29 @@ def test_kernel_matches_fraction_oracle():
         n = rng.randint(1, 5)
         _check_inverse(_unimodular(rng, n))
         _check_inverse([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
+    assert outcomes == {True, False}
+
+
+def test_reduce_mod_is_primitive_multiple_of_fraction_residual():
+    """The integer residual is the primitive row on the ray of the exact
+    ``Fraction`` residual: a positive multiple, zero exactly in the span."""
+    rng = Rng(2718)
+    outcomes = set()
+    for _ in range(300):
+        rows, ncols = _random_matrix(rng)
+        red, _ = rref(rows)
+        in_target = tuple(sum((rng.randint(-3, 3) * r[c] for r in rows), 0)
+                          for c in range(ncols))
+        for target in (in_target, rng.vector(ncols, 9, 4),
+                       tuple(rng.randint(-5, 5) for _ in range(ncols))):
+            got = reduce_mod(red, target)
+            want = fraction_reduce_mod(red, target)
+            assert all(type(x) is int for x in got)
+            inside = len(fraction_rref(rows + [target])[0]) == len(red)
+            assert all(x == 0 for x in got) == inside
+            if inside:
+                assert all(x == 0 for x in want)
+            else:
+                assert got == primitive(want)
+            outcomes.add(inside)
     assert outcomes == {True, False}

@@ -16,12 +16,10 @@ Products of the generated cycles with a checked subspace cycle carry the
 valid and balanced marks, and an unmarked copy passes both checks.
 """
 
-from itertools import combinations
-
 import pytest
 
-from conftest import (fixture_path, fresh, linear_image_oracle, minkowski_oracle,
-                      uninterned)
+from conftest import (coordinate_subspaces, fixture_path, fresh, linear_image_oracle,
+                      minkowski_oracle, uninterned)
 from tropdeg import fixtures, ops
 from tropdeg.cycfile import load
 from tropdeg.cycles import (BlockStructure, TropicalCycle, WeightedFacet,
@@ -39,12 +37,6 @@ def cycles():
     for seed in SEEDS:
         yield seed, fixtures.generate_admissible(seed)
     yield "example33b", fixtures.example33b()
-
-
-def coordinate_subspaces(m: int):
-    for size in range(1, m):
-        for coords in combinations(range(m), size):
-            yield coords, [tuple(int(t == j) for t in range(m)) for j in coords]
 
 
 def outcome(sum_of, cycle, gens):

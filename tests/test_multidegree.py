@@ -1,3 +1,5 @@
+from fractions import Fraction
+
 import pytest
 
 from conftest import fresh, iterated_multidegree, transverse_degree_oracle
@@ -16,6 +18,7 @@ from tropdeg.cycles import (
 from tropdeg.errors import NonPositiveDivisorError, SeedDependenceError, TypeMismatchError
 from tropdeg.multidegree import (
     DivisorSet,
+    _check_type,
     check_submodular,
     divisor_power,
     exchange_property,
@@ -73,6 +76,14 @@ def test_multidegree_type_checks():
         multidegree(diagonal(), (2, -1), seed=0)
     with pytest.raises(TypeMismatchError):
         multidegree(full((1, 1)), (2, 0), seed=0)     # n_1 > m_1
+
+
+def test_type_vector_must_be_integral():
+    line = fixtures.standard_line()
+    for n in ((1.5,), (Fraction(3, 2),), ("one",)):
+        with pytest.raises(TypeMismatchError):
+            _check_type(line, n)
+    assert _check_type(line, (1.0,)) == _check_type(line, (Fraction(2, 2),)) == (1,)
 
 
 def test_multidegree_rejects_nonpositive_divisor():

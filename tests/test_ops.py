@@ -176,6 +176,15 @@ def test_pushforward_lattice_index_weight():
     assert [f.weight for f in out.cycle.support_facets] == [2]
 
 
+def test_pushforward_rejects_non_integral_matrix():
+    line = fixtures.standard_line()
+    for matrix in ([(Fraction(1, 2), 0)], [(0.5, 0)], [("x", 0)]):
+        with pytest.raises(InputError):
+            pushforward_linear(line, matrix, BlockStructure((1,)))
+    out = pushforward_linear(line, [(Fraction(2, 2), 0.0)], BlockStructure((1,)))
+    assert out.cycle == pushforward_linear(line, [(1, 0)], BlockStructure((1,))).cycle
+
+
 def test_minkowski_standard_line_sweep():
     line = fixtures.standard_line()
     out = minkowski_sum_subspace(line, [(1, 0)])

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import coords_in_rows, uninterned
 from tropdeg.errors import DimensionMismatchError, EmptyPolyhedronError
 from tropdeg.ops import Rng
 from tropdeg.polyhedra import (Polyhedron, common_refinement, hyperplane_pool,
@@ -136,7 +137,6 @@ def test_direction_basis_is_saturated():
                                    lineality=[(0, 0, 3)])
     dirs = set(p.direction_basis())
     assert len(dirs) == 2
-    from tropdeg.linalg import coords_in_rows
     assert coords_in_rows(sorted(dirs), (1, 1, 0)) is not None
     assert coords_in_rows(sorted(dirs), (0, 0, 1)) is not None
 
@@ -260,6 +260,49 @@ def test_dd_fuzz_generator_side():
                 c = Fraction(rng.randint(0, 5), rng.randint(1, 2))
                 pt = tuple(x + c * d for x, d in zip(pt, r))
             assert poly.contains(pt), (trial, pt)
+
+
+def _random_generators(rng, m):
+    verts = [tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m))
+             for _ in range(rng.randint(1, 3))]
+    rays = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(rng.randint(0, 2))]
+    lin = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(rng.randint(0, 2))]
+    return verts, [r for r in rays if any(r)], [l for l in lin if any(l)]
+
+
+def test_translate_matches_from_generators():
+    """Translating a polyhedron with lineality gives the polyhedron of the
+    translated vertices: same key, same canonical vertex rows."""
+    rng = Rng(5772)
+    for trial in range(60):
+        m = rng.randint(1, 4)
+        verts, rays, lin = _random_generators(rng, m)
+        poly = Polyhedron.from_generators(m, verts, rays, lin)
+        v = rng.vector(m, 20, 5)
+        # fresh pools, so neither result is the other's interned instance
+        moved = uninterned(lambda: poly.translate(v))
+        want = uninterned(lambda: Polyhedron.from_generators(
+            m, [tuple(a + b for a, b in zip(x, v)) for x in poly.vertices],
+            poly.rays, poly.lineality))
+        assert moved.key == want.key, trial
+        assert moved.vertex_rows == want.vertex_rows, trial
+
+
+def test_plus_span_matches_from_generators():
+    rng = Rng(1414)
+    for trial in range(60):
+        m = rng.randint(1, 4)
+        verts, rays, lin = _random_generators(rng, m)
+        poly = Polyhedron.from_generators(m, verts, rays, lin)
+        span = [tuple(rng.randint(-2, 2) for _ in range(m))
+                for _ in range(rng.randint(0, 2))]
+        want = uninterned(lambda: Polyhedron.from_generators(
+            m, poly.vertices, poly.rays, poly.lineality + tuple(span)))
+        got = uninterned(lambda: poly.plus_span(span))
+        assert (got.key, got.vertex_rows, got.rays, got.lineality) == \
+               (want.key, want.vertex_rows, want.rays, want.lineality), trial
+    with pytest.raises(DimensionMismatchError):
+        poly.plus_span([(1,) * (m + 1)])
 
 
 def test_common_refinement_overlap():
