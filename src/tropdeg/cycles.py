@@ -20,9 +20,9 @@ from .errors import (
 from .linalg import IntVec, frac_vec, integral_row, vdot
 from .polyhedra import (
     Polyhedron,
-    common_refinement,
-    face_key_set,
+    offending_pairs,
     refine_by_hyperplanes,
+    refine_cells,
 )
 
 
@@ -33,9 +33,10 @@ class BlockStructure:
     blocks: tuple[int, ...]
 
     def __post_init__(self):
-        if not self.blocks or any(b < 1 for b in self.blocks):
+        blocks = integral_row(self.blocks, DimensionMismatchError, "block sizes")
+        if not blocks or any(b < 1 for b in blocks):
             raise DimensionMismatchError(f"bad block sizes {self.blocks}")
-        object.__setattr__(self, "blocks", tuple(int(b) for b in self.blocks))
+        object.__setattr__(self, "blocks", blocks)
 
     @property
     def k(self) -> int:
@@ -162,42 +163,26 @@ _KNOWN_VALID = ComplexReport(ok=True, pure=True, weights_ok=True, bad_pairs=())
 _KNOWN_BALANCED = BalanceReport(balanced=True, violations=())
 
 
-def mark_complex_by_construction(cycle: TropicalCycle) -> TropicalCycle:
-    """Record that a cycle is a valid complex by construction.
-
-    Used for outputs assembled from closed cells of one hyperplane
-    arrangement (pairwise intersections are then common faces) so later
-    operations do not re-run the quadratic validation.  It marks validity
-    only; balancing is always computed, or carried by ``product`` and
-    ``_propagate_checks`` from computed verdicts.
-    """
-    cycle._cache.setdefault("valid", _KNOWN_VALID)
-    return cycle
-
-
 def validate_complex(cycle: TropicalCycle) -> ComplexReport:
-    """Purity of the support, pairwise face condition, non-negative weights."""
-    support = cycle.support_facets
-    dims = {f.poly.dim for f in support}
-    pure = len(dims) <= 1
+    """Purity of the support, non-negative weights, and the face condition:
+    ``bad_pairs`` is ``offending_pairs`` of the support facets, as indices
+    into ``support_facets``."""
+    return _report(cycle, offending_pairs([f.poly for f in cycle.support_facets]))
+
+
+def _report(cycle: TropicalCycle, bad_pairs) -> ComplexReport:
+    """The report for these offending pairs; purity and weights are read
+    off the cycle."""
+    pure = len({f.poly.dim for f in cycle.support_facets}) <= 1
     weights_ok = all(f.weight >= 0 for f in cycle.facets)
-    bad: list[tuple[int, int]] = []
-    for i in range(len(support)):
-        for j in range(i + 1, len(support)):
-            a, b = support[i].poly, support[j].poly
-            inter = a.intersect(b)
-            if inter.is_empty:
-                continue
-            if inter.key not in face_key_set(a) or inter.key not in face_key_set(b):
-                bad.append((i, j))
-    ok = pure and weights_ok and not bad
-    return ComplexReport(ok=ok, pure=pure, weights_ok=weights_ok,
-                         bad_pairs=tuple(bad))
+    return ComplexReport(ok=pure and weights_ok and not bad_pairs, pure=pure,
+                         weights_ok=weights_ok, bad_pairs=tuple(bad_pairs))
 
 
 def complex_report(cycle: TropicalCycle) -> ComplexReport:
     """``validate_complex`` at most once per cycle: the verdict is memoized
-    on the cycle, and a validity mark carried by construction stands in."""
+    on the cycle.  A verdict stored by ``refined_cycle`` or carried by
+    ``_propagate_checks`` stands in for it."""
     if "valid" not in cycle._cache:
         cycle._cache["valid"] = validate_complex(cycle)
     return cycle._cache["valid"]
@@ -290,16 +275,17 @@ def translate(cycle: TropicalCycle, v) -> TropicalCycle:
     out = TropicalCycle(cycle.ambient,
                         [WeightedFacet(f.poly.translate(v), f.weight)
                          for f in cycle.facets])
-    _propagate_checks(cycle, out)
+    _propagate_checks(out, cycle)
     return out
 
 
-def _propagate_checks(src: TropicalCycle, dst: TropicalCycle) -> None:
-    # validity and balancing are invariant under the operations that call this
-    if src._cache.get("valid") is not None and src._cache["valid"].ok:
+def _propagate_checks(dst: TropicalCycle, *srcs: TropicalCycle) -> None:
+    """Give ``dst`` the valid and balanced verdicts that every source
+    carries; its callers (translation, reblocking, products) preserve
+    both properties."""
+    if all(getattr(s._cache.get("valid"), "ok", False) for s in srcs):
         dst._cache.setdefault("valid", _KNOWN_VALID)
-    balance = src._cache.get("balance")
-    if balance is not None and balance.balanced:
+    if all(getattr(s._cache.get("balance"), "balanced", False) for s in srcs):
         dst._cache.setdefault("balance", _KNOWN_BALANCED)
 
 
@@ -319,12 +305,7 @@ def product(c1: TropicalCycle, c2: TropicalCycle,
     facets = [WeightedFacet(f1.poly.product(f2.poly), f1.weight * f2.weight)
               for f1 in c1.support_facets for f2 in c2.support_facets]
     out = TropicalCycle(blocks, facets)
-    v1, v2 = c1._cache.get("valid"), c2._cache.get("valid")
-    if v1 is not None and v1.ok and v2 is not None and v2.ok:
-        out._cache.setdefault("valid", _KNOWN_VALID)
-    b1, b2 = c1._cache.get("balance"), c2._cache.get("balance")
-    if b1 is not None and b1.balanced and b2 is not None and b2.balanced:
-        out._cache.setdefault("balance", _KNOWN_BALANCED)
+    _propagate_checks(out, c1, c2)
     return out
 
 
@@ -347,24 +328,32 @@ def refine_against(cycle: TropicalCycle, hyperplanes) -> TropicalCycle:
 def recession_cycle(cycle: TropicalCycle) -> TropicalCycle:
     """The fan of recession cones with induced weights.
 
-    Cones are refined by the arrangement of all their constraint
-    hyperplanes; a maximal cone receives the sum of the weights of the
+    The top-dimensional recession cones go through ``refined_cycle``: a
+    cone of their common refinement receives the sum of the weights of the
     facets whose recession cone contains it.
     """
     require_balanced(cycle)
     support = cycle.support_facets
     if not support:
         return empty_cycle(cycle.ambient)
-    d = cycle.dim
     rec = [(f.poly.recession_cone(), f.weight) for f in support]
-    top = [cone for cone, _ in rec if cone.dim == d]
-    pieces = common_refinement(top)
-    facets = []
-    for piece in pieces:
-        row = piece.interior_row()
-        weight = sum(w for cone, w in rec if cone.dim == d and cone.contains_row(row))
-        if weight > 0:
-            facets.append(WeightedFacet(piece, weight))
-    out = mark_complex_by_construction(TropicalCycle(cycle.ambient, facets))
+    top = [(cone, w) for cone, w in rec if cone.dim == cycle.dim]
+    out = refined_cycle(cycle.ambient, refine_cells([cone for cone, _ in top]),
+                        [w for _, w in top])
     require_balanced(out)
+    return out
+
+
+def refined_cycle(ambient: BlockStructure, pieces, weights) -> TropicalCycle:
+    """The cycle on ``refine_cells`` pieces, each weighing the sum of the
+    ``weights`` of its cells; pieces of weight zero are dropped.
+
+    It stores the validity verdict of the refinement, whose last
+    ``offending_pairs`` scan was empty: a subset of the pieces has no
+    offending pair either, and purity and weights are read off the cycle.
+    Balancing is left to ``check_balancing``.
+    """
+    facets = [(piece, sum(weights[i] for i in cells)) for piece, cells in pieces]
+    out = TropicalCycle(ambient, [(p, w) for p, w in facets if w > 0])
+    out._cache["valid"] = _report(out, ())
     return out

@@ -206,7 +206,7 @@ def snf(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """
     s = len(mat)
     m = len(mat[0]) if s else 0
-    A = [[int(e) for e in row] for row in mat]
+    A = [list(integral_row(row, ContractError, "matrix row")) for row in mat]
     U = identity_rows(s)
     V = identity_rows(m)
 
@@ -294,10 +294,14 @@ def snf_diagonal(mat) -> list[int]:
 
 
 def int_kernel(rows, m: int) -> tuple[IntVec, ...]:
-    """Basis of {x in Z^m : rows @ x == 0}; the result is a saturated lattice."""
+    """Basis of {x in Z^m : rows @ x == 0}; the result is a saturated lattice.
+
+    A row with an entry that is not an ``int`` is replaced by its
+    ``int_row``, which has the same kernel.
+    """
     if not rows:
         return tuple(tuple(r) for r in identity_rows(m))
-    D, _, V = snf(rows)
+    D, _, V = snf([r if all(type(e) is int for e in r) else int_row(r) for r in rows])
     diag = [D[i][i] for i in range(min(len(D), m))]
     r = sum(1 for d in diag if d != 0)
     basis = (tuple(V[i][j] for i in range(m)) for j in range(r, m))

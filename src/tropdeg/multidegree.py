@@ -130,7 +130,7 @@ def _block_product(parts, blocks: BlockStructure) -> TropicalCycle:
     for part in parts[1:]:
         out = cyc.product(out, part)
     reblocked = TropicalCycle(blocks, out.facets)
-    cyc._propagate_checks(out, reblocked)
+    cyc._propagate_checks(reblocked, out)
     return reblocked
 
 

@@ -32,10 +32,10 @@ from .linalg import (IntVec, int_row, integral_row, is_zero_vec, primitive, rank
                      saturate, vdot, vsub)
 from .polyhedra import (
     Polyhedron,
-    common_refinement,
     dual_description,
     homogenized_constraints,
     is_covered,
+    refine_cells,
 )
 
 _MASK64 = (1 << 64) - 1
@@ -81,7 +81,7 @@ class Rng:
 def _as_seed(seed) -> DisplacementSeed:
     if isinstance(seed, DisplacementSeed):
         return seed
-    return DisplacementSeed(int(seed))
+    return DisplacementSeed(integral_row((seed,), InputError, "seed")[0])
 
 
 # ---------------------------------------------------------------------------
@@ -119,13 +119,17 @@ def stable_intersect(c1: TropicalCycle, c2: TropicalCycle, seed=0,
 
 
 class _StableSetup(NamedTuple):
-    """The part of a stable intersection that no displacement seed changes."""
+    """The part of a stable intersection that no displacement seed changes:
+    the candidate cells ``P cap Q`` of the output dimension with their
+    weights, and their ``refine_cells`` pieces.  A seed only decides which
+    candidates count; ``_stable_once`` zeroes the weights of the others."""
 
     ambient: BlockStructure
     out_dim: int
     full_pairs: list    # (i, j, P, Q): meeting facets with Lin(P)+Lin(Q) = R^m
     low_spans: list     # echelon bases of the proper spans Lin(F)+Lin(F')
-    pieces: list        # (cell, [(i, j, weight)] of the candidates containing it)
+    candidates: list    # (i, j, P cap Q, weight product * lattice index)
+    pieces: list        # refine_cells of the candidate cells
 
 
 def _stable_setup(c1, c2, out_dim) -> _StableSetup:
@@ -155,12 +159,8 @@ def _stable_setup(c1, c2, out_dim) -> _StableSetup:
     # span certifies that displaced meetings happen only with full span.
     low_spans = _low_face_spans(meeting, m)
 
-    pieces = []
-    for piece in common_refinement([c for _, _, c, _ in candidates]):
-        row = piece.interior_row()
-        pieces.append((piece, [(i, j, w) for i, j, c, w in candidates
-                               if c.contains_row(row)]))
-    return _StableSetup(c1.ambient, out_dim, full_pairs, low_spans, pieces)
+    pieces = refine_cells([c for _, _, c, _ in candidates])
+    return _StableSetup(c1.ambient, out_dim, full_pairs, low_spans, candidates, pieces)
 
 
 def _stable_once(setup: _StableSetup, seed) -> TropicalCycle:
@@ -188,12 +188,8 @@ def _stable_once(setup: _StableSetup, seed) -> TropicalCycle:
     else:
         raise InvariantError("no generic displacement found in 64 draws")
 
-    facets = []
-    for piece, contributions in setup.pieces:
-        weight = sum(w for i, j, w in contributions if flags[i, j])
-        if weight > 0:
-            facets.append(WeightedFacet(piece, weight))
-    out = cyc.mark_complex_by_construction(TropicalCycle(setup.ambient, facets))
+    out = cyc.refined_cycle(setup.ambient, setup.pieces,
+                            [w if flags[i, j] else 0 for i, j, _, w in setup.candidates])
     _assert_balanced(out, "stable intersection")
     out._cache["displacement_redraws"] = redraws
     return out
@@ -377,7 +373,7 @@ def _purity(images) -> PushforwardResult:
 
 
 def _image_cycle(images, out_blocks: BlockStructure) -> PushforwardResult:
-    """``_purity``, then lattice-index weights on a common refinement of the
+    """``_purity``, then ``refined_cycle`` with lattice-index weights on the
     top-dimensional (not absorbed) images; the cycle is balance-checked.
 
     Each top image ``img`` with weight ``w`` and lattice generators ``gens``
@@ -393,13 +389,8 @@ def _image_cycle(images, out_blocks: BlockStructure) -> PushforwardResult:
         return verdict
     top = [(img, _image_weight(img, w, gens))
            for i, (img, w, gens) in enumerate(images) if i not in verdict.absorbed]
-    facets = []
-    for piece in common_refinement([img for img, _ in top]):
-        row = piece.interior_row()
-        weight = sum(w for img, w in top if img.contains_row(row))
-        if weight > 0:
-            facets.append(WeightedFacet(piece, weight))
-    out = cyc.mark_complex_by_construction(TropicalCycle(out_blocks, facets))
+    out = cyc.refined_cycle(out_blocks, refine_cells([img for img, _ in top]),
+                            [w for _, w in top])
     _assert_balanced(out, "push-forward")
     return PushforwardResult(out, None, verdict.absorbed)
 

@@ -34,6 +34,7 @@ memoization only, so concurrent re-computation is benign.
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 
 from . import linalg
 from .errors import (
@@ -642,12 +643,24 @@ def quickly_disjoint(a: Polyhedron, b: Polyhedron) -> bool:
     return False
 
 
+def offending_pairs(polys) -> list[tuple[int, int]]:
+    """Index pairs ``i < j``, in loop order, of cells whose intersection is
+    nonempty and not a face of both: the face condition of a complex."""
+    bad = []
+    for (i, a), (j, b) in combinations(enumerate(polys), 2):
+        inter = a.intersect(b)
+        if not inter.is_empty and (inter.key not in face_key_set(a)
+                                   or inter.key not in face_key_set(b)):
+            bad.append((i, j))
+    return bad
+
+
 def common_refinement(cells) -> list[Polyhedron]:
     """Refine same-dimension cells until every pairwise intersection is a
-    common face.
+    common face, that is until ``offending_pairs`` of the pieces is empty.
 
     In transverse position the input already is a complex and no cell is
-    touched; otherwise only cells with offending overlaps are split, round
+    touched; otherwise only cells in offending pairs are split, round
     after round until no cuts remain.  Each cell carries the input rows
     (equalities and facet rows of the given cells) that cut it out, and an
     offending pair is cut only by each other's carried rows, so every piece
@@ -663,19 +676,13 @@ def common_refinement(cells) -> list[Polyhedron]:
         rows.setdefault(cell.key, set()).update(cell.eqs + cell.ineqs)
     current = sorted(out.values(), key=lambda p: p.key)
     while True:
-        cuts: dict = {}
-        for ia in range(len(current)):
-            for ib in range(ia + 1, len(current)):
-                a, b = current[ia], current[ib]
-                inter = a.intersect(b)
-                if inter.is_empty:
-                    continue
-                if inter.key in face_key_set(a) and inter.key in face_key_set(b):
-                    continue
-                cuts.setdefault(ia, set()).update(rows[b.key])
-                cuts.setdefault(ib, set()).update(rows[a.key])
-        if not cuts:
+        bad = offending_pairs(current)
+        if not bad:
             return current
+        cuts: dict = {}
+        for ia, ib in bad:
+            cuts.setdefault(ia, set()).update(rows[current[ib].key])
+            cuts.setdefault(ib, set()).update(rows[current[ia].key])
         out, carried = {}, {}
         for idx, cell in enumerate(current):
             cut = cuts.get(idx, set())
@@ -686,6 +693,19 @@ def common_refinement(cells) -> list[Polyhedron]:
         current = sorted(out.values(), key=lambda p: p.key)
 
 
+def refine_cells(cells) -> list[tuple[Polyhedron, tuple[int, ...]]]:
+    """``common_refinement(cells)``, each piece paired with the indices of
+    the cells that contain its ``interior_row()``: the pieces form a
+    complex and every cell is a union of pieces, so a piece lies in a cell
+    exactly when its interior point does."""
+    cells = list(cells)
+    out = []
+    for piece in common_refinement(cells):
+        row = piece.interior_row()
+        out.append((piece, tuple(i for i, c in enumerate(cells) if c.contains_row(row))))
+    return out
+
+
 def is_covered(target: Polyhedron, cover) -> bool:
     """Exact test for target being a subset of the union of the cover."""
     cover = list(cover)
@@ -694,12 +714,7 @@ def is_covered(target: Polyhedron, cover) -> bool:
             raise DimensionMismatchError("cover member in a different ambient space")
     if target.is_empty:
         return True
-    pool = []
-    for row in hyperplane_pool(cover):
-        has_pos, has_neg = target.evaluate_signs(row)
-        if has_pos and has_neg:
-            pool.append(row)
-    for cell in refine_by_hyperplanes(target, pool):
+    for cell in refine_by_hyperplanes(target, hyperplane_pool(cover)):
         row = cell.interior_row()
         if not any(p.contains_row(row) for p in cover):
             return False

@@ -10,7 +10,7 @@ from itertools import combinations
 
 import pytest
 
-from conftest import fixture_path, frac_det, fresh, seeded_points
+from conftest import fixture_path, frac_det, fresh, seeded_points, uninterned
 from tropdeg import cycfile, fixtures, linalg
 from tropdeg.cycles import (
     BlockStructure,
@@ -303,11 +303,11 @@ def test_criterion_10_kernel_micro_oracles():
                                    rays=[(2, 3)]),
     ]
     for k, poly in enumerate(polys):
-        rebuilt = Polyhedron.from_generators(poly.m, poly.vertices, poly.rays,
-                                             poly.lineality)
-        assert rebuilt == poly
-        back = Polyhedron.from_hrep(poly.m, poly.ineqs, poly.eqs)
-        assert back == poly
+        rebuilt = uninterned(lambda: Polyhedron.from_generators(
+            poly.m, poly.vertices, poly.rays, poly.lineality))
+        assert rebuilt is not poly and rebuilt == poly
+        back = uninterned(lambda: Polyhedron.from_hrep(poly.m, poly.ineqs, poly.eqs))
+        assert back is not poly and back == poly
         for pt in seeded_points(31415 + k, 100, poly.m, num_bound=8, den_bound=5):
             member = poly.contains(pt)
             assert rebuilt.contains(pt) == member

@@ -34,6 +34,12 @@ def line_cycle(m, direction, base=None, weight=1):
     return TropicalCycle(BlockStructure((m,)), [WeightedFacet(p, weight)])
 
 
+def test_block_sizes_must_be_integral():
+    assert BlockStructure((Fraction(2), 1)).blocks == (2, 1)
+    with pytest.raises(DimensionMismatchError):
+        BlockStructure((1.5, 2))
+
+
 def test_validate_passes_on_shared_edge():
     up = Polyhedron.from_generators(2, vertices=[(0, 0)], rays=[(1, 0), (0, 1)])
     down = Polyhedron.from_generators(2, vertices=[(0, 0)], rays=[(1, 0), (0, -1)])

@@ -18,6 +18,7 @@ from tropdeg.linalg import (
     saturate,
     saturation_index,
     snf,
+    snf_diagonal,
 )
 from tropdeg.ops import Rng
 
@@ -51,6 +52,24 @@ def test_snf_examples():
     assert check_snf([[2, 0], [0, 3]]) == [1, 6]
     assert check_snf([[1, 0, 0], [0, 1, 0], [0, 0, 1]]) == [1, 1, 1]
     assert check_snf([[4, 6]]) == [2]
+
+
+def test_snf_rejects_non_integral_entries():
+    with pytest.raises(ContractError):
+        snf([[Fraction(1, 2)]])
+    assert snf([[Fraction(4, 2), 0], [0, Fraction(3)]]) == snf([[2, 0], [0, 3]])
+
+
+def test_snf_diagonal_rejects_non_integral_entries():
+    with pytest.raises(ContractError):
+        snf_diagonal([[1, 0], [0, Fraction(3, 2)]])
+    assert snf_diagonal([[Fraction(2), 0], [0, Fraction(6, 2)]]) == [1, 6]
+
+
+def test_int_kernel_of_rational_rows():
+    assert int_kernel([(Fraction(1, 2), 1)], 2) == ((2, -1),)
+    assert int_kernel([(Fraction(1, 3), Fraction(1, 2), 0)], 3) == \
+           int_kernel([(2, 3, 0)], 3)
 
 
 def test_snf_randomized():

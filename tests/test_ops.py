@@ -102,6 +102,14 @@ def test_stable_seed_independence():
     assert a == b
 
 
+def test_stable_seed_must_be_integral():
+    line = fixtures.standard_line()
+    with pytest.raises(InputError):
+        stable_intersect(line, fixtures.scaled_line(2), seed=1.7)
+    assert stable_intersect(line, fixtures.scaled_line(2), seed=Fraction(4, 2)) == \
+           stable_intersect(line, fixtures.scaled_line(2), seed=2)
+
+
 def test_stable_degree_symmetry():
     c1 = translate(fixtures.standard_line(), (Fraction(1, 3), 2))
     c2 = fixtures.scaled_line(3)

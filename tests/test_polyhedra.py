@@ -199,9 +199,9 @@ def test_roundtrip_membership_agreement():
                                    lineality=[(0, 1, 1)]),
     ]
     for poly in cases:
-        rebuilt = Polyhedron.from_generators(poly.m, poly.vertices, poly.rays,
-                                             poly.lineality)
-        assert rebuilt == poly
+        rebuilt = uninterned(lambda: Polyhedron.from_generators(
+            poly.m, poly.vertices, poly.rays, poly.lineality))
+        assert rebuilt is not poly and rebuilt == poly
         for _ in range(100):
             pt = rng.vector(poly.m, num_bound=6, den_bound=4)
             assert poly.contains(pt) == rebuilt.contains(pt)
