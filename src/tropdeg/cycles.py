@@ -12,7 +12,6 @@ from dataclasses import dataclass
 from . import linalg
 from .errors import (
     DimensionMismatchError,
-    InputError,
     InvalidComplexError,
     UnbalancedCycleError,
     WrongDimensionError,
@@ -21,7 +20,6 @@ from .linalg import IntVec, frac_vec, integral_row, vdot
 from .polyhedra import (
     Polyhedron,
     offending_pairs,
-    refine_by_hyperplanes,
     refine_cells,
 )
 
@@ -307,22 +305,6 @@ def product(c1: TropicalCycle, c2: TropicalCycle,
     out = TropicalCycle(blocks, facets)
     _propagate_checks(out, c1, c2)
     return out
-
-
-def refine_against(cycle: TropicalCycle, hyperplanes) -> TropicalCycle:
-    """Subdivide every facet by linear hyperplanes (integer covectors)."""
-    rows = []
-    for h in hyperplanes:
-        h = integral_row(h, InputError, "covector")
-        if len(h) != cycle.m:
-            raise DimensionMismatchError(
-                f"covector of length {len(h)} in R^{cycle.m}")
-        rows.append((0,) + h)
-    facets = []
-    for f in cycle.facets:
-        for piece in refine_by_hyperplanes(f.poly, rows):
-            facets.append(WeightedFacet(piece, f.weight))
-    return TropicalCycle(cycle.ambient, facets)
 
 
 def recession_cycle(cycle: TropicalCycle) -> TropicalCycle:

@@ -256,39 +256,6 @@ def _assert_balanced(cycle: TropicalCycle, what: str) -> None:
 
 
 # ---------------------------------------------------------------------------
-# transversality
-# ---------------------------------------------------------------------------
-
-def transverse_check(c1: TropicalCycle, c2: TropicalCycle) -> bool:
-    """Direction spaces span the ambient space at every overlap point."""
-    if c1.m != c2.m:
-        raise DimensionMismatchError(
-            f"ambient dimensions differ: {c1.m} vs {c2.m}")
-    m = c1.m
-    faces1 = _support_faces(c1)
-    faces2 = _support_faces(c2)
-    span_cache: dict = {}
-    for fa in faces1:
-        for fb in faces2:
-            inter = fa.intersect(fb)
-            if inter.is_empty:
-                continue
-            row = inter.interior_row()
-            if fa.relint_contains_row(row) and fb.relint_contains_row(row):
-                if not _full_span(fa, fb, m, span_cache):
-                    return False
-    return True
-
-
-def _support_faces(cycle: TropicalCycle):
-    seen: dict = {}
-    for f in cycle.support_facets:
-        for face in f.poly.all_faces():
-            seen.setdefault(face.key, face)
-    return list(seen.values())
-
-
-# ---------------------------------------------------------------------------
 # push-forwards along linear maps
 # ---------------------------------------------------------------------------
 
@@ -438,7 +405,8 @@ def projection_pushforward(cycle: TropicalCycle, subset) -> PushforwardResult:
 
 
 def _check_subset(subset, k: int) -> tuple[int, ...]:
-    subset = tuple(sorted(set(int(i) for i in subset)))
+    subset = tuple(sorted(set(integral_row(subset, BadBlockIndexError,
+                                           "block index"))))
     if not subset:
         raise EmptySubsetError("empty block subset")
     if subset[0] < 1 or subset[-1] > k:

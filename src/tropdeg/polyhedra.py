@@ -21,11 +21,12 @@ every generator and hence a point of the relative interior.  The
 ``Fraction`` entry points (``contains``, ``relint_contains``,
 ``relative_interior_point``) clear or restore one denominator around them.
 
-H->V and V->H conversion run the double description method on the
-homogenization cone, entirely in integer arithmetic.  Faces skip the
-H->V step: a face's extreme generators are the polyhedron's own
-generators tight on it, so only its H-rep is computed.  The empty
-polyhedron is a first-class value.
+Each constructor runs the double description method once, on the
+homogenization cone and in integer arithmetic; the other side is made
+irredundant by integer sign tests between the rows and the generators
+of that one conversion (``_split``).  A face runs none: its generators
+are the polyhedron's own generators tight on it, and its H-rep is read
+off them the same way.  The empty polyhedron is a first-class value.
 
 Polyhedra are immutable; the per-instance caches and the intern pool are
 memoization only, so concurrent re-computation is benign.
@@ -49,7 +50,6 @@ from .linalg import (
     int_kernel,
     int_row,
     is_zero_vec,
-    primitive,
     reduce_mod,
     rref,
     sign_normalized,
@@ -201,26 +201,20 @@ class Polyhedron:
     @classmethod
     def from_hrep(cls, m: int, ineqs=(), eqs=()) -> "Polyhedron":
         """Polyhedron {x : c0 + c.x >= 0 for ineqs, == 0 for eqs}."""
-        ineq_rows, eq_rows = [], []
-        for row in ineqs:
-            r = int_row(row)
-            _check_len(r, m + 1, "constraint row")
-            if is_zero_vec(r[1:]):
-                if r[0] < 0:
-                    return cls.empty(m)
-                continue
-            ineq_rows.append(r)
-        for row in eqs:
-            r = int_row(row)
-            _check_len(r, m + 1, "constraint row")
-            if is_zero_vec(r[1:]):
-                if r[0] != 0:
-                    return cls.empty(m)
-                continue
-            eq_rows.append(r)
+        ineqs = [_check_len(int_row(r), m + 1, "constraint row") for r in ineqs]
+        eqs = [_check_len(int_row(r), m + 1, "constraint row") for r in eqs]
         gen_rays, gen_lin = dual_description(
-            m + 1, homogenized_constraints(m, ineq_rows, eq_rows))
-        return cls._from_cone_output(m, gen_rays, gen_lin)
+            m + 1, homogenized_constraints(m, ineqs, eqs))
+        if any(r[0] < 0 for r in gen_rays) or any(l[0] != 0 for l in gen_lin):
+            raise InvariantError("homogenization generator with negative height")
+        verts = [r for r in gen_rays if r[0] > 0]
+        if not verts:
+            return cls.empty(m)
+        ineqs_c, eqs_c = _hrep(ineqs, eqs, gen_rays)
+        vert_rows, rays_c, lin_c = _canon_generators(
+            verts, [r[1:] for r in gen_rays if r[0] == 0], [l[1:] for l in gen_lin])
+        return cls(m=m, eqs=eqs_c, ineqs=ineqs_c, vertex_rows=vert_rows,
+                   rays=rays_c, lineality=lin_c, is_empty=False)._intern()
 
     @classmethod
     def from_generators(cls, m: int, vertices=(), rays=(), lineality=()) -> "Polyhedron":
@@ -229,26 +223,32 @@ class Polyhedron:
         At least one vertex is required for a nonempty result.
         """
         rows = [_point_row(v, m, "vertex") for v in vertices]
-        ray_vecs = [primitive(r) for r in rays
-                    if not is_zero_vec(_check_len(r, m, "ray"))]
-        lin_vecs = [primitive(l) for l in lineality
-                    if not is_zero_vec(_check_len(l, m, "lineality vector"))]
+        # zero rays and lineality vectors drop out in ``_canon_generators``
+        ray_vecs = [_check_len(r, m, "ray") for r in rays]
+        lin_vecs = [_check_len(l, m, "lineality vector") for l in lineality]
         return cls._from_generator_rows(m, rows, ray_vecs, lin_vecs)
 
     @classmethod
     def _from_generator_rows(cls, m, vert_rows, rays, lineality) -> "Polyhedron":
-        """``from_generators`` on vertex rows ``(d, d*v)``, ``d > 0``."""
+        """``from_generators`` on vertex rows ``(d, d*v)``, ``d > 0``.
+
+        One V->H conversion gives the facets of the homogenization cone;
+        they meet in its lineality, so a generator tight on all of them is
+        a lineality vector (never a vertex row, of height d > 0).
+        """
         if not vert_rows:
             return cls.empty(m)
-        ineqs, eqs = cls._hrep_from_generators(
-            m, *_canon_generators(vert_rows, rays, lineality))
-        # second pass makes the generator side irredundant and canonical
-        gen_rays, gen_lin = dual_description(
-            m + 1, homogenized_constraints(m, ineqs, eqs))
-        poly = cls._from_cone_output(m, gen_rays, gen_lin, hrep=(ineqs, eqs))
-        if poly.is_empty:
-            raise InvariantError("generator input produced an empty polyhedron")
-        return poly
+        vert_rows, rays, lineality = _canon_generators(vert_rows, rays, lineality)
+        gens = vert_rows + tuple((0,) + r for r in rays)
+        dual_rays, dual_lin = dual_description(
+            m + 1, [((0,) + l, True) for l in lineality] + [(g, False) for g in gens])
+        ineqs, eqs = _hrep(dual_rays, dual_lin, gens)
+        flat, extreme = _split(gens, dual_rays)
+        vert_rows, rays, lineality = _canon_generators(
+            [g for g in extreme if g[0] > 0], [g[1:] for g in extreme if g[0] == 0],
+            lineality + tuple(g[1:] for g in flat))
+        return cls(m=m, eqs=eqs, ineqs=ineqs, vertex_rows=vert_rows,
+                   rays=rays, lineality=lineality, is_empty=False)._intern()
 
     @classmethod
     def point(cls, coords) -> "Polyhedron":
@@ -260,36 +260,6 @@ class Polyhedron:
         basis = tuple(tuple(r) for r in linalg.identity_rows(m))
         return cls(m=m, eqs=(), ineqs=(), vertex_rows=((1,) + (0,) * m,),
                    rays=(), lineality=basis, is_empty=False)._intern()
-
-    @classmethod
-    def _from_cone_output(cls, m, gen_rays, gen_lin, hrep=None) -> "Polyhedron":
-        if any(r[0] < 0 for r in gen_rays):
-            raise InvariantError("homogenization ray with negative height")
-        if any(l[0] != 0 for l in gen_lin):
-            raise InvariantError("homogenization lineality with nonzero height")
-        verts = [r for r in gen_rays if r[0] > 0]
-        if not verts:
-            return cls.empty(m)
-        vert_rows, rays_c, lin_c = _canon_generators(
-            verts, [r[1:] for r in gen_rays if r[0] == 0], [l[1:] for l in gen_lin])
-        if hrep is None:
-            ineqs, eqs = cls._hrep_from_generators(m, vert_rows, rays_c, lin_c)
-        else:
-            ineqs, eqs = hrep
-        return cls(m=m, eqs=eqs, ineqs=ineqs, vertex_rows=vert_rows,
-                   rays=rays_c, lineality=lin_c, is_empty=False)._intern()
-
-    @staticmethod
-    def _hrep_from_generators(m, vert_rows, rays, lineality):
-        constraints = [((0,) + tuple(l), True) for l in lineality]
-        constraints += [(g, False) for g in vert_rows]
-        constraints += [((0,) + tuple(r), False) for r in rays]
-        dual_rays, dual_lin = dual_description(m + 1, constraints)
-        eq_rows = [row for row in dual_lin if not is_zero_vec(row[1:])]
-        eqs = _canon_eqs(eq_rows)
-        ineq_rows = [row for row in dual_rays if not is_zero_vec(row[1:])]
-        ineqs = _canon_ineqs(ineq_rows, eqs)
-        return ineqs, eqs
 
     # -- canonical identity --------------------------------------------------
 
@@ -462,16 +432,18 @@ class Polyhedron:
         return Polyhedron._from_generator_rows(m_out, verts, rays, lin)
 
     def face(self, ineq_row: HomRow) -> "Polyhedron":
-        """The face where a valid inequality (one of ``ineqs``) is tight.
-
-        Read off the generators: the face is spanned by the vertices and
-        rays on the hyperplane plus the lineality, so only its H-rep needs
-        a double description.
-        """
-        tight = [g for g in self.vertex_rows if vdot(ineq_row, g) == 0]
-        tight += [(0,) + r for r in self.rays if eval_dir(ineq_row, r) == 0]
-        lin = [(0,) + l for l in self.lineality]
-        return Polyhedron._from_cone_output(self.m, tight, lin)
+        """The face where a valid inequality (one of ``ineqs``) is tight,
+        with no double description: the vertex rows and rays on the
+        hyperplane, the lineality, and ``_hrep`` of the rows with
+        ``ineq_row`` among the equalities."""
+        verts = tuple(g for g in self.vertex_rows if vdot(ineq_row, g) == 0)
+        if not verts:
+            return Polyhedron.empty(self.m)
+        rays = tuple(r for r in self.rays if eval_dir(ineq_row, r) == 0)
+        ineqs, eqs = _hrep(self.ineqs, self.eqs + (tuple(ineq_row),),
+                           verts + tuple((0,) + r for r in rays))
+        return Polyhedron(m=self.m, eqs=eqs, ineqs=ineqs, vertex_rows=verts, rays=rays,
+                          lineality=self.lineality, is_empty=False)._intern()
 
     def facet_faces(self) -> tuple["Polyhedron", ...]:
         """Codimension-1 faces (one per irredundant inequality)."""
@@ -567,6 +539,33 @@ def _canon_ineqs(rows, eqs) -> tuple[HomRow, ...]:
             continue   # trivial after reduction
         out.add(r)
     return tuple(sorted(out))
+
+
+def _split(rows, gens):
+    """(rows tight on every generator, the other rows whose tight sets are
+    maximal among the other rows'; the first rows' set is everything and
+    would hide every facet).  For rows nonnegative on the cone of ``gens``
+    these are the implicit equalities and the facet rows, as faces of a
+    cone are ordered like their tight sets (Fukuda-Prodon 1996); with rows
+    and generators swapped, the lineality and the extreme generators."""
+    full = (1 << len(gens)) - 1
+    masks = [sum(1 << j for j, g in enumerate(gens) if vdot(r, g) == 0)
+             for r in rows]
+    rest = {t for t in masks if t != full}
+    maximal = {t for t in rest if not any(t & u == t and t != u for u in rest)}
+    return ([r for r, t in zip(rows, masks) if t == full],
+            [r for r, t in zip(rows, masks) if t in maximal])
+
+
+def _hrep(ineqs, eqs, gens) -> tuple[tuple[HomRow, ...], tuple[HomRow, ...]]:
+    """Canonical (ineqs, eqs) of a nonempty polyhedron from its rows and the
+    generators of its homogenization (vertex rows, rays ``(0, r)``): the
+    given and implicit equalities, and the ``_split`` facets tight on a
+    vertex row, as one tight on rays only bounds the face at infinity."""
+    implicit, maximal = _split(ineqs, gens)
+    eqs = _canon_eqs(list(eqs) + implicit)
+    facets = [r for r in maximal if any(g[0] > 0 and vdot(r, g) == 0 for g in gens)]
+    return _canon_ineqs(facets, eqs), eqs
 
 
 def _canon_generators(vert_rows, rays, lineality):

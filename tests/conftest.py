@@ -10,13 +10,18 @@ from tropdeg import linalg
 from tropdeg import cycles as cyc
 from tropdeg.cycles import (BlockStructure, TropicalCycle, WeightedFacet,
                             degree0, translate)
-from tropdeg.errors import InvariantError, SeedDependenceError
-from tropdeg.linalg import (IntVec, is_zero_vec, lattice_index, primitive, rref,
-                            saturate, snf, vdot, vsub)
+from tropdeg.errors import (DimensionMismatchError, InputError, InvariantError,
+                            SeedDependenceError)
+from tropdeg.linalg import (IntVec, int_row, integral_row, is_zero_vec,
+                            lattice_index, primitive, rref, saturate, snf, vdot,
+                            vsub)
 from tropdeg.multidegree import DivisorSet, pullback
-from tropdeg.ops import (PushforwardResult, Rng, _as_seed, pushforward_linear,
-                         stable_intersect)
-from tropdeg.polyhedra import Polyhedron
+from tropdeg.ops import (PushforwardResult, Rng, _as_seed, _full_span,
+                         pushforward_linear, stable_intersect)
+from tropdeg.polyhedra import (Polyhedron, _canon_eqs, _canon_generators,
+                               _canon_ineqs, _check_len, _point_row,
+                               dual_description, homogenized_constraints,
+                               refine_by_hyperplanes)
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_DIR = ROOT / "fixtures"
@@ -221,6 +226,132 @@ def displaced_oracle(f: Polyhedron, g: Polyhedron, v, cache: dict):
 def face_oracle(p: Polyhedron, row) -> Polyhedron:
     """The face of p where ``row`` is tight, by a fresh H->V conversion."""
     return Polyhedron.from_hrep(p.m, p.ineqs, p.eqs + (row,))
+
+
+def two_pass_from_hrep(m: int, ineqs=(), eqs=()) -> Polyhedron:
+    """``Polyhedron.from_hrep`` by two conversions: H->V, then V->H again
+    for a canonical H-rep.
+
+    The construction that the one-conversion ``from_hrep`` replaced with
+    incidence sign tests; kept as a differential oracle.  The result is
+    not interned.
+    """
+    ineq_rows, eq_rows = [], []
+    for row in ineqs:
+        r = _check_len(int_row(row), m + 1, "constraint row")
+        if is_zero_vec(r[1:]):
+            if r[0] < 0:
+                return Polyhedron.empty(m)
+            continue
+        ineq_rows.append(r)
+    for row in eqs:
+        r = _check_len(int_row(row), m + 1, "constraint row")
+        if is_zero_vec(r[1:]):
+            if r[0] != 0:
+                return Polyhedron.empty(m)
+            continue
+        eq_rows.append(r)
+    gen_rays, gen_lin = dual_description(
+        m + 1, homogenized_constraints(m, ineq_rows, eq_rows))
+    return _two_pass_cone_output(m, gen_rays, gen_lin)
+
+
+def two_pass_from_generators(m: int, vertices=(), rays=(), lineality=()) -> Polyhedron:
+    """``Polyhedron.from_generators`` by two conversions: V->H, then H->V
+    again for irredundant generators; kept as a differential oracle."""
+    rows = [_point_row(v, m, "vertex") for v in vertices]
+    if not rows:
+        return Polyhedron.empty(m)
+    ray_vecs = [primitive(r) for r in rays if not is_zero_vec(r)]
+    lin_vecs = [primitive(l) for l in lineality if not is_zero_vec(l)]
+    ineqs, eqs = _two_pass_hrep(m, *_canon_generators(rows, ray_vecs, lin_vecs))
+    gen_rays, gen_lin = dual_description(
+        m + 1, homogenized_constraints(m, ineqs, eqs))
+    poly = _two_pass_cone_output(m, gen_rays, gen_lin, hrep=(ineqs, eqs))
+    assert not poly.is_empty
+    return poly
+
+
+def _two_pass_cone_output(m, gen_rays, gen_lin, hrep=None) -> Polyhedron:
+    assert all(r[0] >= 0 for r in gen_rays) and all(l[0] == 0 for l in gen_lin)
+    verts = [r for r in gen_rays if r[0] > 0]
+    if not verts:
+        return Polyhedron.empty(m)
+    vert_rows, rays_c, lin_c = _canon_generators(
+        verts, [r[1:] for r in gen_rays if r[0] == 0], [l[1:] for l in gen_lin])
+    ineqs, eqs = hrep or _two_pass_hrep(m, vert_rows, rays_c, lin_c)
+    return Polyhedron(m=m, eqs=eqs, ineqs=ineqs, vertex_rows=vert_rows,
+                      rays=rays_c, lineality=lin_c, is_empty=False)
+
+
+def _two_pass_hrep(m, vert_rows, rays, lineality):
+    constraints = [((0,) + tuple(l), True) for l in lineality]
+    constraints += [(g, False) for g in vert_rows]
+    constraints += [((0,) + tuple(r), False) for r in rays]
+    dual_rays, dual_lin = dual_description(m + 1, constraints)
+    eqs = _canon_eqs([row for row in dual_lin if not is_zero_vec(row[1:])])
+    ineqs = _canon_ineqs([row for row in dual_rays if not is_zero_vec(row[1:])], eqs)
+    return ineqs, eqs
+
+
+def same_polyhedron(got: Polyhedron, want: Polyhedron) -> bool:
+    """Equal keys and equal stored generators."""
+    return ((got.key, got.vertex_rows, got.rays, got.lineality)
+            == (want.key, want.vertex_rows, want.rays, want.lineality))
+
+
+def transverse_check(c1: TropicalCycle, c2: TropicalCycle) -> bool:
+    """Direction spaces span the ambient space at every overlap point of
+    two faces of the supports, each met in its relative interior.
+
+    Retired from ``tropdeg.ops``, which never called it; kept as a test
+    helper.
+    """
+    if c1.m != c2.m:
+        raise DimensionMismatchError(
+            f"ambient dimensions differ: {c1.m} vs {c2.m}")
+    m = c1.m
+    faces1 = _support_faces(c1)
+    faces2 = _support_faces(c2)
+    span_cache: dict = {}
+    for fa in faces1:
+        for fb in faces2:
+            inter = fa.intersect(fb)
+            if inter.is_empty:
+                continue
+            row = inter.interior_row()
+            if fa.relint_contains_row(row) and fb.relint_contains_row(row):
+                if not _full_span(fa, fb, m, span_cache):
+                    return False
+    return True
+
+
+def _support_faces(cycle: TropicalCycle):
+    seen: dict = {}
+    for f in cycle.support_facets:
+        for face in f.poly.all_faces():
+            seen.setdefault(face.key, face)
+    return list(seen.values())
+
+
+def refine_against(cycle: TropicalCycle, hyperplanes) -> TropicalCycle:
+    """Subdivide every facet by linear hyperplanes (integer covectors).
+
+    Retired from ``tropdeg.cycles``, which never called it; kept as a test
+    helper.
+    """
+    rows = []
+    for h in hyperplanes:
+        h = integral_row(h, InputError, "covector")
+        if len(h) != cycle.m:
+            raise DimensionMismatchError(
+                f"covector of length {len(h)} in R^{cycle.m}")
+        rows.append((0,) + h)
+    facets = []
+    for f in cycle.facets:
+        for piece in refine_by_hyperplanes(f.poly, rows):
+            facets.append(WeightedFacet(piece, f.weight))
+    return TropicalCycle(cycle.ambient, facets)
 
 
 def minkowski_oracle(cycle: TropicalCycle, span_gens) -> PushforwardResult:

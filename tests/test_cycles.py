@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import fresh
+from conftest import fresh, refine_against
 from tropdeg import fixtures
 from tropdeg.cycles import (
     BlockStructure,
@@ -14,7 +14,6 @@ from tropdeg.cycles import (
     empty_cycle,
     product,
     recession_cycle,
-    refine_against,
     translate,
     validate_complex,
 )

@@ -7,6 +7,7 @@ from conftest import (
     fresh,
     min_attained_twice,
     seeded_points,
+    transverse_check,
     transverse_degree_oracle,
 )
 from tropdeg import fixtures
@@ -39,7 +40,6 @@ from tropdeg.ops import (
     projection_pushforward,
     pushforward_linear,
     stable_intersect,
-    transverse_check,
     tropical_hyperplane,
 )
 from tropdeg.polyhedra import Polyhedron, is_covered
@@ -247,6 +247,16 @@ def test_projection_dim():
         projection_dim(g, [])
     with pytest.raises(BadBlockIndexError):
         projection_dim(g, [5])
+
+
+@pytest.mark.parametrize("subset", [[1.7], [2.2], [Fraction(3, 2)], ["x"], [1, 0.5]])
+def test_block_indices_are_not_truncated(subset):
+    g = fixtures.example33a()
+    with pytest.raises(BadBlockIndexError):
+        projection_dim(g, subset)
+    with pytest.raises(BadBlockIndexError):
+        projection_pushforward(g, subset)
+    assert projection_dim(g, [2.0, Fraction(1)]) == projection_dim(g, [1, 2])
 
 
 def test_projection_pushforward():

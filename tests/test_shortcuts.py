@@ -7,8 +7,12 @@ complex validation of those cycles:
   (``from_hrep``, bypassing the prefilter inside ``intersect``)
   is empty;
 * ``ops._displaced`` agrees with ``displaced_oracle`` on every call;
-* ``Polyhedron.face`` agrees with ``face_oracle`` in key and V-rep for
-  every inequality of every polyhedron the run left in the intern pool;
+* ``Polyhedron.face`` agrees with ``face_oracle`` and with the two-pass
+  ``from_hrep`` in key and V-rep for every inequality of every polyhedron
+  the run left in the intern pool;
+* ``from_hrep`` and ``from_generators`` agree with their two-pass oracles
+  on every polyhedron in that pool, given canonically and with
+  redundant rows and generators added;
 * every polyhedron in that pool stores canonical vertex rows.
 """
 
@@ -17,7 +21,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import displaced_oracle, face_oracle, fresh, uninterned
+from conftest import (displaced_oracle, face_oracle, fresh, same_polyhedron,
+                      two_pass_from_generators, two_pass_from_hrep, uninterned)
 from tropdeg import fixtures, ops, polyhedra
 from tropdeg.cycles import validate_complex
 from tropdeg.linalg import rref
@@ -86,8 +91,38 @@ def test_face_matches_oracle(run):
             assert got.key == want.key
             assert (got.vertices, got.rays, got.lineality) == \
                 (want.vertices, want.rays, want.lineality)
+            two_pass = uninterned(
+                lambda: two_pass_from_hrep(p.m, p.ineqs, p.eqs + (row,)))
+            assert same_polyhedron(got, two_pass)
             rows += 1
     assert rows
+
+
+def test_constructors_match_two_pass_oracles(run):
+    _, _, pool = run
+    built = 0
+    for p in pool:
+        if p.is_empty:
+            continue
+        # redundant input: each row twice and the sum of two rows; the
+        # interior point and the sum of the rays as extra generators
+        pairs = list(zip(p.ineqs, p.ineqs[1:] + p.ineqs[:1]))
+        ineqs = p.ineqs * 2 + tuple(tuple(a + b for a, b in zip(r, s))
+                                    for r, s in pairs)
+        verts = p.vertices + (p.relative_interior_point(),)
+        rays = p.rays + ((tuple(map(sum, zip(*p.rays))),) if p.rays else ())
+        for args in ((p.ineqs, p.eqs), (ineqs, p.eqs)):
+            got = uninterned(lambda: Polyhedron.from_hrep(p.m, *args))
+            assert same_polyhedron(got, p)
+            assert same_polyhedron(got, uninterned(
+                lambda: two_pass_from_hrep(p.m, *args)))
+        for args in ((p.vertices, p.rays, p.lineality), (verts, rays, p.lineality)):
+            got = uninterned(lambda: Polyhedron.from_generators(p.m, *args))
+            assert same_polyhedron(got, p)
+            assert same_polyhedron(got, uninterned(
+                lambda: two_pass_from_generators(p.m, *args)))
+        built += 1
+    assert built
 
 
 def test_pool_stores_canonical_vertex_rows(run):
