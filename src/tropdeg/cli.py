@@ -319,6 +319,8 @@ def _cmd_positive_divisor(args):
 def _cmd_pair_positive(args):
     c1, i1 = _load(args.file1)
     c2, i2 = _load(args.file2)
+    _require_balance(c1)
+    _require_balance(c2)
     positive, witness = ops.pair_positive(c1, c2)
     outputs = {"positive": positive}
     if witness is not None:

@@ -149,9 +149,8 @@ def generate_admissible(seed: int, max_m: int = 6, max_k: int = 3) -> TropicalCy
     for b in blocks.blocks:
         per_block.append(_block_cycle(rng, b))
     out = per_block[0]
-    for part in per_block[1:]:
-        out = cyc.product(out, part)
-    out = TropicalCycle(blocks, out.facets)
+    for i, part in enumerate(per_block[1:], 2):
+        out = cyc.product(out, part, blocks if i == len(per_block) else None)
 
     # optionally cut down with translated hyperplane pullbacks
     cuts = rng.randint(0, 1) if out.dim and out.dim > 1 else 0
@@ -161,8 +160,7 @@ def generate_admissible(seed: int, max_m: int = 6, max_k: int = 3) -> TropicalCy
         lam = cyc.translate(md.standard_hyperplane(b),
                             rng.vector(b, num_bound=5, den_bound=3))
         pb = md.pullback(lam, i, blocks)
-        cut = ops.stable_intersect(out, pb, seed=rng.randint(1, 1 << 30),
-                                   verify=False)
+        cut = ops.stable_intersect(out, pb, seed=rng.randint(1, 1 << 30))
         if not cut.is_empty:
             out = cut
 
@@ -195,8 +193,7 @@ def _block_cycle(rng: Rng, b: int) -> TropicalCycle:
         # hyperplane cut twice (codimension 2 when b allows, else a point)
         lam1 = md.standard_hyperplane(b)
         lam2 = cyc.translate(lam1, rng.vector(b, num_bound=5, den_bound=2))
-        return ops.stable_intersect(lam1, lam2, seed=rng.randint(1, 1 << 30),
-                                    verify=False)
+        return ops.stable_intersect(lam1, lam2, seed=rng.randint(1, 1 << 30))
     if b >= 2:
         # a rational line through a random point
         direction = tuple(rng.randint(-2, 2) for _ in range(b))

@@ -33,10 +33,6 @@ def frac_vec(entries) -> Vec:
     return tuple(Fraction(e) for e in entries)
 
 
-def vadd(u, v):
-    return tuple(a + b for a, b in zip(u, v, strict=True))
-
-
 def vsub(u, v):
     return tuple(a - b for a, b in zip(u, v, strict=True))
 

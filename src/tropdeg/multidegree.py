@@ -125,13 +125,12 @@ def _full_space(b: int) -> TropicalCycle:
 
 
 def _block_product(parts, blocks: BlockStructure) -> TropicalCycle:
-    """Product of one cycle per block, over ``blocks``, keeping proven marks."""
+    """Product of one cycle per block, the last one over ``blocks``;
+    ``product`` keeps proven marks.  A single part is returned as it is."""
     out = parts[0]
-    for part in parts[1:]:
-        out = cyc.product(out, part)
-    reblocked = TropicalCycle(blocks, out.facets)
-    cyc._propagate_checks(reblocked, out)
-    return reblocked
+    for i, part in enumerate(parts[1:], 2):
+        out = cyc.product(out, part, blocks if i == len(parts) else None)
+    return out
 
 
 def pullback(divisor: TropicalCycle, block: int,
@@ -151,15 +150,15 @@ def divisor_power(divisor: TropicalCycle, n: int) -> TropicalCycle:
 
     Each power is balance-checked once and cached; cycles hash by their
     key, so the cache holds at most b + 1 entries per distinct divisor.
-    The self-intersections run with ``verify=True`` under a fixed seed;
-    their result does not depend on it.
+    The self-intersections run under the default seed, each checked
+    against a second seed by ``stable_intersect``.
     """
     if n == 0:
         return _full_space(divisor.m)
     cyc.require_balanced(divisor)
     power = divisor
     for _ in range(n - 1):
-        power = ops.stable_intersect(power, divisor, verify=True)
+        power = ops.stable_intersect(power, divisor)
     return power
 
 
@@ -169,9 +168,10 @@ def multidegree(cycle: TropicalCycle, n, divs: DivisorSet | None = None,
 
     This is the degree of the cycle cut by n_i pullbacks of each block's
     divisor, computed as one stable intersection of complementary
-    dimension.  ``seed`` drives the displacement of that intersection; it
-    is repeated under a second, derived seed and the two results must
-    agree cell by cell, otherwise SeedDependenceError is raised.
+    dimension.  ``seed`` drives the displacement of that intersection;
+    ``stable_intersect`` repeats the displacement step under a second,
+    derived seed and raises SeedDependenceError unless every refined cell
+    gets the same weight.
     """
     n = _check_type(cycle, n)
     if divs is None:
@@ -179,7 +179,7 @@ def multidegree(cycle: TropicalCycle, n, divs: DivisorSet | None = None,
     divs.validate()
     lin = _block_product([divisor_power(d, e) for d, e in zip(divs.divisors, n)],
                          cycle.ambient)
-    return cyc.degree0(ops.stable_intersect(cycle, lin, seed=seed, verify=True))
+    return cyc.degree0(ops.stable_intersect(cycle, lin, seed=seed))
 
 
 def rank_function(cycle: TropicalCycle) -> RankFunction:

@@ -3,8 +3,9 @@
 Stable intersection implements the fan displacement rule with a verified
 generic rational displacement: for every pair of faces meeting after the
 infinitesimal displacement the direction spaces must span the ambient
-space, otherwise the vector is re-drawn with an incremented seed.  All
-constructed cycles are checked balanced before being returned.
+space, otherwise the next vector of the same splitmix64 stream is drawn.
+Every stable intersection is checked under two seeds.  All constructed
+cycles are checked balanced before being returned.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from typing import NamedTuple
 
 from . import cycles as cyc
 from . import linalg
@@ -88,14 +88,16 @@ def _as_seed(seed) -> DisplacementSeed:
 # stable intersection
 # ---------------------------------------------------------------------------
 
-def stable_intersect(c1: TropicalCycle, c2: TropicalCycle, seed=0,
-                     verify: bool = True) -> TropicalCycle:
+def stable_intersect(c1: TropicalCycle, c2: TropicalCycle, seed=0) -> TropicalCycle:
     """Stable intersection with multiplicities from the displacement rule.
 
-    The facet pairs, their refinement and weights are seed-independent and
-    computed once; the seed drives only the displacement vector.  With
-    ``verify`` the displacement rule runs under two independent seeds and
-    the resulting cycles are required to agree cell by cell.
+    The facet pairs, their lattice-index weights and the refinement of the
+    candidate cells are seed-independent and computed once.  The seed
+    drives only the displacement vector, which decides the candidates that
+    count; that step runs under ``seed`` and under ``seed.derived(101)``,
+    and the two must give every refined piece the same weight, otherwise
+    SeedDependenceError is raised.  One cycle is built, on the first
+    seed's weights, and balance-checked.
     """
     if c1.m != c2.m:
         raise DimensionMismatchError(
@@ -105,47 +107,22 @@ def stable_intersect(c1: TropicalCycle, c2: TropicalCycle, seed=0,
     seed = _as_seed(seed)
     if c1.is_empty or c2.is_empty:
         return cyc.empty_cycle(c1.ambient)
-    out_dim = c1.dim + c2.dim - c1.m
+    m = c1.m
+    out_dim = c1.dim + c2.dim - m
     if out_dim < 0:
         return cyc.empty_cycle(c1.ambient)
-    setup = _stable_setup(c1, c2, out_dim)
-    result = _stable_once(setup, seed)
-    if verify:
-        again = _stable_once(setup, seed.derived(101))
-        if result.key != again.key:
-            raise SeedDependenceError(
-                "stable intersection differs across displacement seeds")
-    return result
-
-
-class _StableSetup(NamedTuple):
-    """The part of a stable intersection that no displacement seed changes:
-    the candidate cells ``P cap Q`` of the output dimension with their
-    weights, and their ``refine_cells`` pieces.  A seed only decides which
-    candidates count; ``_stable_once`` zeroes the weights of the others."""
-
-    ambient: BlockStructure
-    out_dim: int
-    full_pairs: list    # (i, j, P, Q): meeting facets with Lin(P)+Lin(Q) = R^m
-    low_spans: list     # echelon bases of the proper spans Lin(F)+Lin(F')
-    candidates: list    # (i, j, P cap Q, weight product * lattice index)
-    pieces: list        # refine_cells of the candidate cells
-
-
-def _stable_setup(c1, c2, out_dim) -> _StableSetup:
-    m = c1.m
     meeting = []               # (P, Q) of every meeting facet pair
-    full_pairs = []
+    full_pairs = []            # (i, j, P, Q): meeting, Lin(P) + Lin(Q) = R^m
     candidates = []            # (i, j, P cap Q, weight product * lattice index)
-    span_cache: dict = {}
+    support2 = c2.support_facets
     for i, f1 in enumerate(c1.support_facets):
-        for j, f2 in enumerate(c2.support_facets):
+        for j, f2 in enumerate(support2):
             p, q = f1.poly, f2.poly
             inter = p.intersect(q)
             if inter.is_empty:
                 continue
             meeting.append((p, q))
-            if not _full_span(p, q, m, span_cache):
+            if not _full_span(p, q, m):
                 continue
             full_pairs.append((i, j, p, q))
             if inter.dim == out_dim:
@@ -158,48 +135,52 @@ def _stable_setup(c1, c2, out_dim) -> _StableSetup:
     # lies in Lin(F) + Lin(F'), so keeping v outside every proper such
     # span certifies that displaced meetings happen only with full span.
     low_spans = _low_face_spans(meeting, m)
-
     pieces = refine_cells([c for _, _, c, _ in candidates])
-    return _StableSetup(c1.ambient, out_dim, full_pairs, low_spans, candidates, pieces)
 
-
-def _stable_once(setup: _StableSetup, seed) -> TropicalCycle:
-    rng = Rng(seed.seed)
-    redraws = 0
-    flags: dict = {}
-    for _ in range(64):
-        # an integer multiple of the drawn vector; both tests below are
-        # invariant under positive scaling
-        v = int_row(rng.vector(setup.ambient.m))
-        ok = all(not is_zero_vec(linalg.reduce_mod(basis, v))
-                 for basis in setup.low_spans)
-        if ok:
-            flags = {}
-            disp_cache: dict = {}
-            for i, j, p, q in setup.full_pairs:
-                nonempty, qdim = _displaced(p, q, v, disp_cache)
-                if nonempty and qdim != setup.out_dim + 1:
-                    ok = False
-                    break
-                flags[i, j] = nonempty
-        if ok:
-            break
-        redraws += 1
-    else:
-        raise InvariantError("no generic displacement found in 64 draws")
-
-    out = cyc.refined_cycle(setup.ambient, setup.pieces,
-                            [w if flags[i, j] else 0 for i, j, _, w in setup.candidates])
+    flags, redraws = _displacement_flags(full_pairs, low_spans, m, out_dim, seed)
+    again, _ = _displacement_flags(full_pairs, low_spans, m, out_dim,
+                                   seed.derived(101))
+    weights = [w if flags[i, j] else 0 for i, j, _, w in candidates]
+    other = [w if again[i, j] else 0 for i, j, _, w in candidates]
+    # the pieces are fixed, so equal piece weights mean equal cycle keys
+    if any(sum(weights[c] for c in cells) != sum(other[c] for c in cells)
+           for _, cells in pieces):
+        raise SeedDependenceError(
+            "stable intersection differs across displacement seeds")
+    out = cyc.refined_cycle(c1.ambient, pieces, weights)
     _assert_balanced(out, "stable intersection")
     out._cache["displacement_redraws"] = redraws
     return out
 
 
-def _full_span(p: Polyhedron, q: Polyhedron, m: int, cache: dict) -> bool:
-    key = (p.key, q.key)
-    if key not in cache:
-        cache[key] = rank(p.direction_basis() + q.direction_basis()) == m
-    return cache[key]
+def _displacement_flags(full_pairs, low_spans, m: int, out_dim: int, seed):
+    """({(i, j): P meets Q + eps*v} over the full-span pairs, redraws) for
+    the first generic vector v of the seed's splitmix64 stream.
+
+    A vector is rejected, and the next one drawn, when it lies in a proper
+    span of ``low_spans`` or a full-span pair meets after displacement in
+    a joint polyhedron of the wrong dimension.
+    """
+    rng = Rng(seed.seed)
+    for redraws in range(64):
+        # an integer multiple of the drawn vector; both tests below are
+        # invariant under positive scaling
+        v = int_row(rng.vector(m))
+        if any(is_zero_vec(linalg.reduce_mod(basis, v)) for basis in low_spans):
+            continue
+        flags = {}
+        for i, j, p, q in full_pairs:
+            nonempty, qdim = _displaced(p, q, v)
+            if nonempty and qdim != out_dim + 1:
+                break
+            flags[i, j] = nonempty
+        else:
+            return flags, redraws
+    raise InvariantError("no generic displacement found in 64 draws")
+
+
+def _full_span(p: Polyhedron, q: Polyhedron, m: int) -> bool:
+    return rank(p.direction_basis() + q.direction_basis()) == m
 
 
 def _low_face_spans(meeting, m: int):
@@ -219,7 +200,7 @@ def _low_face_spans(meeting, m: int):
     return list(spans)
 
 
-def _displaced(f: Polyhedron, g: Polyhedron, v, cache: dict):
+def _displaced(f: Polyhedron, g: Polyhedron, v):
     """Whether f meets g + eps*v for arbitrarily small eps > 0, and the
     dimension of the joint (x, eps) polyhedron (-1 when it is empty).
 
@@ -229,9 +210,6 @@ def _displaced(f: Polyhedron, g: Polyhedron, v, cache: dict):
     or some lineality vector a nonzero one; the dimension is the rank of
     rays and lineality minus one.
     """
-    key = (f.key, g.key)
-    if key in cache:
-        return cache[key]
     rows = [r + (0,) for r in f.ineqs]
     eqs = [r + (0,) for r in f.eqs]
     for r in g.ineqs:
@@ -241,13 +219,10 @@ def _displaced(f: Polyhedron, g: Polyhedron, v, cache: dict):
     gen_rays, gen_lin = dual_description(
         f.m + 2, homogenized_constraints(f.m + 1, rows, eqs))
     if not any(r[0] > 0 for r in gen_rays):
-        result = (False, -1)
-    else:
-        nonempty = (any(r[-1] > 0 for r in gen_rays)
-                    or any(l[-1] != 0 for l in gen_lin))
-        result = (nonempty, rank(gen_rays + gen_lin) - 1)
-    cache[key] = result
-    return result
+        return False, -1
+    nonempty = (any(r[-1] > 0 for r in gen_rays)
+                or any(l[-1] != 0 for l in gen_lin))
+    return nonempty, rank(gen_rays + gen_lin) - 1
 
 
 def _assert_balanced(cycle: TropicalCycle, what: str) -> None:
@@ -481,15 +456,17 @@ def pair_positive(c1: TropicalCycle, c2: TropicalCycle):
     if c1.m != c2.m:
         raise DimensionMismatchError(
             f"ambient dimensions differ: {c1.m} vs {c2.m}")
+    cyc.require_balanced(c1)
+    cyc.require_balanced(c2)
     if c1.is_empty or c2.is_empty:
         return False, None
     if c1.dim + c2.dim != c1.m:
         raise WrongDimensionsError(
             f"dimensions {c1.dim} + {c2.dim} != {c1.m}")
-    cache: dict = {}
+    support2 = c2.support_facets
     for i, f1 in enumerate(c1.support_facets):
-        for j, f2 in enumerate(c2.support_facets):
-            if _full_span(f1.poly, f2.poly, c1.m, cache):
+        for j, f2 in enumerate(support2):
+            if _full_span(f1.poly, f2.poly, c1.m):
                 return True, (i, j)
     return False, None
 

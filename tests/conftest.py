@@ -1,5 +1,7 @@
-"""Shared helpers: independent oracles and deterministic sampling."""
+"""Shared helpers: independent oracles and deterministic sampling, and a
+per-test time limit."""
 
+import signal
 from fractions import Fraction
 from itertools import combinations
 from pathlib import Path
@@ -25,6 +27,31 @@ from tropdeg.polyhedra import (Polyhedron, _canon_eqs, _canon_generators,
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_DIR = ROOT / "fixtures"
+
+#: seconds a test may run, set-up and tear-down included: about 20 times
+#: the slowest one, so a hang (say, a refinement that never settles)
+#: fails its test instead of stalling the suite
+TEST_TIME_LIMIT_S = 120
+
+
+@pytest.hookimpl(hookwrapper=True)
+def pytest_runtest_protocol(item, nextitem):
+    """Fail a test with TimeoutError once it runs past TEST_TIME_LIMIT_S;
+    no limit where SIGALRM is missing."""
+    if not hasattr(signal, "SIGALRM"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeoutError(f"{item.nodeid} ran longer than {TEST_TIME_LIMIT_S} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.alarm(TEST_TIME_LIMIT_S)
+    try:
+        yield
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 def fixture_path(name: str) -> Path:
@@ -83,8 +110,7 @@ def _iterated_once(cycle, n, divs, seed) -> int:
             lam = translate(divs.divisors[i - 1], shift)
             pb = pullback(lam, i, blocks)
             cur = stable_intersect(cur, pb,
-                                   seed=seed.derived(rng.randint(1, 1 << 30)),
-                                   verify=False)
+                                   seed=seed.derived(rng.randint(1, 1 << 30)))
             if cur.is_empty:
                 return 0
     return degree0(cur)
@@ -193,7 +219,7 @@ def frac_det(rows) -> Fraction:
     return det
 
 
-def displaced_oracle(f: Polyhedron, g: Polyhedron, v, cache: dict):
+def displaced_oracle(f: Polyhedron, g: Polyhedron, v):
     """Whether f meets g + eps*v for arbitrarily small eps > 0, and the
     dimension of the joint (x, eps) polyhedron.
 
@@ -201,9 +227,6 @@ def displaced_oracle(f: Polyhedron, g: Polyhedron, v, cache: dict):
     is built and canonicalized with ``from_hrep`` and the answer read off
     its V-rep.  Kept as a differential oracle.
     """
-    key = (f.key, g.key)
-    if key in cache:
-        return cache[key]
     rows = [r + (0,) for r in f.ineqs]
     eqs = [r + (0,) for r in f.eqs]
     for r in g.ineqs:
@@ -213,14 +236,11 @@ def displaced_oracle(f: Polyhedron, g: Polyhedron, v, cache: dict):
     q = Polyhedron.from_hrep(f.m + 1, ineqs=rows, eqs=eqs)
     eps = f.m   # index of the eps coordinate
     if q.is_empty:
-        result = (False, -1)
-    else:
-        nonempty = (any(vert[eps] > 0 for vert in q.vertices)
-                    or any(ray[eps] > 0 for ray in q.rays)
-                    or any(l[eps] != 0 for l in q.lineality))
-        result = (nonempty, q.dim)
-    cache[key] = result
-    return result
+        return False, -1
+    nonempty = (any(vert[eps] > 0 for vert in q.vertices)
+                or any(ray[eps] > 0 for ray in q.rays)
+                or any(l[eps] != 0 for l in q.lineality))
+    return nonempty, q.dim
 
 
 def face_oracle(p: Polyhedron, row) -> Polyhedron:
@@ -313,7 +333,6 @@ def transverse_check(c1: TropicalCycle, c2: TropicalCycle) -> bool:
     m = c1.m
     faces1 = _support_faces(c1)
     faces2 = _support_faces(c2)
-    span_cache: dict = {}
     for fa in faces1:
         for fb in faces2:
             inter = fa.intersect(fb)
@@ -321,7 +340,7 @@ def transverse_check(c1: TropicalCycle, c2: TropicalCycle) -> bool:
                 continue
             row = inter.interior_row()
             if fa.relint_contains_row(row) and fb.relint_contains_row(row):
-                if not _full_span(fa, fb, m, span_cache):
+                if not _full_span(fa, fb, m):
                     return False
     return True
 

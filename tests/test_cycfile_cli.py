@@ -9,6 +9,7 @@ from conftest import FIXTURE_DIR, fixture_path, fresh
 from tropdeg import cli, cycfile, cycles, fixtures
 from tropdeg.cycles import check_balancing, validate_complex
 from tropdeg.errors import InputError
+from tropdeg.polyhedra import Polyhedron
 
 PYTHON = sys.executable
 
@@ -300,6 +301,17 @@ def test_cli_pair_positive():
     proc = run_cli("pair-positive", str(fixture_path("standard_line")),
                    str(fixture_path("scaled_line_d2")))
     assert json.loads(proc.stdout)["outputs"]["positive"] is True
+
+
+def test_cli_pair_positive_refuses_unbalanced_input(tmp_path):
+    ray = tmp_path / "ray.cyc"
+    cycfile.save(ray, cycles.TropicalCycle(cycles.BlockStructure((2,)), [
+        (Polyhedron.from_generators(2, [(0, 0)], rays=[(1, 0)]), 1)]))
+    line = str(fixture_path("standard_line"))
+    for cmd in ("pair-positive", "intersect"):
+        proc = run_cli(cmd, str(ray), line)
+        assert proc.returncode == 2
+        assert "balancing" in proc.stdout + proc.stderr
 
 
 def test_cli_divisor_override(tmp_path):

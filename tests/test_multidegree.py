@@ -10,7 +10,6 @@ from tropdeg.cycles import (
     WeightedFacet,
     check_balancing,
     degree0,
-    empty_cycle,
     product,
     translate,
     validate_complex,
@@ -288,14 +287,33 @@ def test_matches_iterated_on_empty_intersection():
     assert _agree(g, (1, 1), seed=4) == 0
 
 
+def _second_seed_disagrees(monkeypatch):
+    """Make the displacement step count no candidate under the second seed
+    of every stable intersection."""
+    original = ops._displacement_flags
+    seeds = []
+
+    def disagreeing(full_pairs, low_spans, m, out_dim, seed):
+        flags, redraws = original(full_pairs, low_spans, m, out_dim, seed)
+        seeds.append(seed)
+        if len(seeds) % 2 == 0:
+            assert seed == seeds[-2].derived(101)
+            flags = dict.fromkeys(flags, False)
+        return flags, redraws
+
+    monkeypatch.setattr(ops, "_displacement_flags", disagreeing)
+
+
 def test_seed_dependence_surfaces(monkeypatch):
-    original = ops._stable_once
-
-    def disagreeing(setup, seed):
-        if seed != ops.DisplacementSeed(5):
-            return empty_cycle(setup.ambient)
-        return original(setup, seed)
-
-    monkeypatch.setattr(ops, "_stable_once", disagreeing)
+    _second_seed_disagrees(monkeypatch)
     with pytest.raises(SeedDependenceError):
         multidegree(diagonal(), (1, 0), seed=5)
+
+
+def test_generator_checks_both_seeds(monkeypatch):
+    """Generator seed 0 builds a cycle through a stable intersection that is
+    not empty, so a disagreeing second seed surfaces."""
+    fixtures.generate_admissible(0)
+    _second_seed_disagrees(monkeypatch)
+    with pytest.raises(SeedDependenceError):
+        fixtures.generate_admissible(0)

@@ -10,7 +10,7 @@ from conftest import (
     transverse_check,
     transverse_degree_oracle,
 )
-from tropdeg import fixtures
+from tropdeg import cycles, fixtures
 from tropdeg.cycles import (
     BlockStructure,
     TropicalCycle,
@@ -100,6 +100,31 @@ def test_stable_seed_independence():
     a = stable_intersect(line, fixtures.scaled_line(2), seed=1)
     b = stable_intersect(line, fixtures.scaled_line(2), seed=987654321)
     assert a == b
+
+
+def test_stable_intersect_builds_and_checks_one_cycle(monkeypatch):
+    built, checked = [], []
+    real_refined, real_check = cycles.refined_cycle, cycles.check_balancing
+
+    def refined(*args):
+        built.append(real_refined(*args))
+        return built[-1]
+
+    def check(cycle):
+        checked.append(cycle)
+        return real_check(cycle)
+
+    monkeypatch.setattr(cycles, "refined_cycle", refined)
+    monkeypatch.setattr(cycles, "check_balancing", check)
+    line, plane = fixtures.standard_line(), fixtures.standard_plane()
+    for c1, c2 in [(line, translate(line, (1, 2))), (line, line),
+                   (plane, plane), (line, fixtures.scaled_line(2))]:
+        built.clear()
+        checked.clear()
+        out = stable_intersect(c1, c2, seed=3)
+        assert not out.is_empty
+        assert len(built) == 1 and built[0] is out
+        assert sum(c is out for c in checked) == 1
 
 
 def test_stable_seed_must_be_integral():
@@ -334,6 +359,16 @@ def test_pair_positive():
     pt = TropicalCycle(BlockStructure((2,)), [(Polyhedron.point((0, 0)), 1)])
     with pytest.raises(WrongDimensionsError):
         pair_positive(pt, fixtures.standard_line())
+
+
+def test_pair_positive_refuses_unbalanced_input():
+    ray = TropicalCycle(BlockStructure((2,)), [(Polyhedron.from_generators(
+        2, [(0, 0)], rays=[(1, 0)]), 1)])
+    for c1, c2 in [(ray, fixtures.standard_line()), (fixtures.standard_line(), ray)]:
+        with pytest.raises(UnbalancedCycleError):
+            pair_positive(c1, c2)
+        with pytest.raises(UnbalancedCycleError):
+            stable_intersect(c1, c2)
 
 
 def test_pair_positive_example33a():

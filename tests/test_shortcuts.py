@@ -43,8 +43,8 @@ def run():
         disjoint_calls.append((a, b, answer))
         return answer
 
-    def record_displaced(f, g, v, cache):
-        answer = real_displaced(f, g, v, cache)
+    def record_displaced(f, g, v):
+        answer = real_displaced(f, g, v)
         displaced_calls.append((f, g, v, answer))
         return answer
 
@@ -77,7 +77,7 @@ def test_displaced_matches_oracle(run):
     assert calls
     assert any(answer[0] for *_, answer in calls)
     for f, g, v, answer in calls:
-        assert answer == displaced_oracle(f, g, v, {})
+        assert answer == displaced_oracle(f, g, v)
 
 
 def test_face_matches_oracle(run):
