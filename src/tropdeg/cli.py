@@ -1,5 +1,11 @@
 """Command-line interface with machine-readable JSON reports.
 
+Each subcommand is one ``COMMANDS`` entry: its handler, its cycle-file and
+positional arguments, the flags of ``FLAGS`` it reads (no other flag
+parses) and whether its inputs must be valid, balanced complexes.  One
+dispatcher loads the files, checks balance, resolves the seed, runs the
+handler and builds the report; a handler only computes its outputs.
+
 Exit codes: 0 success, 1 input or parse error, 2 contract violation
 (an operation called outside its contract, e.g. unbalanced input where
 balance is required), 3 internal invariant failure.  Identical command
@@ -14,7 +20,9 @@ import hashlib
 import json
 import os
 import sys
+from dataclasses import dataclass
 from fractions import Fraction
+from typing import Callable
 
 from . import cycfile
 from . import cycles as cyc
@@ -28,33 +36,63 @@ EXIT_INPUT = 1
 EXIT_CONTRACT = 2
 EXIT_INVARIANT = 3
 
+#: every flag a subcommand may declare: option strings, argparse keywords
+FLAGS = {
+    "seed": (("--seed",), dict(type=int, help="seed (default: TROPDEG_SEED or 0)")),
+    "type": (("--type",), dict(help="type vector n1,...,nk")),
+    "blocks": (("--blocks",), dict(help="block subset i,j,...")),
+    "strategy": (("--strategy",), dict(default="coords", help=(
+        "admissibility strategy: coords|spans|random:N (+-joined)"))),
+    "divisor": (("--divisor",), dict(action="append", default=[], metavar="i:FILE",
+                                     help="override the block-i divisor")),
+    "mode": (("--mode",), dict(choices=["criterion", "bruteforce"],
+                               default="criterion")),
+    "output": (("-o", "--output"), dict(help="write the resulting cycle file here")),
+}
+
 
 def main(argv=None) -> int:
-    argv = list(sys.argv[1:] if argv is None else argv)
-    parser = _build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _build_parser().parse_args(argv)
     except _ArgumentError as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return EXIT_INPUT
     try:
-        report, out_cycle = args.handler(args)
+        report = _run(args)
     except (InputError, OSError) as exc:
         _print_report({"command": args.command, "error": str(exc)})
         return EXIT_INPUT
     except InvariantError as exc:
         _print_report({"command": args.command, "error": str(exc)})
         return EXIT_INVARIANT
-    except ContractError as exc:
-        _print_report({"command": args.command, "error": str(exc)})
-        return EXIT_CONTRACT
     except TropdegError as exc:
         _print_report({"command": args.command, "error": str(exc)})
         return EXIT_CONTRACT
-    if out_cycle is not None and args.output:
-        cycfile.save(args.output, out_cycle)
     _print_report(report)
     return EXIT_OK
+
+
+def _run(args) -> dict:
+    """Load, check and seed as ``COMMANDS`` declares, run the handler, save
+    and summarize its output cycle, and return the report."""
+    spec = COMMANDS[args.command]
+    loaded = [_load(getattr(args, name)) for name in spec.files]
+    cycles = [cycle for cycle, _ in loaded]
+    if spec.balanced:
+        for cycle in cycles:
+            _require_balance(cycle)
+    if "seed" in spec.flags:
+        args.seed = _seed(args)
+    outputs, out_cycle, caveats = spec.handler(args, *cycles)
+    if out_cycle is not None:
+        outputs["cycle"] = _cycle_summary(out_cycle)
+        if "output" in spec.flags and args.output:
+            cycfile.save(args.output, out_cycle)
+    report = {"command": args.command, "inputs": [info for _, info in loaded],
+              "outputs": outputs, "caveats": sorted(caveats)}
+    if "seed" in spec.flags:
+        report["seed"] = args.seed
+    return report
 
 
 def _print_report(report) -> None:
@@ -73,55 +111,15 @@ class _Parser(argparse.ArgumentParser):
 def _build_parser() -> _Parser:
     parser = _Parser(prog="tropdeg", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def cmd(name, handler, help_, files=1, positional=()):
-        p = sub.add_parser(name, help=help_)
-        if files == 1:
-            p.add_argument("file", help="cycle file")
-        else:
-            for i in range(files):
-                p.add_argument(f"file{i + 1}", help="cycle file")
-        for extra, nargs, help2 in positional:
-            p.add_argument(extra, nargs=nargs, help=help2)
-        p.add_argument("--seed", type=int, default=None,
-                       help="seed (default: TROPDEG_SEED or 0)")
-        p.add_argument("--type", dest="type_vector", default=None,
-                       help="type vector n1,...,nk")
-        p.add_argument("--blocks", dest="block_subset", default=None,
-                       help="block subset i,j,...")
-        p.add_argument("--strategy", default="coords",
-                       help="admissibility strategy: coords|spans|random:N (+-joined)")
-        p.add_argument("--divisor", action="append", default=[],
-                       metavar="i:FILE", help="override the block-i divisor")
-        p.add_argument("--mode", choices=["criterion", "bruteforce"],
-                       default="criterion")
-        p.add_argument("-o", "--output", default=None,
-                       help="write the resulting cycle file here")
-        p.set_defaults(handler=handler)
-        return p
-
-    cmd("check-balance", _cmd_check_balance, "validate and check balancing")
-    cmd("intersect", _cmd_intersect, "stable intersection of two cycles", files=2)
-    cmd("degree", _cmd_degree, "degree of a 0-dimensional cycle")
-    cmd("recession", _cmd_recession, "recession cycle (a fan)")
-    cmd("translate", _cmd_translate, "translate a cycle",
-        positional=[("vector", None, "translation vector, rationals comma-separated")])
-    cmd("product", _cmd_product, "direct product of two cycles", files=2)
-    cmd("minkowski", _cmd_minkowski, "Minkowski sum with span of integer vectors",
-        positional=[("vectors", "+", "integer vectors, e.g. 0,0,0,1")])
-    cmd("project", _cmd_project, "push forward along a block projection (--blocks)")
-    cmd("hyperplane", _cmd_hyperplane, "tropical hyperplane from m+1 coefficients",
-        files=0, positional=[("coeffs", None, "c0,c1,...,cm")])
-    cmd("positive-divisor", _cmd_positive_divisor, "positivity of a divisor")
-    cmd("pair-positive", _cmd_pair_positive,
-        "positivity of a complementary-dimension stable intersection", files=2)
-    cmd("admissible", _cmd_admissible, "translation-admissibility refutation search")
-    cmd("multidegree", _cmd_multidegree, "multidegree of the given type (--type)")
-    cmd("ranks", _cmd_ranks, "projection dimensions over all block subsets")
-    cmd("criterion", _cmd_criterion, "projection-rank positivity criterion (--type)")
-    cmd("msupp", _cmd_msupp, "type vectors with positive multidegree (--mode)")
-    cmd("submodular", _cmd_submodular, "submodularity of the rank function")
-    cmd("facet-witness", _cmd_facet_witness, "facet witnessing the criterion (--type)")
+    for name, spec in COMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        for file in spec.files:
+            p.add_argument(file, help="cycle file")
+        for arg, nargs, help_ in spec.positional:
+            p.add_argument(arg, nargs=nargs, help=help_)
+        for flag in spec.flags:
+            names, kwargs = FLAGS[flag]
+            p.add_argument(*names, **kwargs)
     return parser
 
 
@@ -130,13 +128,11 @@ def _build_parser() -> _Parser:
 def _seed(args) -> int:
     if args.seed is not None:
         return args.seed
-    env = os.environ.get("TROPDEG_SEED")
-    if env is not None:
-        try:
-            return int(env)
-        except ValueError as exc:
-            raise InputError(f"bad TROPDEG_SEED {env!r}") from exc
-    return 0
+    env = os.environ.get("TROPDEG_SEED", "0")
+    try:
+        return int(env)
+    except ValueError as exc:
+        raise InputError(f"bad TROPDEG_SEED {env!r}") from exc
 
 
 def _load(path) -> tuple[TropicalCycle, dict]:
@@ -160,11 +156,11 @@ def _parse_rats(text, what) -> tuple[Fraction, ...]:
         raise InputError(f"bad {what} {text!r}") from exc
 
 
-def _require(args, attr, flag):
-    value = getattr(args, attr)
-    if value is None:
-        raise InputError(f"{args.command} requires {flag}")
-    return value
+def _required_ints(args, flag) -> tuple[int, ...]:
+    """The integers of a flag the command cannot run without."""
+    if getattr(args, flag) is None:
+        raise InputError(f"{args.command} requires --{flag}")
+    return _parse_ints(getattr(args, flag), f"--{flag}")
 
 
 def _divisors(args, cycle) -> md.DivisorSet:
@@ -177,21 +173,8 @@ def _divisors(args, cycle) -> md.DivisorSet:
             raise InputError(f"bad --divisor {spec_item!r}, want i:FILE") from exc
         if not 1 <= block <= cycle.ambient.k:
             raise InputError(f"--divisor block {block} out of 1..{cycle.ambient.k}")
-        divisor, _ = _load(path)
-        divs = divs.replaced(block, divisor)
+        divs = divs.replaced(block, _load(path)[0])
     return divs
-
-
-def _report(args, inputs, outputs, seed=None, caveats=()):
-    report = {
-        "command": args.command,
-        "inputs": inputs,
-        "outputs": outputs,
-        "caveats": sorted(caveats),
-    }
-    if seed is not None:
-        report["seed"] = seed
-    return report
 
 
 def _cycle_summary(cycle: TropicalCycle) -> dict:
@@ -203,18 +186,16 @@ def _cycle_summary(cycle: TropicalCycle) -> dict:
     }
 
 
-def _pushforward_report(args, info, result, outputs):
-    """Report and output cycle of a ``PushforwardResult``."""
+def _pushforward_result(result, outputs):
+    """Outputs, output cycle and caveats of a ``PushforwardResult``."""
     outputs["pure"] = result.is_pure
     if not result.is_pure:
         outputs["impurity"] = str(result.impurity)
-        return _report(args, [info], outputs), None
-    outputs["cycle"] = _cycle_summary(result.cycle)
-    caveats = []
-    if result.absorbed:
-        outputs["absorbed_facets"] = list(result.absorbed)
-        caveats.append("lower-dimensional image facets absorbed")
-    return _report(args, [info], outputs, caveats=caveats), result.cycle
+        return outputs, None, ()
+    if not result.absorbed:
+        return outputs, result.cycle, ()
+    outputs["absorbed_facets"] = list(result.absorbed)
+    return outputs, result.cycle, ["lower-dimensional image facets absorbed"]
 
 
 def _require_balance(cycle) -> None:
@@ -225,9 +206,10 @@ def _require_balance(cycle) -> None:
 
 
 # -- command handlers ---------------------------------------------------------
+# Each takes the parsed arguments and the loaded cycle files and returns
+# (outputs, output cycle or None, caveats).
 
-def _cmd_check_balance(args):
-    cycle, info = _load(args.file)
+def _cmd_check_balance(args, cycle):
     complex_report = cyc.complex_report(cycle)
     outputs = {"valid_complex": complex_report.ok,
                "pure": complex_report.pure,
@@ -239,163 +221,123 @@ def _cmd_check_balance(args):
         outputs["violations"] = [
             [[cycfile.rational_str(x) for x in v] for v in rec.face.vertices]
             for rec in balance.violations]
-    return _report(args, [info], outputs), None
+    return outputs, None, ()
 
 
-def _cmd_intersect(args):
-    c1, i1 = _load(args.file1)
-    c2, i2 = _load(args.file2)
-    _require_balance(c1)
-    _require_balance(c2)
-    seed = _seed(args)
-    out = ops.stable_intersect(c1, c2, seed=seed)
-    outputs = {"cycle": _cycle_summary(out)}
+def _cmd_intersect(args, c1, c2):
+    out = ops.stable_intersect(c1, c2, seed=args.seed)
+    outputs = {"displacement_redraws": out._cache.get("displacement_redraws", 0)}
     if out.dim in (None, 0):
         outputs["degree"] = cyc.degree0(out)
-    outputs["displacement_redraws"] = out._cache.get("displacement_redraws", 0)
-    return _report(args, [i1, i2], outputs, seed=seed), out
+    return outputs, out, ()
 
 
-def _cmd_degree(args):
-    cycle, info = _load(args.file)
-    return _report(args, [info], {"degree": cyc.degree0(cycle)}), None
+def _cmd_degree(args, cycle):
+    return {"degree": cyc.degree0(cycle)}, None, ()
 
 
-def _cmd_recession(args):
-    cycle, info = _load(args.file)
-    _require_balance(cycle)
-    out = cyc.recession_cycle(cycle)
-    return _report(args, [info], {"cycle": _cycle_summary(out)}), out
+def _cmd_recession(args, cycle):
+    return {}, cyc.recession_cycle(cycle), ()
 
 
-def _cmd_translate(args):
-    cycle, info = _load(args.file)
-    vector = _parse_rats(args.vector, "vector")
-    out = cyc.translate(cycle, vector)
-    return _report(args, [info], {"cycle": _cycle_summary(out)}), out
+def _cmd_translate(args, cycle):
+    return {}, cyc.translate(cycle, _parse_rats(args.vector, "vector")), ()
 
 
-def _cmd_product(args):
-    c1, i1 = _load(args.file1)
-    c2, i2 = _load(args.file2)
-    out = cyc.product(c1, c2)
-    return _report(args, [i1, i2], {"cycle": _cycle_summary(out)}), out
+def _cmd_product(args, c1, c2):
+    return {}, cyc.product(c1, c2), ()
 
 
-def _cmd_minkowski(args):
-    cycle, info = _load(args.file)
-    _require_balance(cycle)
+def _cmd_minkowski(args, cycle):
     vectors = [_parse_ints(v, "vector") for v in args.vectors]
-    result = ops.minkowski_sum_subspace(cycle, vectors)
-    return _pushforward_report(args, info, result, {})
+    return _pushforward_result(ops.minkowski_sum_subspace(cycle, vectors), {})
 
 
-def _cmd_project(args):
-    cycle, info = _load(args.file)
-    _require_balance(cycle)
-    subset = _parse_ints(_require(args, "block_subset", "--blocks"), "--blocks")
+def _cmd_project(args, cycle):
+    subset = _required_ints(args, "blocks")
     result = ops.projection_pushforward(cycle, subset)
-    outputs = {"projection_dim": ops.projection_dim(cycle, subset)}
-    return _pushforward_report(args, info, result, outputs)
+    return _pushforward_result(
+        result, {"projection_dim": ops.projection_dim(cycle, subset)})
 
 
 def _cmd_hyperplane(args):
     coeffs = _parse_rats(args.coeffs, "coefficients")
     if len(coeffs) < 2:
         raise InputError("need at least c0,c1")
-    out = ops.tropical_hyperplane(coeffs)
-    return _report(args, [], {"cycle": _cycle_summary(out)}), out
+    return {}, ops.tropical_hyperplane(coeffs), ()
 
 
-def _cmd_positive_divisor(args):
-    cycle, info = _load(args.file)
+def _cmd_positive_divisor(args, cycle):
     positive, witness = ops.is_positive_divisor(cycle)
     outputs = {"positive": positive}
     if witness is not None:
         outputs["witness_line"] = list(witness)
-    return _report(args, [info], outputs), None
+    return outputs, None, ()
 
 
-def _cmd_pair_positive(args):
-    c1, i1 = _load(args.file1)
-    c2, i2 = _load(args.file2)
-    _require_balance(c1)
-    _require_balance(c2)
+def _cmd_pair_positive(args, c1, c2):
     positive, witness = ops.pair_positive(c1, c2)
     outputs = {"positive": positive}
     if witness is not None:
         outputs["witness_facets"] = list(witness)
-    return _report(args, [i1, i2], outputs), None
+    return outputs, None, ()
 
 
-def _cmd_admissible(args):
-    cycle, info = _load(args.file)
-    _require_balance(cycle)
-    seed = _seed(args)
-    verdict = ops.check_admissible(cycle, strategy=args.strategy, seed=seed)
+def _cmd_admissible(args, cycle):
+    verdict = ops.check_admissible(cycle, strategy=args.strategy, seed=args.seed)
     outputs = {"status": verdict.status,
                "strategy": verdict.strategy,
                "tested": verdict.tested}
     if verdict.witness is not None:
         outputs["witness_subspace"] = [list(v) for v in verdict.witness]
-    caveats = ["refutation search only; NoCounterexampleFound is not a proof"]
-    return _report(args, [info], outputs, seed=seed, caveats=caveats), None
+    return outputs, None, [
+        "refutation search only; NoCounterexampleFound is not a proof"]
 
 
-def _cmd_multidegree(args):
-    cycle, info = _load(args.file)
-    _require_balance(cycle)
-    n = _parse_ints(_require(args, "type_vector", "--type"), "--type")
-    divs = _divisors(args, cycle)
-    seed = _seed(args)
-    value = md.multidegree(cycle, n, divs, seed=seed)
-    return _report(args, [info], {"type": list(n), "multidegree": value},
-                   seed=seed), None
+def _cmd_multidegree(args, cycle):
+    n = _required_ints(args, "type")
+    value = md.multidegree(cycle, n, _divisors(args, cycle), seed=args.seed)
+    return {"type": list(n), "multidegree": value}, None, ()
 
 
-def _cmd_ranks(args):
-    cycle, info = _load(args.file)
+def _cmd_ranks(args, cycle):
     ranks = md.rank_function(cycle)
     table = {",".join(map(str, s)) or "{}": r for s, r in ranks.table}
-    return _report(args, [info], {"ranks": table}), None
+    return {"ranks": table}, None, ()
 
 
-def _cmd_criterion(args):
-    cycle, info = _load(args.file)
-    n = _parse_ints(_require(args, "type_vector", "--type"), "--type")
+def _cmd_criterion(args, cycle):
+    n = _required_ints(args, "type")
     result = md.positivity_criterion(cycle, n)
     outputs = {"type": list(n), "holds": result.holds}
     if result.violating_subset is not None:
         outputs["violating_subset"] = list(result.violating_subset)
     outputs["facet_witness_found"] = result.facet_witness is not None
-    return _report(args, [info], outputs, caveats=[result.caveat]), None
+    return outputs, None, [result.caveat]
 
 
-def _cmd_msupp(args):
-    cycle, info = _load(args.file)
-    seed = _seed(args)
-    divs = _divisors(args, cycle) if args.mode == "bruteforce" else None
-    support = md.msupp(cycle, divs, mode=args.mode, seed=seed)
-    outputs = {"mode": args.mode, "msupp": sorted(list(n) for n in support)}
-    caveats = []
+def _cmd_msupp(args, cycle):
     if args.mode == "criterion":
-        caveats.append(md.ADMISSIBILITY_CAVEAT)
-    return _report(args, [info], outputs, seed=seed, caveats=caveats), None
+        if args.divisor:
+            raise InputError("--divisor needs --mode bruteforce")
+        divs, caveats = None, [md.ADMISSIBILITY_CAVEAT]
+    else:
+        divs, caveats = _divisors(args, cycle), []
+    support = md.msupp(cycle, divs, mode=args.mode, seed=args.seed)
+    return ({"mode": args.mode, "msupp": sorted(list(n) for n in support)},
+            None, caveats)
 
 
-def _cmd_submodular(args):
-    cycle, info = _load(args.file)
-    ranks = md.rank_function(cycle)
-    ok, witness = md.check_submodular(ranks)
+def _cmd_submodular(args, cycle):
+    ok, witness = md.check_submodular(md.rank_function(cycle))
     outputs = {"submodular": ok}
     if witness is not None:
         outputs["violating_pair"] = [list(witness[0]), list(witness[1])]
-    return _report(args, [info], outputs), None
+    return outputs, None, ()
 
 
-def _cmd_facet_witness(args):
-    cycle, info = _load(args.file)
-    n = _parse_ints(_require(args, "type_vector", "--type"), "--type")
+def _cmd_facet_witness(args, cycle):
+    n = _required_ints(args, "type")
     facet = md.facet_witness(cycle, n)
     outputs = {"type": list(n), "found": facet is not None}
     if facet is not None:
@@ -406,8 +348,64 @@ def _cmd_facet_witness(args):
             "lineality": [list(l) for l in facet.poly.lineality],
             "weight": facet.weight,
         }
-    return _report(args, [info], outputs), None
+    return outputs, None, ()
 
+
+@dataclass(frozen=True)
+class Command:
+    handler: Callable
+    help: str
+    files: tuple[str, ...] = ("file",)
+    positional: tuple = ()          # (name, nargs, help) after the files
+    flags: tuple[str, ...] = ()     # keys of FLAGS
+    balanced: bool = False          # inputs must be valid and balanced
+
+
+_PAIR = ("file1", "file2")  # two cycle-file arguments
+
+COMMANDS = {
+    "check-balance": Command(_cmd_check_balance, "validate and check balancing"),
+    "intersect": Command(_cmd_intersect, "stable intersection of two cycles", _PAIR,
+                         flags=("seed", "output"), balanced=True),
+    "degree": Command(_cmd_degree, "degree of a 0-dimensional cycle"),
+    "recession": Command(_cmd_recession, "recession cycle (a fan)",
+                         flags=("output",), balanced=True),
+    "translate": Command(_cmd_translate, "translate a cycle", positional=((
+        "vector", None, "translation vector, rationals comma-separated"),),
+        flags=("output",)),
+    "product": Command(_cmd_product, "direct product of two cycles", _PAIR,
+                       flags=("output",)),
+    "minkowski": Command(
+        _cmd_minkowski, "Minkowski sum with span of integer vectors",
+        positional=(("vectors", "+", "integer vectors, e.g. 0,0,0,1"),),
+        flags=("output",), balanced=True),
+    "project": Command(_cmd_project, "push forward along a block projection "
+                       "(--blocks)", flags=("blocks", "output"), balanced=True),
+    "hyperplane": Command(
+        _cmd_hyperplane, "tropical hyperplane from m+1 coefficients", (),
+        (("coeffs", None, "c0,c1,...,cm"),), flags=("output",)),
+    "positive-divisor": Command(_cmd_positive_divisor, "positivity of a divisor"),
+    "pair-positive": Command(
+        _cmd_pair_positive,
+        "positivity of a complementary-dimension stable intersection", _PAIR,
+        balanced=True),
+    "admissible": Command(
+        _cmd_admissible, "translation-admissibility refutation search",
+        flags=("seed", "strategy"), balanced=True),
+    "multidegree": Command(
+        _cmd_multidegree, "multidegree of the given type (--type)",
+        flags=("seed", "type", "divisor"), balanced=True),
+    "ranks": Command(_cmd_ranks, "projection dimensions over all block subsets"),
+    "criterion": Command(_cmd_criterion,
+                         "projection-rank positivity criterion (--type)",
+                         flags=("type",)),
+    "msupp": Command(_cmd_msupp, "type vectors with positive multidegree (--mode)",
+                     flags=("seed", "mode", "divisor")),
+    "submodular": Command(_cmd_submodular, "submodularity of the rank function"),
+    "facet-witness": Command(_cmd_facet_witness,
+                             "facet witnessing the criterion (--type)",
+                             flags=("type",)),
+}
 
 if __name__ == "__main__":
     sys.exit(main())

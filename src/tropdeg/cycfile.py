@@ -7,8 +7,9 @@
              "weight": non-negative int}, ...]}
 
 Rationals are written "p/q" (or bare integers); rays and lineality are
-integer vectors, normalized on load.  Serialization is canonical, so
-parse -> serialize -> parse is the identity.
+integer vectors, normalized on load.  Any other key is an error.
+Serialization is canonical, so parse -> serialize -> parse is the
+identity.
 """
 
 from __future__ import annotations
@@ -53,6 +54,12 @@ def _json_list(value, what) -> list:
     return value
 
 
+def _known_keys(obj, known, what) -> None:
+    unknown = sorted(set(obj) - set(known))
+    if unknown:
+        raise InputError(f"{what}: unknown keys {unknown}, want {list(known)}")
+
+
 def _vectors(entry, key, parse, idx) -> list:
     vecs = _json_list(entry.get(key, []), f'facet {idx}: "{key}"')
     return [[parse(x) for x in _json_list(v, f"facet {idx}: {key} entry")]
@@ -62,6 +69,7 @@ def _vectors(entry, key, parse, idx) -> list:
 def cycle_from_dict(data) -> TropicalCycle:
     if not isinstance(data, dict):
         raise InputError("cycle file must contain a JSON object")
+    _known_keys(data, ("blocks", "facets"), "cycle file")
     if "blocks" not in data:
         raise InputError('missing "blocks"')
     sizes = tuple(parse_int(b) for b in _json_list(data["blocks"], '"blocks"'))
@@ -74,6 +82,8 @@ def cycle_from_dict(data) -> TropicalCycle:
     for idx, entry in enumerate(_json_list(data.get("facets", []), '"facets"')):
         if not isinstance(entry, dict):
             raise InputError(f"facet {idx} must be a JSON object, got {entry!r}")
+        _known_keys(entry, ("vertices", "rays", "lineality", "weight"),
+                    f"facet {idx}")
         verts = _vectors(entry, "vertices", parse_rational, idx)
         rays = _vectors(entry, "rays", parse_int, idx)
         lin = _vectors(entry, "lineality", parse_int, idx)

@@ -202,8 +202,6 @@ def codim1_faces(cycle: TropicalCycle) -> tuple[Codim1Record, ...]:
     stored vector lies in L_P = Lin(P) cap Z^m and maps to the generator
     u_{P/Q} of L_P / L_Q that points into P (Allermann-Rau 2010).
     """
-    if "codim1" in cycle._cache:
-        return cycle._cache["codim1"]
     _require_valid(cycle)
     support = cycle.support_facets
     merged: dict = {}
@@ -212,11 +210,9 @@ def codim1_faces(cycle: TropicalCycle) -> tuple[Codim1Record, ...]:
         for row, q in zip(p.ineqs, p.facet_faces()):
             entry = merged.setdefault(q.key, (q, []))
             entry[1].append((idx, _lattice_normal(p, row)))
-    records = tuple(
+    return tuple(
         Codim1Record(face=q, incident=tuple(sorted(inc)))
         for q, inc in (merged[k] for k in sorted(merged)))
-    cycle._cache["codim1"] = records
-    return records
 
 
 def _lattice_normal(p: Polyhedron, row) -> IntVec:

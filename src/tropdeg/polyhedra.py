@@ -643,10 +643,14 @@ def quickly_disjoint(a: Polyhedron, b: Polyhedron) -> bool:
 
 
 def offending_pairs(polys) -> list[tuple[int, int]]:
-    """Index pairs ``i < j``, in loop order, of cells whose intersection is
-    nonempty and not a face of both: the face condition of a complex."""
+    """Index pairs ``i < j``, in loop order, of cells that are equal or
+    whose intersection is nonempty and not a face of both: the face
+    condition of a complex, in which each cell is listed once."""
     bad = []
     for (i, a), (j, b) in combinations(enumerate(polys), 2):
+        if a.key == b.key:
+            bad.append((i, j))
+            continue
         inter = a.intersect(b)
         if not inter.is_empty and (inter.key not in face_key_set(a)
                                    or inter.key not in face_key_set(b)):

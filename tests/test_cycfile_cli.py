@@ -1,4 +1,5 @@
 import json
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -122,6 +123,18 @@ def test_cli_validates_each_input_once(argv, monkeypatch, capsys):
     assert len({id(c) for c in calls}) == len(calls)
 
 
+def test_cli_check_balance_flags_repeated_facet(tmp_path):
+    data = cycfile.cycle_to_dict(fixtures.standard_line())
+    data["facets"].append(data["facets"][0])
+    twice = tmp_path / "twice.cyc"
+    twice.write_text(json.dumps(data))
+    proc = run_cli("check-balance", str(twice))
+    assert proc.returncode == 0
+    outputs = json.loads(proc.stdout)["outputs"]
+    assert outputs["valid_complex"] is False
+    assert len(outputs["bad_pairs"]) == 1
+
+
 def test_cli_multidegree_example33a():
     proc = run_cli("multidegree", str(fixture_path("example33a")), "--type", "1,1")
     assert proc.returncode == 0
@@ -186,6 +199,10 @@ MALFORMED = {
     "vector_not_list": b'{"blocks": [2], "facets": [{"vertices": [5]}]}',
     "zero_block_size": b'{"blocks": [0], "facets": []}',
     "no_blocks": b'{"blocks": [], "facets": []}',
+    # unknown keys: "ray" would leave a point, "facet" the empty cycle
+    "unknown_facet_key": b'{"blocks": [2], "facets": [{"vertices": [[0, 0]], '
+                         b'"ray": [[1, 0]]}]}',
+    "unknown_file_key": b'{"blocks": [2], "facet": []}',
 }
 
 
@@ -321,3 +338,71 @@ def test_cli_divisor_override(tmp_path):
                    "--type", "1,0", "--divisor", f"1:{div}")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["outputs"]["multidegree"] == 1
+
+
+# ---------------------------------------------------------------------------
+# flag surface: each subcommand parses exactly the flags it declares
+# ---------------------------------------------------------------------------
+
+#: a command-line value of each flag and what argparse makes of it
+FLAG_VALUES = {
+    "seed": ("3", 3),
+    "type": ("1,1", "1,1"),
+    "blocks": ("1", "1"),
+    "strategy": ("spans", "spans"),
+    "divisor": ("1:d.cyc", ["1:d.cyc"]),
+    "mode": ("bruteforce", "bruteforce"),
+    "output": ("out.cyc", "out.cyc"),
+}
+
+
+def _placeholders(spec):
+    return [*spec.files, *(name for name, _, _ in spec.positional)]
+
+
+def test_flag_values_cover_flags():
+    assert sorted(FLAG_VALUES) == sorted(cli.FLAGS)
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_cli_declared_flags_parse(command):
+    spec = cli.COMMANDS[command]
+    parser = cli._build_parser()
+    for flag in spec.flags:
+        text, parsed = FLAG_VALUES[flag]
+        for option in cli.FLAGS[flag][0]:
+            args = parser.parse_args([command, *_placeholders(spec), option, text])
+            assert getattr(args, flag) == parsed
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_cli_undeclared_flags_exit_1(command, capsys):
+    spec = cli.COMMANDS[command]
+    for flag in sorted(set(cli.FLAGS) - set(spec.flags)):
+        for option in cli.FLAGS[flag][0]:
+            argv = [command, *_placeholders(spec), option, FLAG_VALUES[flag][0]]
+            assert cli.main(argv) == cli.EXIT_INPUT, argv
+            out, err = capsys.readouterr()
+            assert out == ""
+            assert "unrecognized arguments" in json.loads(err)["error"]
+
+
+def test_cli_msupp_divisor_needs_bruteforce(tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("TROPDEG_SEED", raising=False)
+    argv = ["msupp", str(fixture_path("example33a")), "--divisor",
+            f"1:{tmp_path / 'missing.cyc'}"]
+    assert cli.main(argv) == cli.EXIT_INPUT
+    report = json.loads(capsys.readouterr().out)
+    assert report["error"] == "--divisor needs --mode bruteforce"
+    assert cli.main([*argv, "--mode", "criterion"]) == cli.EXIT_INPUT
+
+
+def test_readme_lists_each_command_flags():
+    text = (FIXTURE_DIR.parent / "README.md").read_text(encoding="utf-8")
+    section = text.split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    rows = re.findall(r"^\| `([a-z-]+)` \|[^|\n]*\|([^|\n]*)\|$", section, re.M)
+    documented = {name: sorted(re.findall(r"`(-[-a-z]+)", flags))
+                  for name, flags in rows}
+    declared = {name: sorted(cli.FLAGS[flag][0][0] for flag in spec.flags)
+                for name, spec in cli.COMMANDS.items()}
+    assert documented == declared

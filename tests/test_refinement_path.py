@@ -30,6 +30,9 @@ def _square(x0, y0, side):
 @pytest.mark.parametrize("cycle, want", [
     (TropicalCycle(BlockStructure((2,)), [(_square(0, 0, 2), 1), (_square(1, 1, 2), 1)]),
      [(0, 1)]),
+    # a cell listed twice: P cap P = P is a face of both copies
+    (TropicalCycle(BlockStructure((2,)), [(_square(0, 0, 2), 1), (_square(0, 0, 2), 1)]),
+     [(0, 1)]),
     (fixtures.example33a(), []),
 ])
 def test_offending_pairs_is_the_validation_scan(cycle, want):
