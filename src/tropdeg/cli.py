@@ -109,10 +109,10 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _build_parser() -> _Parser:
-    parser = _Parser(prog="tropdeg", description=__doc__)
+    parser = _Parser(prog="tropdeg", description=__doc__, allow_abbrev=False)
     sub = parser.add_subparsers(dest="command", required=True)
     for name, spec in COMMANDS.items():
-        p = sub.add_parser(name, help=spec.help)
+        p = sub.add_parser(name, help=spec.help, allow_abbrev=False)
         for file in spec.files:
             p.add_argument(file, help="cycle file")
         for arg, nargs, help_ in spec.positional:
@@ -341,13 +341,7 @@ def _cmd_facet_witness(args, cycle):
     facet = md.facet_witness(cycle, n)
     outputs = {"type": list(n), "found": facet is not None}
     if facet is not None:
-        outputs["facet"] = {
-            "vertices": [[cycfile.rational_str(x) for x in v]
-                         for v in facet.poly.vertices],
-            "rays": [list(r) for r in facet.poly.rays],
-            "lineality": [list(l) for l in facet.poly.lineality],
-            "weight": facet.weight,
-        }
+        outputs["facet"] = cycfile.facet_to_dict(facet)
     return outputs, None, ()
 
 

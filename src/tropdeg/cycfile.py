@@ -101,17 +101,19 @@ def cycle_from_dict(data) -> TropicalCycle:
     return TropicalCycle(blocks, facets)
 
 
+def facet_to_dict(facet: WeightedFacet) -> dict:
+    p = facet.poly
+    return {
+        "vertices": [[rational_str(x) for x in v] for v in p.vertices],
+        "rays": [list(r) for r in p.rays],
+        "lineality": [list(l) for l in p.lineality],
+        "weight": facet.weight,
+    }
+
+
 def cycle_to_dict(cycle: TropicalCycle) -> dict:
-    facets = []
-    for f in cycle.facets:
-        p = f.poly
-        facets.append({
-            "vertices": [[rational_str(x) for x in v] for v in p.vertices],
-            "rays": [list(r) for r in p.rays],
-            "lineality": [list(l) for l in p.lineality],
-            "weight": f.weight,
-        })
-    return {"blocks": list(cycle.ambient.blocks), "facets": facets}
+    return {"blocks": list(cycle.ambient.blocks),
+            "facets": [facet_to_dict(f) for f in cycle.facets]}
 
 
 def loads(text: str) -> TropicalCycle:

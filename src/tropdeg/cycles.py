@@ -64,8 +64,10 @@ class WeightedFacet:
     weight: int
 
     def __post_init__(self):
-        if self.weight < 0:
-            raise InvalidComplexError(f"negative weight {self.weight}")
+        weight = integral_row((self.weight,), InvalidComplexError, "facet weight")[0]
+        if weight < 0:
+            raise InvalidComplexError(f"negative weight {weight}")
+        object.__setattr__(self, "weight", weight)
         if self.poly.is_empty:
             raise InvalidComplexError("empty facet polyhedron")
 

@@ -145,12 +145,7 @@ def generate_admissible(seed: int, max_m: int = 6, max_k: int = 3) -> TropicalCy
         remaining -= b
     blocks = BlockStructure(tuple(blocks))
 
-    per_block = []
-    for b in blocks.blocks:
-        per_block.append(_block_cycle(rng, b))
-    out = per_block[0]
-    for i, part in enumerate(per_block[1:], 2):
-        out = cyc.product(out, part, blocks if i == len(per_block) else None)
+    out = md._block_product([_block_cycle(rng, b) for b in blocks.blocks], blocks)
 
     # optionally cut down with translated hyperplane pullbacks
     cuts = rng.randint(0, 1) if out.dim and out.dim > 1 else 0

@@ -22,6 +22,7 @@ from . import cycles as cyc
 from . import ops
 from .cycles import BlockStructure, TropicalCycle, WeightedFacet
 from .errors import (
+    BadBlockIndexError,
     NonPositiveDivisorError,
     TypeMismatchError,
     WrongDimensionError,
@@ -45,6 +46,10 @@ class DivisorSet:
         return cls(blocks, tuple(standard_hyperplane(b) for b in blocks.blocks))
 
     def replaced(self, i: int, divisor: TropicalCycle) -> "DivisorSet":
+        """The set with block i's divisor (1-based) replaced."""
+        i = integral_row((i,), BadBlockIndexError, "block index")[0]
+        if not 1 <= i <= self.blocks.k:
+            raise BadBlockIndexError(f"block index {i} out of 1..{self.blocks.k}")
         divs = list(self.divisors)
         divs[i - 1] = divisor
         return DivisorSet(self.blocks, tuple(divs))
@@ -213,11 +218,11 @@ def facet_witness(cycle: TropicalCycle, n) -> WeightedFacet | None:
     """First facet (canonical order) with dim pi_I(facet) >= n_I for all I."""
     n = _check_type(cycle, n)
     blocks = cycle.ambient
-    bounds = [(ops.projection_kernel(blocks, s), sum(n[i - 1] for i in s))
+    bounds = [(blocks.coords_of(s), sum(n[i - 1] for i in s))
               for size in range(1, blocks.k + 1)
               for s in combinations(range(1, blocks.k + 1), size)]
     for f in cycle.support_facets:
-        if all(ops.projected_dim(f.poly, kernel) >= need for kernel, need in bounds):
+        if all(ops.projected_dim(f.poly, coords) >= need for coords, need in bounds):
             return f
     return None
 

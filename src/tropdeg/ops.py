@@ -4,8 +4,11 @@ Stable intersection implements the fan displacement rule with a verified
 generic rational displacement: for every pair of faces meeting after the
 infinitesimal displacement the direction spaces must span the ambient
 space, otherwise the next vector of the same splitmix64 stream is drawn.
-Every stable intersection is checked under two seeds.  All constructed
-cycles are checked balanced before being returned.
+Seeds are ints; every stable intersection is checked under its seed and
+under ``derived_seed(seed, 101)``.  All constructed cycles are checked
+balanced before being returned.  Tropical hyperplane cells are cut out by
+differences of the homogenized term rows, and projection dimensions are
+ranks of direction bases restricted to block coordinates.
 """
 
 from __future__ import annotations
@@ -42,21 +45,20 @@ _MASK64 = (1 << 64) - 1
 _SEED_STRIDE = 0x9E3779B97F4A7C15
 
 
-@dataclass(frozen=True)
-class DisplacementSeed:
-    """Deterministic source of generic rational vectors."""
+def _check_seed(seed) -> int:
+    return integral_row((seed,), InputError, "seed")[0]
 
-    seed: int = 0
 
-    def derived(self, salt: int) -> "DisplacementSeed":
-        return DisplacementSeed((self.seed + salt * _SEED_STRIDE) & _MASK64)
+def derived_seed(seed: int, salt: int) -> int:
+    """The seed of a second splitmix64 stream, one per salt."""
+    return (_check_seed(seed) + salt * _SEED_STRIDE) & _MASK64
 
 
 class Rng:
     """splitmix64; deterministic across platforms and Python versions."""
 
     def __init__(self, seed: int):
-        self.state = seed & _MASK64
+        self.state = _check_seed(seed) & _MASK64
 
     def next64(self) -> int:
         self.state = (self.state + _SEED_STRIDE) & _MASK64
@@ -78,12 +80,6 @@ class Rng:
         return tuple(self.fraction(num_bound, den_bound) for _ in range(m))
 
 
-def _as_seed(seed) -> DisplacementSeed:
-    if isinstance(seed, DisplacementSeed):
-        return seed
-    return DisplacementSeed(integral_row((seed,), InputError, "seed")[0])
-
-
 # ---------------------------------------------------------------------------
 # stable intersection
 # ---------------------------------------------------------------------------
@@ -94,17 +90,17 @@ def stable_intersect(c1: TropicalCycle, c2: TropicalCycle, seed=0) -> TropicalCy
     The facet pairs, their lattice-index weights and the refinement of the
     candidate cells are seed-independent and computed once.  The seed
     drives only the displacement vector, which decides the candidates that
-    count; that step runs under ``seed`` and under ``seed.derived(101)``,
-    and the two must give every refined piece the same weight, otherwise
-    SeedDependenceError is raised.  One cycle is built, on the first
-    seed's weights, and balance-checked.
+    count; that step runs under ``seed`` and under
+    ``derived_seed(seed, 101)``, and the two must give every refined piece
+    the same weight, otherwise SeedDependenceError is raised.  One cycle
+    is built, on the first seed's weights, and balance-checked.
     """
     if c1.m != c2.m:
         raise DimensionMismatchError(
             f"ambient dimensions differ: {c1.m} vs {c2.m}")
     cyc.require_balanced(c1)
     cyc.require_balanced(c2)
-    seed = _as_seed(seed)
+    seed = _check_seed(seed)
     if c1.is_empty or c2.is_empty:
         return cyc.empty_cycle(c1.ambient)
     m = c1.m
@@ -139,7 +135,7 @@ def stable_intersect(c1: TropicalCycle, c2: TropicalCycle, seed=0) -> TropicalCy
 
     flags, redraws = _displacement_flags(full_pairs, low_spans, m, out_dim, seed)
     again, _ = _displacement_flags(full_pairs, low_spans, m, out_dim,
-                                   seed.derived(101))
+                                   derived_seed(seed, 101))
     weights = [w if flags[i, j] else 0 for i, j, _, w in candidates]
     other = [w if again[i, j] else 0 for i, j, _, w in candidates]
     # the pieces are fixed, so equal piece weights mean equal cycle keys
@@ -161,7 +157,7 @@ def _displacement_flags(full_pairs, low_spans, m: int, out_dim: int, seed):
     span of ``low_spans`` or a full-span pair meets after displacement in
     a joint polyhedron of the wrong dimension.
     """
-    rng = Rng(seed.seed)
+    rng = Rng(seed)
     for redraws in range(64):
         # an integer multiple of the drawn vector; both tests below are
         # invariant under positive scaling
@@ -353,20 +349,14 @@ def projection_dim(cycle: TropicalCycle, subset) -> int:
     subset = _check_subset(subset, blocks.k)
     if cycle.is_empty:
         raise WrongDimensionError("projection of an empty cycle")
-    kernel = projection_kernel(blocks, subset)
-    return max(projected_dim(f.poly, kernel) for f in cycle.support_facets)
+    coords = blocks.coords_of(subset)
+    return max(projected_dim(f.poly, coords) for f in cycle.support_facets)
 
 
-def projection_kernel(blocks: BlockStructure, subset) -> list[IntVec]:
-    """Unit vectors of the coordinates outside the given blocks."""
-    keep = set(blocks.coords_of(subset))
-    return [tuple(1 if t == j else 0 for t in range(blocks.m))
-            for j in range(blocks.m) if j not in keep]
-
-
-def projected_dim(poly: Polyhedron, kernel) -> int:
-    """Dimension of the image of ``poly`` under a projection with this kernel."""
-    return rank(list(poly.direction_basis()) + kernel) - len(kernel)
+def projected_dim(poly: Polyhedron, coords) -> int:
+    """Dimension of the image of ``poly`` under the projection onto these
+    coordinates: the rank of its direction basis restricted to them."""
+    return rank([tuple(b[j] for j in coords) for b in poly.direction_basis()])
 
 
 def projection_pushforward(cycle: TropicalCycle, subset) -> PushforwardResult:
@@ -404,25 +394,14 @@ def tropical_hyperplane(coeffs) -> TropicalCycle:
     if m < 1:
         raise DimensionMismatchError("need at least two coefficients")
 
-    def term_row(l: int):
-        # c_l + a_l as (constant, linear) with a_0 == 0
-        lin = [0] * m
-        if l >= 1:
-            lin[l - 1] = 1
-        return coeffs[l], lin
-
+    # the homogenized row (c_l, e_l) of each term c_l + a_l, with e_0 = 0
+    terms = [(c,) + tuple(int(t == l) for t in range(1, m + 1))
+             for l, c in enumerate(coeffs)]
     facets = []
     for i, j in combinations(range(m + 1), 2):
-        ci, li = term_row(i)
-        cj, lj = term_row(j)
-        eq = [ci - cj] + [a - b for a, b in zip(li, lj)]
-        ineqs = []
-        for l in range(m + 1):
-            if l in (i, j):
-                continue
-            cl, ll = term_row(l)
-            ineqs.append([cl - ci] + [a - b for a, b in zip(ll, li)])
-        cell = Polyhedron.from_hrep(m, ineqs=ineqs, eqs=[eq])
+        cell = Polyhedron.from_hrep(
+            m, eqs=[vsub(terms[i], terms[j])],
+            ineqs=[vsub(terms[l], terms[i]) for l in range(m + 1) if l not in (i, j)])
         if not cell.is_empty and cell.dim == m - 1:
             facets.append(WeightedFacet(cell, 1))
     return TropicalCycle(BlockStructure((m,)), facets)

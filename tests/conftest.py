@@ -18,7 +18,7 @@ from tropdeg.linalg import (IntVec, int_row, integral_row, is_zero_vec,
                             lattice_index, primitive, rref, saturate, snf, vdot,
                             vsub)
 from tropdeg.multidegree import DivisorSet, pullback
-from tropdeg.ops import (PushforwardResult, Rng, _as_seed, _full_span,
+from tropdeg.ops import (PushforwardResult, Rng, _full_span, derived_seed,
                          pushforward_linear, stable_intersect)
 from tropdeg.polyhedra import (Polyhedron, _canon_eqs, _canon_generators,
                                _canon_ineqs, _check_len, _point_row,
@@ -90,9 +90,8 @@ def iterated_multidegree(cycle: TropicalCycle, n, divs=None, seed=0) -> int:
     """
     if divs is None:
         divs = DivisorSet.standard(cycle.ambient)
-    seed = _as_seed(seed)
     value = _iterated_once(cycle, n, divs, seed)
-    again = _iterated_once(cycle, n, divs, seed.derived(211))
+    again = _iterated_once(cycle, n, divs, derived_seed(seed, 211))
     if value != again:
         raise SeedDependenceError(
             f"multidegree differs across translation seeds: {value} vs {again}")
@@ -101,7 +100,7 @@ def iterated_multidegree(cycle: TropicalCycle, n, divs=None, seed=0) -> int:
 
 def _iterated_once(cycle, n, divs, seed) -> int:
     blocks = cycle.ambient
-    rng = Rng(seed.seed)
+    rng = Rng(seed)
     cur = cycle
     for i in range(1, blocks.k + 1):
         b = blocks.blocks[i - 1]
@@ -110,7 +109,7 @@ def _iterated_once(cycle, n, divs, seed) -> int:
             lam = translate(divs.divisors[i - 1], shift)
             pb = pullback(lam, i, blocks)
             cur = stable_intersect(cur, pb,
-                                   seed=seed.derived(rng.randint(1, 1 << 30)))
+                                   seed=derived_seed(seed, rng.randint(1, 1 << 30)))
             if cur.is_empty:
                 return 0
     return degree0(cur)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import re
 import subprocess
@@ -29,6 +30,13 @@ def run_cli(*args, env_seed=None, cwd=None):
 # ---------------------------------------------------------------------------
 # file format
 # ---------------------------------------------------------------------------
+
+def test_generator_files_pinned():
+    """Cycle files of generator seeds 0-59, pinned byte for byte."""
+    text = "".join(cycfile.dumps(fixtures.generate_admissible(s)) for s in range(60))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "3ca882b8bd4b6ba65a68e6a9cb0d5ce83109d80fa717dd2b37b139e9754c685f"
+
 
 def test_roundtrip_identity():
     for name in fixtures.CORPUS:
@@ -385,6 +393,22 @@ def test_cli_undeclared_flags_exit_1(command, capsys):
             out, err = capsys.readouterr()
             assert out == ""
             assert "unrecognized arguments" in json.loads(err)["error"]
+
+
+@pytest.mark.parametrize("command", list(cli.COMMANDS))
+def test_cli_flag_prefixes_exit_1(command, capsys):
+    """Flags are never abbreviated: each proper prefix of a declared long
+    flag is an unrecognized argument."""
+    spec = cli.COMMANDS[command]
+    for flag in spec.flags:
+        for option in cli.FLAGS[flag][0]:
+            for end in range(3, len(option)) if option.startswith("--") else ():
+                argv = [command, *_placeholders(spec), option[:end],
+                        FLAG_VALUES[flag][0]]
+                assert cli.main(argv) == cli.EXIT_INPUT, argv
+                out, err = capsys.readouterr()
+                assert out == ""
+                assert "unrecognized arguments" in json.loads(err)["error"]
 
 
 def test_cli_msupp_divisor_needs_bruteforce(tmp_path, monkeypatch, capsys):

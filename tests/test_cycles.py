@@ -39,6 +39,23 @@ def test_block_sizes_must_be_integral():
         BlockStructure((1.5, 2))
 
 
+@pytest.mark.parametrize("weight", [1.5, Fraction(3, 2), "x"])
+def test_facet_weights_must_be_integral(weight):
+    with pytest.raises(InvalidComplexError):
+        WeightedFacet(Polyhedron.point((0, 0)), weight)
+
+
+def test_facet_weights_are_normalized_to_ints():
+    point = Polyhedron.point((0, 0))
+    for weight in (Fraction(2), 2.0, True):
+        facet = WeightedFacet(point, weight)
+        assert type(facet.weight) is int and facet.weight == int(weight)
+    # a fractional weight on the standard line would balance at the vertex
+    line = fixtures.standard_line()
+    with pytest.raises(InvalidComplexError):
+        TropicalCycle(line.ambient, [(f.poly, Fraction(3, 2)) for f in line.facets])
+
+
 def test_validate_passes_on_shared_edge():
     up = Polyhedron.from_generators(2, vertices=[(0, 0)], rays=[(1, 0), (0, 1)])
     down = Polyhedron.from_generators(2, vertices=[(0, 0)], rays=[(1, 0), (0, -1)])

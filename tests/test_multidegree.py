@@ -14,7 +14,8 @@ from tropdeg.cycles import (
     translate,
     validate_complex,
 )
-from tropdeg.errors import NonPositiveDivisorError, SeedDependenceError, TypeMismatchError
+from tropdeg.errors import (BadBlockIndexError, NonPositiveDivisorError,
+                            SeedDependenceError, TypeMismatchError)
 from tropdeg.multidegree import (
     DivisorSet,
     _check_type,
@@ -212,6 +213,16 @@ def test_divisor_choice_invariance():
     assert _agree(prod, (1, 1), coord, seed=13) == 4
 
 
+def test_divisor_replacement_checks_the_block_index():
+    blocks = BlockStructure((1, 2))
+    divs = DivisorSet.standard(blocks)
+    custom = tropical_hyperplane([0, 1, -2])
+    assert divs.replaced(2, custom).divisors == (divs.divisors[0], custom)
+    for i in (0, -1, 3, 1.5):
+        with pytest.raises(BadBlockIndexError):
+            divs.replaced(i, custom)
+
+
 def test_type_vectors_enumeration():
     assert set(type_vectors(full((2, 1)))) == {(2, 1)}
     assert set(type_vectors(diagonal())) == {(1, 0), (0, 1)}
@@ -297,7 +308,7 @@ def _second_seed_disagrees(monkeypatch):
         flags, redraws = original(full_pairs, low_spans, m, out_dim, seed)
         seeds.append(seed)
         if len(seeds) % 2 == 0:
-            assert seed == seeds[-2].derived(101)
+            assert seed == ops.derived_seed(seeds[-2], 101)
             flags = dict.fromkeys(flags, False)
         return flags, redraws
 

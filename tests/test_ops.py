@@ -1,4 +1,6 @@
+import hashlib
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
@@ -10,7 +12,7 @@ from conftest import (
     transverse_check,
     transverse_degree_oracle,
 )
-from tropdeg import cycles, fixtures
+from tropdeg import cycfile, cycles, fixtures
 from tropdeg.cycles import (
     BlockStructure,
     TropicalCycle,
@@ -30,12 +32,16 @@ from tropdeg.errors import (
     WrongCodimensionError,
     WrongDimensionsError,
 )
+from tropdeg.linalg import rank
 from tropdeg.ops import (
-    DisplacementSeed,
+    NO_COUNTEREXAMPLE_FOUND,
+    Rng,
     check_admissible,
+    derived_seed,
     is_positive_divisor,
     minkowski_sum_subspace,
     pair_positive,
+    projected_dim,
     projection_dim,
     projection_pushforward,
     pushforward_linear,
@@ -274,6 +280,22 @@ def test_projection_dim():
         projection_dim(g, [5])
 
 
+def test_projected_dim_matches_kernel_rank():
+    """The rank on the block coordinates equals the rank of the direction
+    basis stacked on the projection's kernel, less the kernel's rank."""
+    for seed in range(12):
+        cycle = fixtures.generate_admissible(seed)
+        blocks = cycle.ambient
+        for size in range(1, blocks.k + 1):
+            for subset in combinations(range(1, blocks.k + 1), size):
+                coords = blocks.coords_of(subset)
+                kernel = [tuple(int(t == j) for t in range(blocks.m))
+                          for j in range(blocks.m) if j not in coords]
+                for f in cycle.support_facets:
+                    assert projected_dim(f.poly, coords) == \
+                        rank(list(f.poly.direction_basis()) + kernel) - len(kernel)
+
+
 @pytest.mark.parametrize("subset", [[1.7], [2.2], [Fraction(3, 2)], ["x"], [1, 0.5]])
 def test_block_indices_are_not_truncated(subset):
     g = fixtures.example33a()
@@ -327,6 +349,14 @@ def test_hyperplane_translated_membership_oracle():
         assert cycle_contains(cyc, pt) == min_attained_twice(coeffs, pt)
     for f in cyc.support_facets:
         assert min_attained_twice(coeffs, f.poly.relative_interior_point())
+
+
+def test_hyperplane_files_pinned():
+    """Cycle files of five hyperplanes, pinned byte for byte."""
+    text = "".join(cycfile.dumps(tropical_hyperplane(c)) for c in (
+        [1, -1], [0, 0, 0], [0, -1, -2], [0, 0, 0, 0], ["1/2", 3, "-7/3", 0, 1]))
+    assert hashlib.sha256(text.encode()).hexdigest() == \
+        "088bfeeef2936b3a7232b6dc5781c613e17463a2f10389bb3aeec80f9cc344e1"
 
 
 def test_hyperplane_dimension_one():
@@ -435,9 +465,34 @@ def test_admissible_rejects_bad_strategies():
         check_admissible(fixtures.example33a(), "coords+bogus")
 
 
+def test_admissible_spans_adds_vertex_differences():
+    """Generator seed 55 has a facet with two vertices, whose difference
+    joins the spans pool."""
+    cycle = fixtures.generate_admissible(55)
+    assert any(len(f.poly.vertices) == 2 for f in cycle.support_facets)
+    verdict = check_admissible(cycle, "spans")
+    assert (verdict.status, verdict.tested) == (NO_COUNTEREXAMPLE_FOUND, 82)
+
+
+def test_seeds_must_be_integral():
+    for seed in (1.5, Fraction(3, 2), "x"):
+        with pytest.raises(InputError):
+            Rng(seed)
+        with pytest.raises(InputError):
+            derived_seed(seed, 101)
+    with pytest.raises(InputError):
+        check_admissible(fixtures.standard_line(), "random:2", seed=1.5)
+    with pytest.raises(InputError):
+        fixtures.generate_admissible(1.5)
+    assert Rng(Fraction(3)).next64() == Rng(3).next64()
+    assert derived_seed(Fraction(3), 101) == derived_seed(3, 101)
+    assert check_admissible(fixtures.example33a(), "random:4", seed=Fraction(3)) == \
+        check_admissible(fixtures.example33a(), "random:4", seed=3)
+    assert fixtures.generate_admissible(Fraction(3)) == fixtures.generate_admissible(3)
+
+
 def test_displacement_seed_determinism():
-    seed = DisplacementSeed(42)
     line = fixtures.standard_line()
-    out1 = stable_intersect(line, fixtures.scaled_line(3), seed=seed)
-    out2 = stable_intersect(line, fixtures.scaled_line(3), seed=DisplacementSeed(42))
+    out1 = stable_intersect(line, fixtures.scaled_line(3), seed=42)
+    out2 = stable_intersect(line, fixtures.scaled_line(3), seed=42)
     assert out1 == out2
