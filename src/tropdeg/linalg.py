@@ -277,10 +277,7 @@ def snf(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
         if A[t][t] < 0:
             row_neg(t)
         t += 1
-
-    for i in range(min(s, m)):
-        if A[i][i] < 0:
-            row_neg(i)
+    # later steps touch only rows and columns after t: each pivot stays >= 0
     return A, U, V
 
 

@@ -23,6 +23,7 @@ from . import ops
 from .cycles import BlockStructure, TropicalCycle, WeightedFacet
 from .errors import (
     BadBlockIndexError,
+    DimensionMismatchError,
     NonPositiveDivisorError,
     TypeMismatchError,
     WrongDimensionError,
@@ -47,14 +48,19 @@ class DivisorSet:
 
     def replaced(self, i: int, divisor: TropicalCycle) -> "DivisorSet":
         """The set with block i's divisor (1-based) replaced."""
-        i = integral_row((i,), BadBlockIndexError, "block index")[0]
-        if not 1 <= i <= self.blocks.k:
-            raise BadBlockIndexError(f"block index {i} out of 1..{self.blocks.k}")
+        i = _block_index(i, self.blocks)
         divs = list(self.divisors)
         divs[i - 1] = divisor
         return DivisorSet(self.blocks, tuple(divs))
 
-    def validate(self) -> None:
+    def validate(self, blocks: BlockStructure) -> None:
+        """Check that the set holds one positive divisor per block of
+        ``blocks``, the cycle's block structure."""
+        if self.blocks != blocks or len(self.divisors) != blocks.k:
+            raise DimensionMismatchError(
+                f"divisor set over blocks {self.blocks.blocks} holding "
+                f"{len(self.divisors)} divisor(s) does not fit a cycle over "
+                f"blocks {blocks.blocks}")
         for i, (b, d) in enumerate(zip(self.blocks.blocks, self.divisors), 1):
             if d.m != b:
                 raise NonPositiveDivisorError(
@@ -92,6 +98,14 @@ class CriterionResult:
 
     def __bool__(self):
         return self.holds
+
+
+def _block_index(i, blocks: BlockStructure) -> int:
+    """The 1-based block index i as an int, checked to lie in 1..k."""
+    i = integral_row((i,), BadBlockIndexError, "block index")[0]
+    if not 1 <= i <= blocks.k:
+        raise BadBlockIndexError(f"block index {i} out of 1..{blocks.k}")
+    return i
 
 
 def _check_type(cycle: TropicalCycle, n) -> tuple[int, ...]:
@@ -144,6 +158,11 @@ def pullback(divisor: TropicalCycle, block: int,
 
     The result is marked valid and balanced when the divisor is.
     """
+    block = _block_index(block, blocks)
+    size = blocks.blocks[block - 1]
+    if divisor.m != size:
+        raise DimensionMismatchError(
+            f"divisor in R^{divisor.m} for block {block} of size {size}")
     return _block_product(
         [divisor if i == block else _full_space(b)
          for i, b in enumerate(blocks.blocks, 1)], blocks)
@@ -156,8 +175,12 @@ def divisor_power(divisor: TropicalCycle, n: int) -> TropicalCycle:
     Each power is balance-checked once and cached; cycles hash by their
     key, so the cache holds at most b + 1 entries per distinct divisor.
     The self-intersections run under the default seed, each checked
-    against a second seed by ``stable_intersect``.
+    against a second seed by ``stable_intersect``.  A negative or
+    non-integral exponent raises TypeMismatchError.
     """
+    n = integral_row((n,), TypeMismatchError, "divisor power exponent")[0]
+    if n < 0:
+        raise TypeMismatchError(f"negative divisor power exponent {n}")
     if n == 0:
         return _full_space(divisor.m)
     cyc.require_balanced(divisor)
@@ -181,7 +204,7 @@ def multidegree(cycle: TropicalCycle, n, divs: DivisorSet | None = None,
     n = _check_type(cycle, n)
     if divs is None:
         divs = DivisorSet.standard(cycle.ambient)
-    divs.validate()
+    divs.validate(cycle.ambient)
     lin = _block_product([divisor_power(d, e) for d, e in zip(divs.divisors, n)],
                          cycle.ambient)
     return cyc.degree0(ops.stable_intersect(cycle, lin, seed=seed))

@@ -26,7 +26,10 @@ homogenization cone and in integer arithmetic; the other side is made
 irredundant by integer sign tests between the rows and the generators
 of that one conversion (``_split``).  A face runs none: its generators
 are the polyhedron's own generators tight on it, and its H-rep is read
-off them the same way.  The empty polyhedron is a first-class value.
+off them the same way.  Every nonempty constructor ends in ``_canonical``,
+the one canonicalizer of rows and generators, which interns the result:
+a point set has one key however it was built.  The empty polyhedron is a
+first-class value.
 
 Polyhedra are immutable; the per-instance caches and the intern pool are
 memoization only, so concurrent re-computation is benign.
@@ -210,11 +213,9 @@ class Polyhedron:
         verts = [r for r in gen_rays if r[0] > 0]
         if not verts:
             return cls.empty(m)
-        ineqs_c, eqs_c = _hrep(ineqs, eqs, gen_rays)
-        vert_rows, rays_c, lin_c = _canon_generators(
-            verts, [r[1:] for r in gen_rays if r[0] == 0], [l[1:] for l in gen_lin])
-        return cls(m=m, eqs=eqs_c, ineqs=ineqs_c, vertex_rows=vert_rows,
-                   rays=rays_c, lineality=lin_c, is_empty=False)._intern()
+        facets, eqs = _hrep(ineqs, eqs, gen_rays)
+        return _canonical(m, facets, eqs, verts, [r[1:] for r in gen_rays if r[0] == 0],
+                          [l[1:] for l in gen_lin])
 
     @classmethod
     def from_generators(cls, m: int, vertices=(), rays=(), lineality=()) -> "Polyhedron":
@@ -242,13 +243,11 @@ class Polyhedron:
         gens = vert_rows + tuple((0,) + r for r in rays)
         dual_rays, dual_lin = dual_description(
             m + 1, [((0,) + l, True) for l in lineality] + [(g, False) for g in gens])
-        ineqs, eqs = _hrep(dual_rays, dual_lin, gens)
+        facets, eqs = _hrep(dual_rays, dual_lin, gens)
         flat, extreme = _split(gens, dual_rays)
-        vert_rows, rays, lineality = _canon_generators(
-            [g for g in extreme if g[0] > 0], [g[1:] for g in extreme if g[0] == 0],
-            lineality + tuple(g[1:] for g in flat))
-        return cls(m=m, eqs=eqs, ineqs=ineqs, vertex_rows=vert_rows,
-                   rays=rays, lineality=lineality, is_empty=False)._intern()
+        return _canonical(m, facets, eqs, [g for g in extreme if g[0] > 0],
+                          [g[1:] for g in extreme if g[0] == 0],
+                          lineality + tuple(g[1:] for g in flat))
 
     @classmethod
     def point(cls, coords) -> "Polyhedron":
@@ -257,9 +256,7 @@ class Polyhedron:
 
     @classmethod
     def full_space(cls, m: int) -> "Polyhedron":
-        basis = tuple(tuple(r) for r in linalg.identity_rows(m))
-        return cls(m=m, eqs=(), ineqs=(), vertex_rows=((1,) + (0,) * m,),
-                   rays=(), lineality=basis, is_empty=False)._intern()
+        return _canonical(m, (), (), [(1,) + (0,) * m], (), linalg.identity_rows(m))
 
     # -- canonical identity --------------------------------------------------
 
@@ -371,18 +368,13 @@ class Polyhedron:
                 f"translation vector of length {len(v)} in R^{self.m}")
         d, *dv = _point_row(v, self.m)     # (d, d*v), d > 0
         # c0 + c.(x - v) >= 0 scaled by d
-        shifted = [(d * r[0] - vdot(r[1:], dv),) + tuple(d * c for c in r[1:])
-                   for r in self.eqs + self.ineqs]
-        eqs = _canon_eqs(shifted[:len(self.eqs)])
-        ineqs = _canon_ineqs(shifted[len(self.eqs):], eqs)
-        # (e, e*s), e > 0, for the residual s of v modulo the lineality
-        e, *es = reduce_mod([(0,) + l for l in self.lineality], (d, *dv))
-        verts = sorted(int_row((e * r[0],) + tuple(e * a + r[0] * b
-                                                   for a, b in zip(r[1:], es)))
-                       for r in self.vertex_rows)
-        return Polyhedron(m=self.m, eqs=eqs, ineqs=ineqs,
-                          vertex_rows=tuple(verts), rays=self.rays,
-                          lineality=self.lineality, is_empty=False)._intern()
+        shift = lambda rows: [(d * r[0] - vdot(r[1:], dv),) + tuple(d * c for c in r[1:])
+                              for r in rows]
+        # the row (d*e, d*e*(x + v)) of x + v for a vertex row (e, e*x)
+        verts = [(d * r[0],) + tuple(d * a + r[0] * b for a, b in zip(r[1:], dv))
+                 for r in self.vertex_rows]
+        return _canonical(self.m, shift(self.ineqs), shift(self.eqs), verts,
+                          self.rays, self.lineality)
 
     def plus_span(self, basis) -> "Polyhedron":
         """Minkowski sum with the linear span of the given vectors: the
@@ -398,21 +390,15 @@ class Polyhedron:
         if self.is_empty or other.is_empty:
             return Polyhedron.empty(self.m + other.m)
         a, b = self.m, other.m
-        eqs = [(r[0],) + r[1:] + (0,) * b for r in self.eqs] + \
-              [(r[0],) + (0,) * a + r[1:] for r in other.eqs]
-        ineqs = [(r[0],) + r[1:] + (0,) * b for r in self.ineqs] + \
-                [(r[0],) + (0,) * a + r[1:] for r in other.ineqs]
-        eqs_c = _canon_eqs(eqs)
-        ineqs_c = tuple(sorted(ineqs))
-        verts = tuple(sorted(
-            int_row(vscale(r2[0], r1) + vscale(r1[0], r2[1:]))
-            for r1 in self.vertex_rows for r2 in other.vertex_rows))
-        rays = tuple(sorted([r + (0,) * b for r in self.rays] +
-                            [(0,) * a + r for r in other.rays]))
-        lin = _canon_eqs([l + (0,) * b for l in self.lineality] +
-                         [(0,) * a + l for l in other.lineality])
-        return Polyhedron(m=a + b, eqs=eqs_c, ineqs=ineqs_c, vertex_rows=verts,
-                          rays=rays, lineality=lin, is_empty=False)._intern()
+        rows = lambda mine, theirs: ([r + (0,) * b for r in mine] +
+                                     [r[:1] + (0,) * a + r[1:] for r in theirs])
+        vecs = lambda mine, theirs: ([r + (0,) * b for r in mine] +
+                                     [(0,) * a + r for r in theirs])
+        verts = [vscale(r2[0], r1) + vscale(r1[0], r2[1:])
+                 for r1 in self.vertex_rows for r2 in other.vertex_rows]
+        return _canonical(a + b, rows(self.ineqs, other.ineqs), rows(self.eqs, other.eqs),
+                          verts, vecs(self.rays, other.rays),
+                          vecs(self.lineality, other.lineality))
 
     def linear_image(self, matrix, m_out: int) -> "Polyhedron":
         """Image under x -> matrix @ x (matrix given as m_out rows of length m).
@@ -440,10 +426,9 @@ class Polyhedron:
         if not verts:
             return Polyhedron.empty(self.m)
         rays = tuple(r for r in self.rays if eval_dir(ineq_row, r) == 0)
-        ineqs, eqs = _hrep(self.ineqs, self.eqs + (tuple(ineq_row),),
-                           verts + tuple((0,) + r for r in rays))
-        return Polyhedron(m=self.m, eqs=eqs, ineqs=ineqs, vertex_rows=verts, rays=rays,
-                          lineality=self.lineality, is_empty=False)._intern()
+        facets, eqs = _hrep(self.ineqs, self.eqs + (tuple(ineq_row),),
+                            verts + tuple((0,) + r for r in rays))
+        return _canonical(self.m, facets, eqs, verts, rays, self.lineality)
 
     def facet_faces(self) -> tuple["Polyhedron", ...]:
         """Codimension-1 faces (one per irredundant inequality)."""
@@ -557,15 +542,15 @@ def _split(rows, gens):
             [r for r, t in zip(rows, masks) if t in maximal])
 
 
-def _hrep(ineqs, eqs, gens) -> tuple[tuple[HomRow, ...], tuple[HomRow, ...]]:
-    """Canonical (ineqs, eqs) of a nonempty polyhedron from its rows and the
-    generators of its homogenization (vertex rows, rays ``(0, r)``): the
-    given and implicit equalities, and the ``_split`` facets tight on a
-    vertex row, as one tight on rays only bounds the face at infinity."""
+def _hrep(ineqs, eqs, gens) -> tuple[list[HomRow], list[HomRow]]:
+    """(facet rows, equality rows) of a nonempty polyhedron from its rows and
+    the generators of its homogenization (vertex rows, rays ``(0, r)``): the
+    ``_split`` facets tight on a vertex row, as one tight on rays only
+    bounds the face at infinity, and the given and implicit equalities;
+    ``_canonical`` canonicalizes both."""
     implicit, maximal = _split(ineqs, gens)
-    eqs = _canon_eqs(list(eqs) + implicit)
     facets = [r for r in maximal if any(g[0] > 0 and vdot(r, g) == 0 for g in gens)]
-    return _canon_ineqs(facets, eqs), eqs
+    return facets, list(eqs) + implicit
 
 
 def _canon_generators(vert_rows, rays, lineality):
@@ -575,6 +560,18 @@ def _canon_generators(vert_rows, rays, lineality):
     lin_rows = [(0,) + l for l in lin]
     verts_c = sorted({reduce_mod(lin_rows, r) for r in vert_rows})
     return tuple(verts_c), tuple(rays_c), lin
+
+
+def _canonical(m, facets, eqs, vert_rows, rays, lineality) -> Polyhedron:
+    """The interned instance of the nonempty polyhedron with these facet
+    rows, equality rows, extreme vertex rows ``(d, d*v)``, ``d > 0``, rays
+    and spanning lineality vectors; rows and generators need not be
+    canonical, and every nonempty constructor ends here."""
+    eqs = _canon_eqs(eqs)
+    vert_rows, rays, lineality = _canon_generators(vert_rows, rays, lineality)
+    return Polyhedron(m=m, eqs=eqs, ineqs=_canon_ineqs(facets, eqs),
+                      vertex_rows=vert_rows, rays=rays, lineality=lineality,
+                      is_empty=False)._intern()
 
 
 # ---------------------------------------------------------------------------

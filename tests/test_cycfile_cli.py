@@ -11,6 +11,7 @@ from conftest import FIXTURE_DIR, fixture_path, fresh
 from tropdeg import cli, cycfile, cycles, fixtures
 from tropdeg.cycles import check_balancing, validate_complex
 from tropdeg.errors import InputError
+from tropdeg.ops import tropical_hyperplane
 from tropdeg.polyhedra import Polyhedron
 
 PYTHON = sys.executable
@@ -45,6 +46,15 @@ def test_roundtrip_identity():
         again = cycfile.loads(text)
         assert again == cycle
         assert cycfile.dumps(again) == text
+
+
+def test_product_roundtrip_identity():
+    """A product of translated hyperplanes, whose cells have equalities and
+    inequalities with nonzero constant terms, survives its file."""
+    cycle = cycles.product(tropical_hyperplane([0, 1, 2]), tropical_hyperplane([0, 3]))
+    again = cycfile.loads(cycfile.dumps(cycle))
+    assert again == cycle
+    assert cycfile.dumps(again) == cycfile.dumps(cycle)
 
 
 def test_rational_strings():

@@ -14,8 +14,9 @@ from tropdeg.cycles import (
     translate,
     validate_complex,
 )
-from tropdeg.errors import (BadBlockIndexError, NonPositiveDivisorError,
-                            SeedDependenceError, TypeMismatchError)
+from tropdeg.errors import (BadBlockIndexError, DimensionMismatchError,
+                            NonPositiveDivisorError, SeedDependenceError,
+                            TypeMismatchError)
 from tropdeg.multidegree import (
     DivisorSet,
     _check_type,
@@ -28,6 +29,7 @@ from tropdeg.multidegree import (
     positivity_criterion,
     pullback,
     rank_function,
+    standard_hyperplane,
     type_vectors,
 )
 from tropdeg.ops import stable_intersect, tropical_hyperplane
@@ -221,6 +223,39 @@ def test_divisor_replacement_checks_the_block_index():
     for i in (0, -1, 3, 1.5):
         with pytest.raises(BadBlockIndexError):
             divs.replaced(i, custom)
+
+
+def test_divisor_set_must_fit_the_cycle(monkeypatch):
+    """A divisor set with a divisor missing, or over other blocks, is refused
+    before any intersection, with a message naming the set."""
+    generated = fixtures.generate_admissible(0)
+    short = DivisorSet(generated.ambient, (standard_hyperplane(1),))
+    ex33a = fixtures.example33a()
+    other_blocks = DivisorSet.standard(BlockStructure((1, 1)))
+    monkeypatch.setattr(ops, "stable_intersect", None)
+    for cycle, n, divs in ((generated, (0, 1), short),
+                           (ex33a, type_vectors(ex33a)[0], other_blocks)):
+        with pytest.raises(DimensionMismatchError, match="divisor set"):
+            multidegree(cycle, n, divs)
+
+
+def test_pullback_checks_block_and_divisor():
+    blocks = BlockStructure((2, 1))
+    plane = standard_hyperplane(2)
+    assert pullback(plane, 1, blocks).ambient == blocks
+    for b in (0, 3, -1, 1.5, Fraction(3, 2)):
+        with pytest.raises(BadBlockIndexError):
+            pullback(plane, b, blocks)
+    with pytest.raises(DimensionMismatchError, match="block 2"):
+        pullback(plane, 2, blocks)
+
+
+def test_divisor_power_checks_the_exponent():
+    h = standard_hyperplane(2)
+    assert divisor_power(h, 1.0) is divisor_power(h, 1) is h
+    for n in (-1, -5, 1.5, Fraction(1, 2)):
+        with pytest.raises(TypeMismatchError):
+            divisor_power(h, n)
 
 
 def test_type_vectors_enumeration():

@@ -2,7 +2,7 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import coords_in_rows, uninterned
+from conftest import coords_in_rows, same_polyhedron, uninterned
 from tropdeg.errors import DimensionMismatchError, EmptyPolyhedronError
 from tropdeg.ops import Rng
 from tropdeg.polyhedra import (Polyhedron, common_refinement, hyperplane_pool,
@@ -286,6 +286,43 @@ def test_translate_matches_from_generators():
             poly.rays, poly.lineality))
         assert moved.key == want.key, trial
         assert moved.vertex_rows == want.vertex_rows, trial
+
+
+def test_constructors_give_the_hrep_instance():
+    """``product``, ``translate`` and ``face`` return the instance that
+    ``from_hrep`` of their own rows returns, with the same generators: a
+    point set has one canonical key however it was built."""
+    rng = Rng(4669)
+    checked = 0
+    for trial in range(40):
+        a, b = (Polyhedron.from_generators(m, *_random_generators(rng, m))
+                for m in (rng.randint(1, 3), rng.randint(1, 3)))
+        prod = a.product(b)
+        shift = rng.vector(prod.m, 20, 5)
+        for p in (prod, prod.translate(shift), a.translate(shift[:a.m]),
+                  *prod.facet_faces()):
+            assert p is Polyhedron.from_hrep(p.m, p.ineqs, p.eqs), trial
+            assert same_polyhedron(p, uninterned(
+                lambda: Polyhedron.from_hrep(p.m, p.ineqs, p.eqs))), trial
+            checked += 1
+    assert checked > 80
+
+
+def test_product_reduces_rows_modulo_equalities():
+    ray = Polyhedron.from_hrep(1, ineqs=[(1, 1)])     # x >= -1
+    point = Polyhedron.from_hrep(1, eqs=[(-1, 1)])    # y == 1
+    prod = ray.product(point)
+    assert prod.ineqs == ((0, 1, 1),)
+    assert prod == Polyhedron.from_hrep(2, ineqs=[(1, 1, 0)], eqs=[(-1, 0, 1)])
+    assert prod == Polyhedron.from_generators(2, [(-1, 1)], rays=[(1, 0)])
+
+
+def test_common_refinement_dedupes_two_copies_of_a_product_cell():
+    prod = Polyhedron.from_hrep(1, ineqs=[(1, 1)]).product(
+        Polyhedron.from_hrep(1, eqs=[(-1, 1)]))
+    twin = uninterned(lambda: Polyhedron.from_hrep(2, prod.ineqs, prod.eqs))
+    assert twin is not prod and twin == prod
+    assert common_refinement([prod, twin]) == [prod]
 
 
 def test_plus_span_matches_from_generators():
