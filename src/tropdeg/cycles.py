@@ -13,6 +13,7 @@ from . import linalg
 from .errors import (
     DimensionMismatchError,
     InvalidComplexError,
+    InvariantError,
     UnbalancedCycleError,
     WrongDimensionError,
 )
@@ -256,6 +257,13 @@ def require_balanced(cycle: TropicalCycle) -> None:
         raise UnbalancedCycleError("cycle fails the balancing condition")
 
 
+def assert_balanced(cycle: TropicalCycle, what: str) -> None:
+    """The output check: an unbalanced result of ``what`` is an internal
+    failure (``InvariantError``), not a fault of the input."""
+    if not cycle.is_empty and not check_balancing(cycle).balanced:
+        raise InvariantError(f"{what} produced an unbalanced cycle")
+
+
 def degree0(cycle: TropicalCycle) -> int:
     """Sum of point weights of a 0-dimensional cycle."""
     if cycle.dim not in (None, 0):
@@ -320,7 +328,7 @@ def recession_cycle(cycle: TropicalCycle) -> TropicalCycle:
     top = [(cone, w) for cone, w in rec if cone.dim == cycle.dim]
     out = refined_cycle(cycle.ambient, refine_cells([cone for cone, _ in top]),
                         [w for _, w in top])
-    require_balanced(out)
+    assert_balanced(out, "recession cycle")
     return out
 
 

@@ -63,7 +63,7 @@ class DivisorSet:
                 f"blocks {blocks.blocks}")
         for i, (b, d) in enumerate(zip(self.blocks.blocks, self.divisors), 1):
             if d.m != b:
-                raise NonPositiveDivisorError(
+                raise DimensionMismatchError(
                     f"divisor {i} lives in R^{d.m}, block has R^{b}")
             positive, witness = ops.is_positive_divisor(d)
             if not positive:

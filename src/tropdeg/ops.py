@@ -1,14 +1,18 @@
 """Geometric operations between cycles.
 
 Stable intersection implements the fan displacement rule with a verified
-generic rational displacement: for every pair of faces meeting after the
-infinitesimal displacement the direction spaces must span the ambient
-space, otherwise the next vector of the same splitmix64 stream is drawn.
-Seeds are ints; every stable intersection is checked under its seed and
-under ``derived_seed(seed, 101)``.  All constructed cycles are checked
-balanced before being returned.  Tropical hyperplane cells are cut out by
-differences of the homogenized term rows, and projection dimensions are
-ranks of direction bases restricted to block coordinates.
+generic rational displacement.  Each candidate facet pair gets one
+seed-independent displacement cone ``T_x(P) - T_x(Q)``, built by
+``Polyhedron.from_generators``; a drawn vector counts the pair when it
+lies in the cone, decided by integer sign tests.  The vector is redrawn,
+from the same splitmix64 stream, when it lies in a proper span of the
+direction spaces of a face pair of meeting facets or on a facet hyperplane
+of a cone.  Seeds are ints; every stable intersection is checked under its
+seed and under ``derived_seed(seed, 101)``.  All constructed cycles are
+checked balanced (``cycles.assert_balanced``) before being returned.
+Tropical hyperplane cells are cut out by differences of the homogenized
+term rows, and projection dimensions are ranks of direction bases
+restricted to block coordinates.
 """
 
 from __future__ import annotations
@@ -32,14 +36,8 @@ from .errors import (
     WrongDimensionsError,
 )
 from .linalg import (IntVec, int_row, integral_row, is_zero_vec, primitive, rank,
-                     saturate, vdot, vsub)
-from .polyhedra import (
-    Polyhedron,
-    dual_description,
-    homogenized_constraints,
-    is_covered,
-    refine_cells,
-)
+                     saturate, vdot, vneg, vsub)
+from .polyhedra import Polyhedron, is_covered, refine_cells
 
 _MASK64 = (1 << 64) - 1
 _SEED_STRIDE = 0x9E3779B97F4A7C15
@@ -87,10 +85,12 @@ class Rng:
 def stable_intersect(c1: TropicalCycle, c2: TropicalCycle, seed=0) -> TropicalCycle:
     """Stable intersection with multiplicities from the displacement rule.
 
-    The facet pairs, their lattice-index weights and the refinement of the
-    candidate cells are seed-independent and computed once.  The seed
-    drives only the displacement vector, which decides the candidates that
-    count; that step runs under ``seed`` and under
+    The candidate pairs (facet pairs whose direction spaces span R^m and
+    that meet in the output dimension), their lattice-index weights, the
+    refinement of their intersections and one displacement cone per pair
+    are seed-independent and computed once.  The seed drives only the
+    displacement vector, whose integer sign tests against the cones decide
+    the candidates that count; that step runs under ``seed`` and under
     ``derived_seed(seed, 101)``, and the two must give every refined piece
     the same weight, otherwise SeedDependenceError is raised.  One cycle
     is built, on the first seed's weights, and balance-checked.
@@ -108,69 +108,82 @@ def stable_intersect(c1: TropicalCycle, c2: TropicalCycle, seed=0) -> TropicalCy
     if out_dim < 0:
         return cyc.empty_cycle(c1.ambient)
     meeting = []               # (P, Q) of every meeting facet pair
-    full_pairs = []            # (i, j, P, Q): meeting, Lin(P) + Lin(Q) = R^m
-    candidates = []            # (i, j, P cap Q, weight product * lattice index)
+    candidates = []            # (P cap Q, weight product * lattice index)
+    cones = []                 # the displacement cone of each candidate
     support2 = c2.support_facets
-    for i, f1 in enumerate(c1.support_facets):
-        for j, f2 in enumerate(support2):
+    for f1 in c1.support_facets:
+        for f2 in support2:
             p, q = f1.poly, f2.poly
             inter = p.intersect(q)
             if inter.is_empty:
                 continue
             meeting.append((p, q))
-            if not _full_span(p, q, m):
-                continue
-            full_pairs.append((i, j, p, q))
-            if inter.dim == out_dim:
+            if inter.dim == out_dim and _full_span(p, q, m):
                 index = linalg.lattice_index(
                     p.direction_basis() + q.direction_basis(), m)
-                candidates.append((i, j, inter, f1.weight * f2.weight * index))
+                candidates.append((inter, f1.weight * f2.weight * index))
+                cones.append(_displacement_cone(p, q, inter.interior_row()))
 
     # Proper subspaces spanned by direction spaces of face pairs of meeting
     # facets.  A face pair meets after displacement by eps*v only when v
     # lies in Lin(F) + Lin(F'), so keeping v outside every proper such
     # span certifies that displaced meetings happen only with full span.
     low_spans = _low_face_spans(meeting, m)
-    pieces = refine_cells([c for _, _, c, _ in candidates])
+    pieces = refine_cells([c for c, _ in candidates])
 
-    flags, redraws = _displacement_flags(full_pairs, low_spans, m, out_dim, seed)
-    again, _ = _displacement_flags(full_pairs, low_spans, m, out_dim,
-                                   derived_seed(seed, 101))
-    weights = [w if flags[i, j] else 0 for i, j, _, w in candidates]
-    other = [w if again[i, j] else 0 for i, j, _, w in candidates]
+    flags, redraws = _displacement_flags(cones, low_spans, m, seed)
+    again, _ = _displacement_flags(cones, low_spans, m, derived_seed(seed, 101))
+    weights = [w if f else 0 for (_, w), f in zip(candidates, flags)]
+    other = [w if f else 0 for (_, w), f in zip(candidates, again)]
     # the pieces are fixed, so equal piece weights mean equal cycle keys
     if any(sum(weights[c] for c in cells) != sum(other[c] for c in cells)
            for _, cells in pieces):
         raise SeedDependenceError(
             "stable intersection differs across displacement seeds")
     out = cyc.refined_cycle(c1.ambient, pieces, weights)
-    _assert_balanced(out, "stable intersection")
+    cyc.assert_balanced(out, "stable intersection")
     out._cache["displacement_redraws"] = redraws
     return out
 
 
-def _displacement_flags(full_pairs, low_spans, m: int, out_dim: int, seed):
-    """({(i, j): P meets Q + eps*v} over the full-span pairs, redraws) for
-    the first generic vector v of the seed's splitmix64 stream.
+def _displacement_cone(p: Polyhedron, q: Polyhedron, x) -> Polyhedron:
+    """``T_x(P) - T_x(Q)`` for the point row ``x`` of ``P ∩ Q``.
+
+    ``P`` meets ``Q + eps*v`` for all small ``eps > 0`` exactly when ``v``
+    lies in this cone of feasible directions of ``P - Q`` at 0, which is
+    ``cone(P - Q)`` whichever ``x`` of ``P ∩ Q`` is taken.  It is
+    generated by the directions from ``x`` to ``P``'s vertices and from
+    ``Q``'s vertices to ``x``, ``P``'s rays, ``Q``'s negated rays and both
+    linealities (the fan displacement rule, Fulton-Sturmfels 1997).
+    """
+    def towards(a, b):
+        # a positive multiple of the direction from point row a to point row b
+        return tuple(a[0] * bj - b[0] * aj for aj, bj in zip(a[1:], b[1:]))
+
+    rays = ([towards(x, r) for r in p.vertex_rows] + list(p.rays)
+            + [towards(r, x) for r in q.vertex_rows] + [vneg(r) for r in q.rays])
+    return Polyhedron.from_generators(p.m, [(0,) * p.m], rays,
+                                      p.lineality + q.lineality)
+
+
+def _displacement_flags(cones, low_spans, m: int, seed):
+    """([v in C for each cone C], redraws) for the first generic vector v
+    of the seed's splitmix64 stream.
 
     A vector is rejected, and the next one drawn, when it lies in a proper
-    span of ``low_spans`` or a full-span pair meets after displacement in
-    a joint polyhedron of the wrong dimension.
+    span of ``low_spans`` or on a facet hyperplane of some cone, so that
+    each flag is decided strictly inside or outside its cone.
     """
     rng = Rng(seed)
     for redraws in range(64):
-        # an integer multiple of the drawn vector; both tests below are
-        # invariant under positive scaling
+        # an integer multiple of the drawn vector; the span and cone tests
+        # below are invariant under positive scaling
         v = int_row(rng.vector(m))
         if any(is_zero_vec(linalg.reduce_mod(basis, v)) for basis in low_spans):
             continue
-        flags = {}
-        for i, j, p, q in full_pairs:
-            nonempty, qdim = _displaced(p, q, v)
-            if nonempty and qdim != out_dim + 1:
-                break
-            flags[i, j] = nonempty
-        else:
+        row = (1,) + v
+        flags = [c.contains_row(row) for c in cones]
+        if all(c.relint_contains_row(row) for c, f in zip(cones, flags) if f):
             return flags, redraws
     raise InvariantError("no generic displacement found in 64 draws")
 
@@ -194,36 +207,6 @@ def _low_face_spans(meeting, m: int):
                 if len(red) < m:
                     spans.setdefault(tuple(red))
     return list(spans)
-
-
-def _displaced(f: Polyhedron, g: Polyhedron, v):
-    """Whether f meets g + eps*v for arbitrarily small eps > 0, and the
-    dimension of the joint (x, eps) polyhedron (-1 when it is empty).
-
-    Read off one double description of the joint homogenization cone in
-    (x0, x, eps): the polyhedron is empty when no ray has positive height
-    x0; the displaced facets meet when some ray has a positive eps entry
-    or some lineality vector a nonzero one; the dimension is the rank of
-    rays and lineality minus one.
-    """
-    rows = [r + (0,) for r in f.ineqs]
-    eqs = [r + (0,) for r in f.eqs]
-    for r in g.ineqs:
-        rows.append(int_row(r + (-sum(c * x for c, x in zip(r[1:], v)),)))
-    for r in g.eqs:
-        eqs.append(int_row(r + (-sum(c * x for c, x in zip(r[1:], v)),)))
-    gen_rays, gen_lin = dual_description(
-        f.m + 2, homogenized_constraints(f.m + 1, rows, eqs))
-    if not any(r[0] > 0 for r in gen_rays):
-        return False, -1
-    nonempty = (any(r[-1] > 0 for r in gen_rays)
-                or any(l[-1] != 0 for l in gen_lin))
-    return nonempty, rank(gen_rays + gen_lin) - 1
-
-
-def _assert_balanced(cycle: TropicalCycle, what: str) -> None:
-    if not cycle.is_empty and not cyc.check_balancing(cycle).balanced:
-        raise InvariantError(f"{what} produced an unbalanced cycle")
 
 
 # ---------------------------------------------------------------------------
@@ -329,7 +312,7 @@ def _image_cycle(images, out_blocks: BlockStructure) -> PushforwardResult:
            for i, (img, w, gens) in enumerate(images) if i not in verdict.absorbed]
     out = cyc.refined_cycle(out_blocks, refine_cells([img for img, _ in top]),
                             [w for _, w in top])
-    _assert_balanced(out, "push-forward")
+    cyc.assert_balanced(out, "push-forward")
     return PushforwardResult(out, None, verdict.absorbed)
 
 

@@ -222,9 +222,11 @@ def displaced_oracle(f: Polyhedron, g: Polyhedron, v):
     """Whether f meets g + eps*v for arbitrarily small eps > 0, and the
     dimension of the joint (x, eps) polyhedron.
 
-    The construction that ``ops._displaced`` replaced: the joint polyhedron
-    is built and canonicalized with ``from_hrep`` and the answer read off
-    its V-rep.  Kept as a differential oracle.
+    The joint polyhedron in (x, eps) is built and canonicalized with
+    ``from_hrep`` and the answer read off its V-rep.  Kept as the
+    differential oracle of the cone step of ``ops.stable_intersect``, whose
+    flag is ``v in T_x(f) - T_x(g)``; a counted candidate pair meets in a
+    joint polyhedron of dimension ``dim f + dim g - m + 1``.
     """
     rows = [r + (0,) for r in f.ineqs]
     eqs = [r + (0,) for r in f.eqs]

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import fresh, refine_against
-from tropdeg import fixtures
+from tropdeg import cycles, fixtures
 from tropdeg.cycles import (
     BlockStructure,
     TropicalCycle,
@@ -21,6 +21,7 @@ from tropdeg.errors import (
     DimensionMismatchError,
     InputError,
     InvalidComplexError,
+    InvariantError,
     UnbalancedCycleError,
     WrongDimensionError,
 )
@@ -228,6 +229,20 @@ def test_recession_rejects_unbalanced():
                                                WeightedFacet(facets[2].poly, 2)])
     with pytest.raises(UnbalancedCycleError):
         recession_cycle(bad)
+
+
+def test_recession_output_check_is_an_invariant(monkeypatch):
+    """An unbalanced recession fan of a balanced input is an internal
+    failure, not an unbalanced input."""
+    real_refined = cycles.refined_cycle
+
+    def dropping_a_facet(ambient, pieces, weights):
+        out = real_refined(ambient, pieces, weights)
+        return TropicalCycle(ambient, out.facets[1:])
+
+    monkeypatch.setattr(cycles, "refined_cycle", dropping_a_facet)
+    with pytest.raises(InvariantError, match="recession cycle"):
+        recession_cycle(translate(fixtures.standard_line(), (1, 1)))
 
 
 def test_zero_weight_facets_ignored():

@@ -239,6 +239,18 @@ def test_divisor_set_must_fit_the_cycle(monkeypatch):
             multidegree(cycle, n, divs)
 
 
+def test_divisor_of_the_wrong_dimension_is_a_dimension_mismatch():
+    """A divisor that does not live in its block's space is a dimension
+    mismatch, not a non-positive divisor."""
+    blocks = BlockStructure((2,))
+    divs = DivisorSet(blocks, (standard_hyperplane(1),))
+    message = r"divisor 1 lives in R\^1, block has R\^2"
+    with pytest.raises(DimensionMismatchError, match=message):
+        divs.validate(blocks)
+    with pytest.raises(DimensionMismatchError, match=message):
+        multidegree(fixtures.standard_line(), (1,), divs)
+
+
 def test_pullback_checks_block_and_divisor():
     blocks = BlockStructure((2, 1))
     plane = standard_hyperplane(2)
@@ -339,12 +351,12 @@ def _second_seed_disagrees(monkeypatch):
     original = ops._displacement_flags
     seeds = []
 
-    def disagreeing(full_pairs, low_spans, m, out_dim, seed):
-        flags, redraws = original(full_pairs, low_spans, m, out_dim, seed)
+    def disagreeing(cones, low_spans, m, seed):
+        flags, redraws = original(cones, low_spans, m, seed)
         seeds.append(seed)
         if len(seeds) % 2 == 0:
             assert seed == ops.derived_seed(seeds[-2], 101)
-            flags = dict.fromkeys(flags, False)
+            flags = [False] * len(flags)
         return flags, redraws
 
     monkeypatch.setattr(ops, "_displacement_flags", disagreeing)

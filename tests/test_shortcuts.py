@@ -6,7 +6,10 @@ and the complex validation of those cycles:
 * ``quickly_disjoint`` answers True only for pairs whose joint H-rep
   (``from_hrep``, bypassing the prefilter inside ``intersect``)
   is empty;
-* ``ops._displaced`` agrees with ``displaced_oracle`` on every call;
+* the cone step of ``stable_intersect`` agrees with ``displaced_oracle``:
+  for every candidate pair (P, Q) and accepted displacement v, the flag
+  ``v in T_x(P) - T_x(Q)`` is whether P meets Q + eps*v, and a counted
+  pair meets in a joint polyhedron of dimension ``out_dim + 1``;
 * ``Polyhedron.face`` agrees with ``face_oracle`` and with the two-pass
   ``from_hrep`` in key and V-rep for every inequality of every polyhedron
   the run left in the intern pool;
@@ -25,7 +28,7 @@ from conftest import (displaced_oracle, face_oracle, fresh, same_polyhedron,
                       two_pass_from_generators, two_pass_from_hrep, uninterned)
 from tropdeg import fixtures, ops, polyhedra
 from tropdeg.cycles import validate_complex
-from tropdeg.linalg import rref
+from tropdeg.linalg import int_row, rref
 from tropdeg.multidegree import multidegree, type_vectors
 from tropdeg.polyhedra import Polyhedron
 
@@ -36,31 +39,52 @@ SEEDS = (*range(10), 34)
 def run():
     """Calls to the shortcuts recorded over the seeds, and the pool they left."""
     disjoint_calls = []
-    displaced_calls = []
+    built_cones = []           # (P, Q, cone) in the order the cones are built
+    drawn = []                 # the vectors drawn by Rng.vector
+    cone_calls = []            # (P, Q, v, flag) of every pass of the cone step
 
     def record_disjoint(a, b):
         answer = real_disjoint(a, b)
         disjoint_calls.append((a, b, answer))
         return answer
 
-    def record_displaced(f, g, v):
-        answer = real_displaced(f, g, v)
-        displaced_calls.append((f, g, v, answer))
-        return answer
+    def record_cone(p, q, x):
+        cone = real_cone(p, q, x)
+        built_cones.append((p, q, cone))
+        return cone
+
+    def record_vector(rng, m, *args, **kwargs):
+        drawn.append(real_vector(rng, m, *args, **kwargs))
+        return drawn[-1]
+
+    def record_flags(cones, low_spans, m, seed):
+        flags, redraws = real_flags(cones, low_spans, m, seed)
+        # the cones of one intersection are built just before its passes,
+        # and the last draw of a pass is the accepted vector
+        pairs = built_cones[len(built_cones) - len(cones):]
+        assert all(c is cone for (*_, c), cone in zip(pairs, cones, strict=True))
+        v = int_row(drawn[-1])
+        cone_calls.extend((p, q, v, flag)
+                          for (p, q, _), flag in zip(pairs, flags, strict=True))
+        return flags, redraws
 
     real_disjoint = polyhedra.quickly_disjoint
-    real_displaced = ops._displaced
+    real_cone = ops._displacement_cone
+    real_vector = ops.Rng.vector
+    real_flags = ops._displacement_flags
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Polyhedron, "_interned", {})
         mp.setattr(polyhedra, "quickly_disjoint", record_disjoint)
-        mp.setattr(ops, "_displaced", record_displaced)
+        mp.setattr(ops, "_displacement_cone", record_cone)
+        mp.setattr(ops.Rng, "vector", record_vector)
+        mp.setattr(ops, "_displacement_flags", record_flags)
         for seed in SEEDS:
             cycle = fixtures.generate_admissible(seed)
             for n in type_vectors(cycle):
                 multidegree(cycle, n, seed=seed)
             validate_complex(fresh(cycle))
         pool = list(Polyhedron._interned.values())
-    return disjoint_calls, displaced_calls, pool
+    return disjoint_calls, cone_calls, pool
 
 
 def test_quickly_disjoint_is_sound(run):
@@ -74,10 +98,13 @@ def test_quickly_disjoint_is_sound(run):
 
 def test_displaced_matches_oracle(run):
     _, calls, _ = run
-    assert calls
-    assert any(answer[0] for *_, answer in calls)
-    for f, g, v, answer in calls:
-        assert answer == displaced_oracle(f, g, v)
+    assert any(flag for *_, flag in calls)
+    assert not all(flag for *_, flag in calls)
+    for p, q, v, flag in calls:
+        meets, joint_dim = displaced_oracle(p, q, v)
+        assert flag == meets
+        if flag:
+            assert joint_dim == p.dim + q.dim - p.m + 1
 
 
 def test_face_matches_oracle(run):
