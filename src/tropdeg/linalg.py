@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from fractions import Fraction
+from operator import mul
 
 from .errors import ContractError, ZeroVectorError
 
@@ -46,11 +47,13 @@ def vscale(c, u):
 
 
 def vdot(u, v):
-    return sum(a * b for a, b in zip(u, v, strict=True))
+    if len(u) != len(v):
+        raise ValueError(f"vdot of vectors of lengths {len(u)} and {len(v)}")
+    return sum(map(mul, u, v))
 
 
 def is_zero_vec(u) -> bool:
-    return all(a == 0 for a in u)
+    return not any(u)
 
 
 def int_row(entries) -> IntVec:
@@ -63,6 +66,11 @@ def int_row(entries) -> IntVec:
         fv = [Fraction(e) for e in entries]
         den = math.lcm(*(e.denominator for e in fv))
         entries = [e.numerator * (den // e.denominator) for e in fv]
+    return _divide_gcd(entries)
+
+
+def _divide_gcd(entries) -> IntVec:
+    """``int_row`` of a sequence of ints: the entries divided by their gcd."""
     g = math.gcd(*entries)
     return tuple(entries) if g <= 1 else tuple(x // g for x in entries)
 
@@ -131,7 +139,7 @@ def rref(rows) -> tuple[list[IntVec], list[int]]:
         for i in range(len(mat)):
             f = mat[i][c]
             if i != r and f != 0:
-                mat[i] = int_row([pv * a - f * b for a, b in zip(mat[i], prow)])
+                mat[i] = _divide_gcd([pv * a - f * b for a, b in zip(mat[i], prow)])
         pivots.append(c)
         r += 1
         if r == len(mat):
@@ -155,7 +163,7 @@ def reduce_mod(echelon_rows, vec) -> IntVec:
         f = out[p]
         if f != 0:
             pv = row[p]
-            out = int_row([pv * a - f * b for a, b in zip(out, row)])
+            out = _divide_gcd([pv * a - f * b for a, b in zip(out, row)])
     return out
 
 

@@ -5,9 +5,9 @@ cycle C with L_n = Lambda_1^{n_1} x ... x Lambda_k^{n_k}, where
 Lambda_i^{n_i} is the n_i-fold stable self-intersection of block i's
 positive divisor.  By associativity of stable intersection and pull-back
 this equals the degree of C cut by n_i pullbacks of each divisor.  The
-divisor powers are computed once per (divisor, n_i) and cached.  The rank
-function I -> dim pi_I tabulates projection dimensions over all block
-subsets; the criterion compares the two.  The criterion's positivity
+divisor powers are cached per (divisor, n_i), a bounded number of them.
+The rank function I -> dim pi_I tabulates projection dimensions over all
+block subsets; the criterion compares the two.  The criterion's positivity
 prediction is only valid for translation-admissible cycles, and its
 result object says so.
 """
@@ -168,12 +168,18 @@ def pullback(divisor: TropicalCycle, block: int,
          for i, b in enumerate(blocks.blocks, 1)], blocks)
 
 
-@lru_cache(maxsize=None)
+#: powers kept by ``divisor_power``; the standard divisors of blocks of
+#: sizes 1-3 need 9, and other divisors evict the least recently used
+DIVISOR_POWER_CACHE_SIZE = 32
+
+
+@lru_cache(maxsize=DIVISOR_POWER_CACHE_SIZE)
 def divisor_power(divisor: TropicalCycle, n: int) -> TropicalCycle:
     """Lambda^n: R^b for n = 0, else the n-fold stable self-intersection.
 
     Each power is balance-checked once and cached; cycles hash by their
-    key, so the cache holds at most b + 1 entries per distinct divisor.
+    key, and the cache keeps the ``DIVISOR_POWER_CACHE_SIZE`` powers used
+    last.
     The self-intersections run under the default seed, each checked
     against a second seed by ``stable_intersect``.  A negative or
     non-integral exponent raises TypeMismatchError.

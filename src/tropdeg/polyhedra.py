@@ -28,8 +28,10 @@ of that one conversion (``_split``).  A face runs none: its generators
 are the polyhedron's own generators tight on it, and its H-rep is read
 off them the same way.  Every nonempty constructor ends in ``_canonical``,
 the one canonicalizer of rows and generators, which interns the result:
-a point set has one key however it was built.  The empty polyhedron is a
-first-class value.
+a point set has one key however it was built.  The key is read off the
+canonical rows alone, so the pool is consulted before the generators are
+canonicalized, and a point set built before costs no generator work.
+The empty polyhedron is a first-class value.
 
 Polyhedra are immutable; the per-instance caches and the intern pool are
 memoization only, so concurrent re-computation is benign.
@@ -37,8 +39,10 @@ memoization only, so concurrent re-computation is benign.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from itertools import combinations
+from operator import mul
 
 from . import linalg
 from .errors import (
@@ -49,6 +53,7 @@ from .errors import (
 from .linalg import (
     IntVec,
     Vec,
+    _divide_gcd,
     frac_vec,
     int_kernel,
     int_row,
@@ -66,7 +71,10 @@ HomRow = IntVec  # length m+1: (c0, c1, ..., cm)
 
 def eval_dir(row, direction):
     """c . d for a direction vector."""
-    return sum(c * x for c, x in zip(row[1:], direction, strict=True))
+    if len(row) != len(direction) + 1:
+        raise ValueError(f"eval_dir of a row of length {len(row)} "
+                         f"on a direction of length {len(direction)}")
+    return sum(map(mul, row[1:], direction))
 
 
 # ---------------------------------------------------------------------------
@@ -101,7 +109,7 @@ def dual_description(dim: int, constraints) -> tuple[list[IntVec], list[IntVec]]
             for l in lin:
                 s = vdot(c, l)
                 if s != 0:
-                    l = int_row([s0 * a - s * b for a, b in zip(l, pivot)])
+                    l = _divide_gcd([s0 * a - s * b for a, b in zip(l, pivot)])
                 new_lin.append(l)
             lin = new_lin
             new_rays = []
@@ -111,7 +119,7 @@ def dual_description(dim: int, constraints) -> tuple[list[IntVec], list[IntVec]]
                     vec = tuple(s0 * a - s * b for a, b in zip(vec, pivot))
                     if is_zero_vec(vec):
                         continue
-                    vec = int_row(vec)
+                    vec = _divide_gcd(vec)
                 new_rays.append([vec, mask | bit])
             rays = _dedupe(new_rays)
             if not is_eq:
@@ -135,7 +143,7 @@ def dual_description(dim: int, constraints) -> tuple[list[IntVec], list[IntVec]]
                     w = tuple(sp * a - sn * b for a, b in zip(vn, vp))
                     if is_zero_vec(w):
                         continue
-                    combos.append([int_row(w), t | bit])
+                    combos.append([_divide_gcd(w), t | bit])
             keep = zero if is_eq else [[v, m] for v, m, _ in pos] + zero
             rays = _dedupe(keep + combos)
         n_done += 1
@@ -512,8 +520,31 @@ def _row_point(row: HomRow) -> Vec:
 
 
 def _canon_eqs(rows) -> tuple[HomRow, ...]:
-    """RREF-canonical basis of a row space (equalities or lineality)."""
-    return tuple(rref(rows)[0])
+    """RREF-canonical basis of a row space (equalities or lineality).
+
+    Rows that already are ``rref`` output, as the stored rows that faces
+    and translates pass on are, come back as they are after a linear scan.
+    """
+    rows = tuple(rows)
+    return rows if _is_rref(rows) else tuple(rref(rows)[0])
+
+
+def _is_rref(rows) -> bool:
+    """Whether the rows are what ``rref`` returns for their span: int
+    tuples of one length, each primitive with a positive pivot (its first
+    nonzero entry), the pivot columns strictly increasing and every other
+    row zero in each pivot column."""
+    pivots = []
+    for row in rows:
+        if (type(row) is not tuple or len(row) != len(rows[0])
+                or not all(type(e) is int for e in row) or math.gcd(*row) != 1):
+            return False
+        p = next(i for i, x in enumerate(row) if x)
+        if row[p] < 0 or (pivots and p <= pivots[-1]):
+            return False
+        pivots.append(p)
+    # a row is zero before its pivot, so only the earlier rows need a look
+    return all(earlier[p] == 0 for i, p in enumerate(pivots) for earlier in rows[:i])
 
 
 def _canon_ineqs(rows, eqs) -> tuple[HomRow, ...]:
@@ -566,12 +597,17 @@ def _canonical(m, facets, eqs, vert_rows, rays, lineality) -> Polyhedron:
     """The interned instance of the nonempty polyhedron with these facet
     rows, equality rows, extreme vertex rows ``(d, d*v)``, ``d > 0``, rays
     and spanning lineality vectors; rows and generators need not be
-    canonical, and every nonempty constructor ends here."""
+    canonical, and every nonempty constructor ends here.  The rows alone
+    make the key, so the pool is consulted before the generators are
+    canonicalized, and a hit returns the pooled instance."""
     eqs = _canon_eqs(eqs)
+    ineqs = _canon_ineqs(facets, eqs)
+    pooled = Polyhedron._interned.get((m, eqs, ineqs))
+    if pooled is not None:
+        return pooled
     vert_rows, rays, lineality = _canon_generators(vert_rows, rays, lineality)
-    return Polyhedron(m=m, eqs=eqs, ineqs=_canon_ineqs(facets, eqs),
-                      vertex_rows=vert_rows, rays=rays, lineality=lineality,
-                      is_empty=False)._intern()
+    return Polyhedron(m=m, eqs=eqs, ineqs=ineqs, vertex_rows=vert_rows, rays=rays,
+                      lineality=lineality, is_empty=False)._intern()
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from tropdeg.errors import (BadBlockIndexError, DimensionMismatchError,
                             NonPositiveDivisorError, SeedDependenceError,
                             TypeMismatchError)
 from tropdeg.multidegree import (
+    DIVISOR_POWER_CACHE_SIZE,
     DivisorSet,
     _check_type,
     check_submodular,
@@ -307,6 +308,21 @@ def test_divisor_power():
         assert power._cache["valid"].ok and power._cache["balance"].balanced
         assert validate_complex(fresh(power)).ok
         assert check_balancing(fresh(power)).balanced
+
+
+def test_divisor_power_cache_is_bounded():
+    """More distinct divisors than the cache holds: it stays within its
+    bound, and every power, evicted or not, equals a fresh computation."""
+    lines = [tropical_hyperplane([0, a, 0]) for a in range(DIVISOR_POWER_CACHE_SIZE + 5)]
+    powers = []
+    for line in lines:
+        powers.append(divisor_power(line, 2))
+        assert divisor_power.cache_info().currsize <= DIVISOR_POWER_CACHE_SIZE
+    assert divisor_power.cache_info().maxsize == DIVISOR_POWER_CACHE_SIZE
+    for line, power in zip(lines, powers):
+        fresh_power = divisor_power.__wrapped__(line, 2)
+        assert power.dim == 0 and degree0(power) == 1
+        assert power == fresh_power == divisor_power(line, 2)
 
 
 # --- differential tests against the iterated chain of intersections --------
