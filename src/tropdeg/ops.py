@@ -5,11 +5,12 @@ generic rational displacement.  Each candidate facet pair gets one
 seed-independent displacement cone ``T_x(P) - T_x(Q)``, built by
 ``Polyhedron.from_generators``; a drawn vector counts the pair when it
 lies in the cone, decided by integer sign tests.  The vector is redrawn,
-from the same splitmix64 stream, when it lies in a proper span of the
-direction spaces of a face pair of meeting facets or on a facet hyperplane
-of a cone.  Seeds are ints; every stable intersection is checked under its
-seed and under ``derived_seed(seed, 101)``.  All constructed cycles are
-checked balanced (``cycles.assert_balanced``) before being returned.
+from the same splitmix64 stream, only when it lies on a facet hyperplane
+of a cone: off every cone boundary the counted weights are the stable ones
+(see ``_displacement_flags``).  Seeds are ints; every stable intersection
+is checked under its seed and under ``derived_seed(seed, 101)``.  All
+constructed cycles are checked balanced (``cycles.assert_balanced``) before
+being returned.
 Tropical hyperplane cells are cut out by differences of the homogenized
 term rows, and projection dimensions are ranks of direction bases
 restricted to block coordinates.
@@ -107,7 +108,6 @@ def stable_intersect(c1: TropicalCycle, c2: TropicalCycle, seed=0) -> TropicalCy
     out_dim = c1.dim + c2.dim - m
     if out_dim < 0:
         return cyc.empty_cycle(c1.ambient)
-    meeting = []               # (P, Q) of every meeting facet pair
     candidates = []            # (P cap Q, weight product * lattice index)
     cones = []                 # the displacement cone of each candidate
     support2 = c2.support_facets
@@ -115,24 +115,19 @@ def stable_intersect(c1: TropicalCycle, c2: TropicalCycle, seed=0) -> TropicalCy
         for f2 in support2:
             p, q = f1.poly, f2.poly
             inter = p.intersect(q)
-            if inter.is_empty:
-                continue
-            meeting.append((p, q))
+            # an empty intersection has dim -1 < out_dim
             if inter.dim == out_dim and _full_span(p, q, m):
                 index = linalg.lattice_index(
                     p.direction_basis() + q.direction_basis(), m)
                 candidates.append((inter, f1.weight * f2.weight * index))
                 cones.append(_displacement_cone(p, q, inter.interior_row()))
 
-    # Proper subspaces spanned by direction spaces of face pairs of meeting
-    # facets.  A face pair meets after displacement by eps*v only when v
-    # lies in Lin(F) + Lin(F'), so keeping v outside every proper such
-    # span certifies that displaced meetings happen only with full span.
-    low_spans = _low_face_spans(meeting, m)
+    # v decides which candidates count only through their cones, so it
+    # need only avoid the cone boundaries (see _displacement_flags)
     pieces = refine_cells([c for c, _ in candidates])
 
-    flags, redraws = _displacement_flags(cones, low_spans, m, seed)
-    again, _ = _displacement_flags(cones, low_spans, m, derived_seed(seed, 101))
+    flags, redraws = _displacement_flags(cones, m, seed)
+    again, _ = _displacement_flags(cones, m, derived_seed(seed, 101))
     weights = [w if f else 0 for (_, w), f in zip(candidates, flags)]
     other = [w if f else 0 for (_, w), f in zip(candidates, again)]
     # the pieces are fixed, so equal piece weights mean equal cycle keys
@@ -166,22 +161,30 @@ def _displacement_cone(p: Polyhedron, q: Polyhedron, x) -> Polyhedron:
                                       p.lineality + q.lineality)
 
 
-def _displacement_flags(cones, low_spans, m: int, seed):
-    """([v in C for each cone C], redraws) for the first generic vector v
-    of the seed's splitmix64 stream.
+def _displacement_flags(cones, m: int, seed):
+    """([v in C for each cone C], redraws) for the first vector v of the
+    seed's splitmix64 stream that lies on no facet hyperplane of any cone.
 
-    A vector is rejected, and the next one drawn, when it lies in a proper
-    span of ``low_spans`` or on a facet hyperplane of some cone, so that
-    each flag is decided strictly inside or outside its cone.
+    Why the cone facets suffice.  Fix a refined piece sigma.  Under v its
+    weight is ``f(v) = sum w_P*w_Q*[Z^m : L_P+L_Q]*[v in C_PQ]`` over the
+    candidates whose ``P ∩ Q`` contains sigma.  Each candidate cone
+    ``C_PQ = T_x(P) - T_x(Q)`` spans ``Lin P + Lin Q = R^m``, so each
+    indicator is constant off the boundary of ``C_PQ``, and ``f`` is
+    constant on every connected component of R^m minus the union of the
+    cone boundaries.  The inputs are balanced, so by the fan displacement
+    rule (Fulton-Sturmfels 1997; Jensen-Yu 2016) ``f(v)`` is the stable
+    multiplicity of sigma for every v outside a finite union of proper
+    subspaces, the spans ``Lin(F) + Lin(F')`` of face pairs of meeting
+    facets; their complement is dense.  Every component is open, so it
+    holds such a v, and every v off the cone boundaries gives the stable
+    weights.  (It need not lie outside those spans: a v inside one may
+    flip a flag, but then it flips no piece weight.)
     """
     rng = Rng(seed)
     for redraws in range(64):
-        # an integer multiple of the drawn vector; the span and cone tests
-        # below are invariant under positive scaling
-        v = int_row(rng.vector(m))
-        if any(is_zero_vec(linalg.reduce_mod(basis, v)) for basis in low_spans):
-            continue
-        row = (1,) + v
+        # an integer multiple of the drawn vector; the cone tests below are
+        # invariant under positive scaling
+        row = (1,) + int_row(rng.vector(m))
         flags = [c.contains_row(row) for c in cones]
         if all(c.relint_contains_row(row) for c, f in zip(cones, flags) if f):
             return flags, redraws
@@ -190,23 +193,6 @@ def _displacement_flags(cones, low_spans, m: int, seed):
 
 def _full_span(p: Polyhedron, q: Polyhedron, m: int) -> bool:
     return rank(p.direction_basis() + q.direction_basis()) == m
-
-
-def _low_face_spans(meeting, m: int):
-    """Canonical bases of the proper subspaces Lin(F)+Lin(F') over face pairs."""
-    seen_pairs = set()
-    spans: dict = {}
-    for p, q in meeting:
-        for fa in p.all_faces():
-            for fb in q.all_faces():
-                key = (fa.key, fb.key)
-                if key in seen_pairs:
-                    continue
-                seen_pairs.add(key)
-                red, _ = linalg.rref(fa.direction_basis() + fb.direction_basis())
-                if len(red) < m:
-                    spans.setdefault(tuple(red))
-    return list(spans)
 
 
 # ---------------------------------------------------------------------------

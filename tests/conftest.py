@@ -244,6 +244,28 @@ def displaced_oracle(f: Polyhedron, g: Polyhedron, v):
     return nonempty, q.dim
 
 
+def low_face_spans(meeting, m: int):
+    """Canonical bases of the proper subspaces Lin(F)+Lin(F') over the face
+    pairs (F, F') of the meeting facet pairs (P, Q).
+
+    Staying outside them is a genericity condition that the displacement
+    step does not need; kept to draw vectors that violate it.
+    """
+    seen_pairs = set()
+    spans: dict = {}
+    for p, q in meeting:
+        for fa in p.all_faces():
+            for fb in q.all_faces():
+                key = (fa.key, fb.key)
+                if key in seen_pairs:
+                    continue
+                seen_pairs.add(key)
+                red, _ = rref(fa.direction_basis() + fb.direction_basis())
+                if len(red) < m:
+                    spans.setdefault(tuple(red))
+    return list(spans)
+
+
 def face_oracle(p: Polyhedron, row) -> Polyhedron:
     """The face of p where ``row`` is tight, by a fresh H->V conversion."""
     return Polyhedron.from_hrep(p.m, p.ineqs, p.eqs + (row,))

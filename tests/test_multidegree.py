@@ -367,8 +367,8 @@ def _second_seed_disagrees(monkeypatch):
     original = ops._displacement_flags
     seeds = []
 
-    def disagreeing(cones, low_spans, m, seed):
-        flags, redraws = original(cones, low_spans, m, seed)
+    def disagreeing(cones, m, seed):
+        flags, redraws = original(cones, m, seed)
         seeds.append(seed)
         if len(seeds) % 2 == 0:
             assert seed == ops.derived_seed(seeds[-2], 101)

@@ -12,7 +12,7 @@ from conftest import (
     transverse_check,
     transverse_degree_oracle,
 )
-from tropdeg import cycfile, cycles, fixtures, ops
+from tropdeg import cycfile, cycles, fixtures
 from tropdeg.cycles import (
     BlockStructure,
     TropicalCycle,
@@ -491,36 +491,14 @@ def test_seeds_must_be_integral():
     assert fixtures.generate_admissible(Fraction(3)) == fixtures.generate_admissible(3)
 
 
-def test_displacement_in_a_low_face_span_is_redrawn(monkeypatch):
-    """A first draw of each pass inside span(e1), the span of a ray of both
-    lines, is rejected for the next draw of the same stream, and the
-    intersection does not change."""
+def test_displacement_on_a_cone_facet_is_redrawn(monkeypatch):
+    """A first draw of each pass on span(e1), a facet hyperplane of the cone
+    cone(e1, -e2) of the rays e1 and e2, is rejected by the cone sign tests
+    for the next draw of the same stream, and the intersection does not
+    change."""
     line, scaled = fixtures.standard_line(), fixtures.scaled_line(2)
     want = stable_intersect(line, scaled, seed=7)
     assert want._cache["displacement_redraws"] == 0
-    real_vector = Rng.vector
-    drawn = []
-
-    def first_in_span(rng, m, *args):
-        if any(r is rng for r in drawn):
-            return real_vector(rng, m, *args)
-        drawn.append(rng)
-        return (5, 0)
-
-    monkeypatch.setattr(Rng, "vector", first_in_span)
-    got = stable_intersect(line, scaled, seed=7)
-    assert len(drawn) == 2
-    assert got._cache["displacement_redraws"] == 1
-    assert got == want
-
-
-def test_displacement_on_a_cone_facet_is_redrawn(monkeypatch):
-    """With no low face spans to reject it, a first draw of each pass on
-    span(e1), a facet hyperplane of the cone cone(e1, -e2) of the rays e1
-    and e2, is rejected by the cone sign tests for the next draw of the
-    same stream, and the intersection does not change."""
-    line, scaled = fixtures.standard_line(), fixtures.scaled_line(2)
-    want = stable_intersect(line, scaled, seed=7)
     real_vector = Rng.vector
     drawn = []
 
@@ -530,7 +508,6 @@ def test_displacement_on_a_cone_facet_is_redrawn(monkeypatch):
         drawn.append(rng)
         return (5, 0)
 
-    monkeypatch.setattr(ops, "_low_face_spans", lambda meeting, m: [])
     monkeypatch.setattr(Rng, "vector", first_on_a_facet)
     got = stable_intersect(line, scaled, seed=7)
     assert len(drawn) == 2

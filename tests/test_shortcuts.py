@@ -57,8 +57,8 @@ def run():
         drawn.append(real_vector(rng, m, *args, **kwargs))
         return drawn[-1]
 
-    def record_flags(cones, low_spans, m, seed):
-        flags, redraws = real_flags(cones, low_spans, m, seed)
+    def record_flags(cones, m, seed):
+        flags, redraws = real_flags(cones, m, seed)
         # the cones of one intersection are built just before its passes,
         # and the last draw of a pass is the accepted vector
         pairs = built_cones[len(built_cones) - len(cones):]
