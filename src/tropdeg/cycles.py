@@ -244,8 +244,8 @@ def check_balancing(cycle: TropicalCycle) -> BalanceReport:
         for idx, v in record.incident:
             w = support[idx].weight
             total = tuple(a + w * b for a, b in zip(total, v))
-        dirs = record.face.direction_basis()
-        if not linalg.in_span(dirs, total):
+        # Lin(Q) is the common kernel of the normals of Q's equality rows
+        if any(vdot(eq[1:], total) != 0 for eq in record.face.eqs):
             violations.append(record)
     report = BalanceReport(balanced=not violations, violations=tuple(violations))
     cycle._cache["balance"] = report

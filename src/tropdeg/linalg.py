@@ -10,8 +10,13 @@ each row's denominators once and works in the integers, returning every
 row as a primitive integer row with a positive pivot.  Ranks and spans
 read off its rows; ``reduce_mod`` eliminates a vector against them the
 same way and returns the residual as a primitive integer row, a positive
-multiple of the exact one.  Lattice indices are products of Smith
-invariant factors: ``saturation_index`` is the index of a lattice in its
+multiple of the exact one.
+
+``_smith`` is the one Smith elimination.  It updates the row and column
+transforms only when its caller passes them in: ``snf`` tracks both,
+``int_kernel`` only the column transform, and the diagonal readers none.
+Lattice indices are products of Smith invariant factors, and ranks are
+their count: ``saturation_index`` is the index of a lattice in its
 saturation, ``lattice_index`` the index in Z^m.
 """
 
@@ -21,7 +26,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .errors import ContractError, ZeroVectorError
+from .errors import ContractError, DimensionMismatchError, ZeroVectorError
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -201,6 +206,94 @@ def _xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_s * sa, old_t * sb
 
 
+def _pivot(A, t: int):
+    """(i, j) of the first entry, in row order, of least absolute value in
+    the submatrix of rows and columns from t on, or None when it is zero."""
+    best, least = None, 0
+    for i in range(t, len(A)):
+        row = A[i]
+        for j in range(t, len(row)):
+            x = row[j]
+            if x != 0 and (best is None or abs(x) < least):
+                if x == 1 or x == -1:
+                    return i, j
+                best, least = (i, j), abs(x)
+    return best
+
+
+def _smith(mat, U=None, V=None) -> list[list[int]]:
+    """Smith normal form D of an integer matrix, as a list of row lists.
+
+    One elimination loop: the pivot is the first entry of least absolute
+    value in the remaining submatrix; 2x2 extended-gcd row and column
+    transforms clear its column and row, an offending row is added to the
+    pivot row until the pivot divides the rest, and a negative pivot row
+    is negated.  The row transforms are applied to ``U`` and the column
+    transforms to ``V`` (lists of row lists, updated in place) only when
+    they are given, so ``U @ mat @ V == D`` for identity starting values.
+    Rows of different lengths, or a ``V`` of another size than the rows,
+    raise ``DimensionMismatchError``.
+    """
+    A = [list(integral_row(row, ContractError, "matrix row")) for row in mat]
+    s = len(A)
+    m = len(A[0]) if A else 0
+    if any(len(row) != m for row in A) or (V is not None and len(V) != m):
+        raise DimensionMismatchError(
+            f"matrix rows of lengths {sorted({len(row) for row in A})}"
+            + ("" if V is None else f" against {len(V)} columns"))
+    row_mats = (A,) if U is None else (A, U)
+    for t in range(min(s, m)):
+        best = _pivot(A, t)
+        if best is None:
+            break
+        bi, bj = best
+        if bi != t:
+            for M in row_mats:
+                M[t], M[bi] = M[bi], M[t]
+        if bj != t:
+            for row in A if V is None else A + V:
+                row[t], row[bj] = row[bj], row[t]
+        while True:
+            for i in range(t + 1, s):
+                b = A[i][t]
+                if b != 0:
+                    # (row_t, row_i) <- (x*row_t + y*row_i, c*row_t + d*row_i)
+                    a = A[t][t]
+                    g, x, y = _xgcd(a, b)
+                    c, d = -(b // g), a // g
+                    for M in row_mats:
+                        p, q = M[t], M[i]
+                        M[t] = [x * e + y * f for e, f in zip(p, q)]
+                        M[i] = [c * e + d * f for e, f in zip(p, q)]
+            # rows before t are zero from column t on
+            for j in range(t + 1, m):
+                b = A[t][j]
+                if b != 0:
+                    # (col_t, col_j) <- (x*col_t + y*col_j, c*col_t + d*col_j)
+                    a = A[t][t]
+                    g, x, y = _xgcd(a, b)
+                    c, d = -(b // g), a // g
+                    for row in A[t:] if V is None else A[t:] + V:
+                        e, f = row[t], row[j]
+                        row[t], row[j] = x * e + y * f, c * e + d * f
+            if any(A[i][t] != 0 for i in range(t + 1, s)):
+                continue
+            # the pivot must divide the remaining submatrix
+            pivot = A[t][t]
+            offender = None if abs(pivot) == 1 else next(
+                (i for i in range(t + 1, s) if any(x % pivot for x in A[i][t + 1:])), None)
+            if offender is None:
+                break
+            # absorb the offending row; the pivot shrinks to a divisor
+            for M in row_mats:
+                M[t] = [e + f for e, f in zip(M[t], M[offender])]
+        if A[t][t] < 0:
+            for M in row_mats:
+                M[t] = [-e for e in M[t]]
+    # later steps touch only rows and columns after t: each pivot stays >= 0
+    return A
+
+
 def snf(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     """Smith normal form with transforms.
 
@@ -209,88 +302,14 @@ def snf(mat) -> tuple[list[list[int]], list[list[int]], list[list[int]]]:
     use 2x2 extended-gcd transforms, which keeps entries small.
     """
     s = len(mat)
-    m = len(mat[0]) if s else 0
-    A = [list(integral_row(row, ContractError, "matrix row")) for row in mat]
     U = identity_rows(s)
-    V = identity_rows(m)
-
-    def rows_transform(i, j, a, b, c, d):
-        # (row_i, row_j) <- (a*row_i + b*row_j, c*row_i + d*row_j)
-        A[i], A[j] = [a * x + b * y for x, y in zip(A[i], A[j])], \
-                     [c * x + d * y for x, y in zip(A[i], A[j])]
-        U[i], U[j] = [a * x + b * y for x, y in zip(U[i], U[j])], \
-                     [c * x + d * y for x, y in zip(U[i], U[j])]
-
-    def cols_transform(i, j, a, b, c, d):
-        # (col_i, col_j) <- (a*col_i + b*col_j, c*col_i + d*col_j)
-        for M, n in ((A, s), (V, m)):
-            for r in range(n):
-                x, y = M[r][i], M[r][j]
-                M[r][i], M[r][j] = a * x + b * y, c * x + d * y
-
-    def row_swap(i, j):
-        A[i], A[j] = A[j], A[i]
-        U[i], U[j] = U[j], U[i]
-
-    def col_swap(i, j):
-        for r in range(s):
-            A[r][i], A[r][j] = A[r][j], A[r][i]
-        for r in range(m):
-            V[r][i], V[r][j] = V[r][j], V[r][i]
-
-    def row_neg(i):
-        A[i] = [-a for a in A[i]]
-        U[i] = [-a for a in U[i]]
-
-    t = 0
-    while t < min(s, m):
-        best = None
-        for i in range(t, s):
-            for j in range(t, m):
-                if A[i][j] != 0 and (best is None
-                                     or abs(A[i][j]) < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        if best[0] != t:
-            row_swap(t, best[0])
-        if best[1] != t:
-            col_swap(t, best[1])
-        while True:
-            for i in range(t + 1, s):
-                if A[i][t] != 0:
-                    a, b = A[t][t], A[i][t]
-                    g, x, y = _xgcd(a, b)
-                    rows_transform(t, i, x, y, -(b // g), a // g)
-            for j in range(t + 1, m):
-                if A[t][j] != 0:
-                    a, b = A[t][t], A[t][j]
-                    g, x, y = _xgcd(a, b)
-                    cols_transform(t, j, x, y, -(b // g), a // g)
-            if all(A[i][t] == 0 for i in range(t + 1, s)):
-                # pivot must divide the remaining submatrix
-                offender = None
-                for i in range(t + 1, s):
-                    for j in range(t + 1, m):
-                        if A[i][j] % A[t][t] != 0:
-                            offender = i
-                            break
-                    if offender is not None:
-                        break
-                if offender is None:
-                    break
-                # absorb the offending row; the pivot shrinks to a divisor
-                A[t] = [x + y for x, y in zip(A[t], A[offender])]
-                U[t] = [x + y for x, y in zip(U[t], U[offender])]
-        if A[t][t] < 0:
-            row_neg(t)
-        t += 1
-    # later steps touch only rows and columns after t: each pivot stays >= 0
-    return A, U, V
+    V = identity_rows(len(mat[0]) if s else 0)
+    return _smith(mat, U, V), U, V
 
 
 def snf_diagonal(mat) -> list[int]:
-    D, _, _ = snf(mat)
+    """The diagonal of the Smith normal form, without transforms."""
+    D = _smith(mat)
     return [D[i][i] for i in range(min(len(D), len(D[0]) if D else 0))]
 
 
@@ -298,15 +317,23 @@ def int_kernel(rows, m: int) -> tuple[IntVec, ...]:
     """Basis of {x in Z^m : rows @ x == 0}; the result is a saturated lattice.
 
     A row with an entry that is not an ``int`` is replaced by its
-    ``int_row``, which has the same kernel.
+    ``int_row``, which has the same kernel.  The basis is read off the
+    columns of the Smith column transform past the rank.
     """
     if not rows:
         return tuple(tuple(r) for r in identity_rows(m))
-    D, _, V = snf([r if all(type(e) is int for e in r) else int_row(r) for r in rows])
-    diag = [D[i][i] for i in range(min(len(D), m))]
-    r = sum(1 for d in diag if d != 0)
+    V = identity_rows(m)
+    D = _smith([r if all(type(e) is int for e in r) else int_row(r) for r in rows], V=V)
+    r = sum(1 for i in range(min(len(D), m)) if D[i][i] != 0)
     basis = (tuple(V[i][j] for i in range(m)) for j in range(r, m))
     return tuple(sign_normalized(b) for b in basis)
+
+
+def _invariant_factors(gens) -> list[int]:
+    """The nonzero Smith invariant factors of the generator matrix, after
+    checking that every entry is integral (``ContractError`` otherwise)."""
+    rows = [integral_row(g, ContractError, "lattice generator") for g in gens]
+    return [d for d in snf_diagonal(rows) if d != 0]
 
 
 def saturation_index(gens) -> int:
@@ -314,18 +341,19 @@ def saturation_index(gens) -> int:
     saturation L = span(gens) ∩ Z^m: the product of the nonzero Smith
     invariant factors of the generator matrix (1 for no generators).
     A non-integral entry raises ``ContractError``."""
-    rows = [integral_row(g, ContractError, "lattice generator") for g in gens]
-    rows = [g for g in rows if not is_zero_vec(g)]
-    if not rows:
-        return 1
-    return math.prod(d for d in snf_diagonal(rows) if d != 0)
+    return math.prod(_invariant_factors(gens))
 
 
 def lattice_index(gens, m: int):
-    """Index [Z^m : L] of the lattice generated by integer vectors, or INFINITE."""
-    if rank(gens) < m:
-        return INFINITE
-    return saturation_index(gens)
+    """Index [Z^m : L] of the lattice generated by integer vectors in Z^m, or
+    INFINITE when fewer than m invariant factors are nonzero.  A generator
+    of another length raises ``DimensionMismatchError``, a non-integral
+    entry ``ContractError``, whatever the rank."""
+    if any(len(g) != m for g in gens):
+        raise DimensionMismatchError(
+            f"lattice generators of lengths {sorted({len(g) for g in gens})} in Z^{m}")
+    factors = _invariant_factors(gens)
+    return math.prod(factors) if len(factors) == m else INFINITE
 
 
 def saturate(gens, m: int) -> tuple[IntVec, ...]:

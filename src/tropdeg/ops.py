@@ -18,6 +18,7 @@ restricted to block coordinates.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
@@ -116,9 +117,11 @@ def stable_intersect(c1: TropicalCycle, c2: TropicalCycle, seed=0) -> TropicalCy
             p, q = f1.poly, f2.poly
             inter = p.intersect(q)
             # an empty intersection has dim -1 < out_dim
-            if inter.dim == out_dim and _full_span(p, q, m):
-                index = linalg.lattice_index(
-                    p.direction_basis() + q.direction_basis(), m)
+            if inter.dim != out_dim:
+                continue
+            # an infinite index: Lin P + Lin Q is not the whole space
+            index = linalg.lattice_index(p.direction_basis() + q.direction_basis(), m)
+            if index != linalg.INFINITE:
                 candidates.append((inter, f1.weight * f2.weight * index))
                 cones.append(_displacement_cone(p, q, inter.interior_row()))
 
@@ -307,9 +310,10 @@ def _image_weight(img: Polyhedron, weight: int, gens) -> int:
     in and span Lin(img)."""
     if any(vdot(eq[1:], g) != 0 for eq in img.eqs for g in gens):
         raise InvariantError("lattice generator outside the image's linear span")
-    if rank(gens) != img.dim:
+    factors = [d for d in linalg.snf_diagonal(gens) if d != 0]
+    if len(factors) != img.dim:
         raise InvariantError("lattice generators do not span the image's linear span")
-    return weight * linalg.saturation_index(gens)
+    return weight * math.prod(factors)
 
 
 def projection_dim(cycle: TropicalCycle, subset) -> int:

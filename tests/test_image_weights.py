@@ -23,7 +23,7 @@ from tropdeg.cycfile import load
 from tropdeg.cycles import BlockStructure, TropicalCycle, check_balancing
 from tropdeg.errors import InvariantError
 from tropdeg.linalg import saturate
-from tropdeg.polyhedra import common_refinement
+from tropdeg.polyhedra import Polyhedron, common_refinement
 
 
 def cases():
@@ -96,3 +96,19 @@ def test_pushforward_facets_are_the_oracle_pieces(items):
         assert got.cycle.key == want.key, label
         kinds.add("pure")
     assert {"pure", "impure"} <= kinds
+
+
+def test_image_weight_rejects_a_generator_outside_the_image_span():
+    line = Polyhedron.from_generators(2, [(0, 0)], lineality=[(1, 0)])
+    assert ops._image_weight(line, 3, [(2, 0)]) == 6
+    with pytest.raises(InvariantError, match="outside"):
+        ops._image_weight(line, 1, [(1, 0), (0, 1)])
+
+
+def test_image_weight_rejects_rank_deficient_generators():
+    plane = Polyhedron.full_space(2)
+    assert ops._image_weight(plane, 1, [(1, 1), (1, -1)]) == 2
+    # the generators lie in Lin(plane) = R^2, but span only a line
+    for gens in ([(1, 1), (2, 2)], [(0, 0), (0, 3)], []):
+        with pytest.raises(InvariantError, match="do not span"):
+            ops._image_weight(plane, 1, gens)

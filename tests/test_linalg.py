@@ -4,7 +4,8 @@ import pytest
 
 from conftest import (QuotientLattice, coords_in_rows, frac_det, fraction_reduce_mod,
                       fraction_rref, int_inverse)
-from tropdeg.errors import ContractError, InvariantError, ZeroVectorError
+from tropdeg.errors import (ContractError, DimensionMismatchError, InvariantError,
+                            ZeroVectorError)
 from tropdeg.linalg import (
     INFINITE,
     in_span,
@@ -89,9 +90,33 @@ def test_lattice_index_examples():
     assert saturation_index([(2, 2), (0, 3)]) == 6
     assert saturation_index([(2, 4), (1, 2)]) == 1
     assert saturation_index([]) == lattice_index([], 0) == 1
-    for gens in ([(Fraction(1, 2),)], [(1.5, 0), (0, 1)]):
-        with pytest.raises(ContractError):
+    # integrality is checked before the rank is read: rank-deficient
+    # non-integral generators raise too
+    for gens in ([(Fraction(1, 2),)], [(1.5, 0), (0, 1)], [(Fraction(1, 2), 0)],
+                 [(1.5, 0)], [(0, 0), (Fraction(1, 3), 0)]):
+        with pytest.raises(ContractError, match="non-integral"):
             lattice_index(gens, len(gens[0]))
+        with pytest.raises(ContractError, match="non-integral"):
+            saturation_index(gens)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: snf([[3], [1, 2]]), id="snf-short-row-first"),
+    pytest.param(lambda: snf([[1, 2], [3]]), id="snf-short-row-last"),
+    pytest.param(lambda: snf([[1, 2], [3, 4, 5]]), id="snf-long-row"),
+    pytest.param(lambda: snf_diagonal([[0], [0, 0]]), id="snf_diagonal-zero-rows"),
+    pytest.param(lambda: int_kernel([(1, 2), (3,)], 2), id="int_kernel-ragged"),
+    pytest.param(lambda: int_kernel([(1, 2, 3)], 2), id="int_kernel-long-rows"),
+    pytest.param(lambda: int_kernel([(0, 0, 0)], 2), id="int_kernel-long-zero-row"),
+    pytest.param(lambda: saturation_index([(1, 0), (1,)]), id="saturation_index-ragged"),
+    pytest.param(lambda: lattice_index([(1, 0, 0), (0, 1, 0)], 2), id="lattice_index-in-Z3"),
+    pytest.param(lambda: lattice_index([(1, 0), (0, 1)], 3), id="lattice_index-in-Z2"),
+    pytest.param(lambda: lattice_index([(1, 0), (0, 1, 0)], 2), id="lattice_index-ragged"),
+])
+def test_ragged_and_wrong_length_matrices_are_rejected(call):
+    with pytest.raises(DimensionMismatchError):
+        call()
+    assert issubclass(DimensionMismatchError, ContractError)
 
 
 def test_lattice_index_matches_determinant():
