@@ -16,7 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, product
 
 from . import cycles as cyc
 from . import ops
@@ -261,18 +261,8 @@ def type_vectors(cycle: TropicalCycle):
     d = cycle.dim
     if d is None:
         return []
-    sizes = cycle.ambient.blocks
-
-    def rec(i, remaining):
-        if i == len(sizes) - 1:
-            if remaining <= sizes[i]:
-                yield (remaining,)
-            return
-        for v in range(min(remaining, sizes[i]) + 1):
-            for rest in rec(i + 1, remaining - v):
-                yield (v,) + rest
-
-    return [t for t in rec(0, d)]
+    return [n for n in product(*(range(b + 1) for b in cycle.ambient.blocks))
+            if sum(n) == d]
 
 
 def msupp(cycle: TropicalCycle, divs: DivisorSet | None = None,

@@ -194,10 +194,6 @@ def _displacement_flags(cones, m: int, seed):
     raise InvariantError("no generic displacement found in 64 draws")
 
 
-def _full_span(p: Polyhedron, q: Polyhedron, m: int) -> bool:
-    return rank(p.direction_basis() + q.direction_basis()) == m
-
-
 # ---------------------------------------------------------------------------
 # push-forwards along linear maps
 # ---------------------------------------------------------------------------
@@ -403,7 +399,9 @@ def pair_positive(c1: TropicalCycle, c2: TropicalCycle):
     """Positivity of the stable intersection of complementary-dimension cycles.
 
     Equivalent to the existence of a facet pair whose direction spaces
-    span the ambient space; the witness pair of facet indices is returned.
+    span the ambient space, that is whose direction bases have a finite
+    ``lattice_index``, as in ``stable_intersect``; the witness pair of
+    facet indices is returned.
     """
     if c1.m != c2.m:
         raise DimensionMismatchError(
@@ -418,7 +416,8 @@ def pair_positive(c1: TropicalCycle, c2: TropicalCycle):
     support2 = c2.support_facets
     for i, f1 in enumerate(c1.support_facets):
         for j, f2 in enumerate(support2):
-            if _full_span(f1.poly, f2.poly, c1.m):
+            gens = f1.poly.direction_basis() + f2.poly.direction_basis()
+            if linalg.lattice_index(gens, c1.m) != linalg.INFINITE:
                 return True, (i, j)
     return False, None
 

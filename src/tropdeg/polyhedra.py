@@ -28,9 +28,11 @@ of that one conversion (``_split``).  A face runs none: its generators
 are the polyhedron's own generators tight on it, and its H-rep is read
 off them the same way.  Every nonempty constructor ends in ``_canonical``,
 the one canonicalizer of rows and generators, which interns the result:
-a point set has one key however it was built.  The key is read off the
-canonical rows alone, so the pool is consulted before the generators are
-canonicalized, and a point set built before costs no generator work.
+a point set has one key however it was built.  Constructors hand it raw
+rows and generators, as the double description accepts redundant ones
+(Fukuda-Prodon 1996).  The key is read off the canonical rows alone, so
+the pool is consulted before the generators are canonicalized, and a
+point set built before costs no generator work.
 The empty polyhedron is a first-class value.
 
 Polyhedra are immutable; the per-instance caches and the intern pool are
@@ -39,7 +41,6 @@ memoization only, so concurrent re-computation is benign.
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
 from itertools import combinations
 from operator import mul
@@ -232,30 +233,32 @@ class Polyhedron:
         At least one vertex is required for a nonempty result.
         """
         rows = [_point_row(v, m, "vertex") for v in vertices]
-        # zero rays and lineality vectors drop out in ``_canon_generators``
-        ray_vecs = [_check_len(r, m, "ray") for r in rays]
-        lin_vecs = [_check_len(l, m, "lineality vector") for l in lineality]
+        ray_vecs = [int_row(_check_len(r, m, "ray")) for r in rays]
+        lin_vecs = [int_row(_check_len(l, m, "lineality vector")) for l in lineality]
         return cls._from_generator_rows(m, rows, ray_vecs, lin_vecs)
 
     @classmethod
     def _from_generator_rows(cls, m, vert_rows, rays, lineality) -> "Polyhedron":
-        """``from_generators`` on vertex rows ``(d, d*v)``, ``d > 0``.
+        """``from_generators`` on integer vertex rows ``(d, d*v)``, ``d > 0``,
+        and integer ray and lineality tuples, canonical or not.
 
         One V->H conversion gives the facets of the homogenization cone;
         they meet in its lineality, so a generator tight on all of them is
-        a lineality vector (never a vertex row, of height d > 0).
+        a lineality vector (never a vertex row, of height d > 0).  Zero,
+        duplicate and parallel generators, and vertex rows that differ by
+        a lineality vector, pass ``_split`` alike and meet in
+        ``_canonical``.
         """
         if not vert_rows:
             return cls.empty(m)
-        vert_rows, rays, lineality = _canon_generators(vert_rows, rays, lineality)
-        gens = vert_rows + tuple((0,) + r for r in rays)
+        gens = [*vert_rows, *((0,) + r for r in rays)]
         dual_rays, dual_lin = dual_description(
             m + 1, [((0,) + l, True) for l in lineality] + [(g, False) for g in gens])
         facets, eqs = _hrep(dual_rays, dual_lin, gens)
         flat, extreme = _split(gens, dual_rays)
         return _canonical(m, facets, eqs, [g for g in extreme if g[0] > 0],
                           [g[1:] for g in extreme if g[0] == 0],
-                          lineality + tuple(g[1:] for g in flat))
+                          [*lineality, *(g[1:] for g in flat)])
 
     @classmethod
     def point(cls, coords) -> "Polyhedron":
@@ -389,7 +392,7 @@ class Polyhedron:
         same generators with the vectors added to the lineality."""
         if self.is_empty:
             return self
-        lin = [_check_len(tuple(b), self.m, "span vector") for b in basis]
+        lin = [int_row(_check_len(tuple(b), self.m, "span vector")) for b in basis]
         return Polyhedron._from_generator_rows(self.m, self.vertex_rows, self.rays,
                                                self.lineality + tuple(lin))
 
@@ -412,17 +415,20 @@ class Polyhedron:
         """Image under x -> matrix @ x (matrix given as m_out rows of length m).
 
         The matrix is applied through each row's nonzero entries; the
-        coordinate projections it serves here have one per row.
+        coordinate projections it serves here have one per row.  A rational
+        matrix is allowed: the images are taken to their ``int_row``.
         """
-        if any(len(row) != self.m for row in matrix):
-            raise DimensionMismatchError(f"matrix row length is not {self.m}")
+        if len(matrix) != m_out or any(len(row) != self.m for row in matrix):
+            raise DimensionMismatchError(
+                f"matrix is not {m_out} rows of length {self.m}")
         if self.is_empty:
             return Polyhedron.empty(m_out)
         sparse = [[(j, c) for j, c in enumerate(row) if c] for row in matrix]
-        apply = lambda x: tuple(sum(c * x[j] for j, c in row) for row in sparse)
-        verts = [(r[0],) + apply(r[1:]) for r in self.vertex_rows]
-        rays = [r2 for r2 in (apply(r) for r in self.rays) if not is_zero_vec(r2)]
-        lin = [l2 for l2 in (apply(l) for l in self.lineality) if not is_zero_vec(l2)]
+        apply = lambda x: [sum(c * x[j] for j, c in row) for row in sparse]
+        verts = [int_row([r[0]] + apply(r[1:])) for r in self.vertex_rows]
+        rays = [r2 for r2 in (int_row(apply(r)) for r in self.rays) if not is_zero_vec(r2)]
+        lin = [l2 for l2 in (int_row(apply(l)) for l in self.lineality)
+               if not is_zero_vec(l2)]
         return Polyhedron._from_generator_rows(m_out, verts, rays, lin)
 
     def face(self, ineq_row: HomRow) -> "Polyhedron":
@@ -520,31 +526,9 @@ def _row_point(row: HomRow) -> Vec:
 
 
 def _canon_eqs(rows) -> tuple[HomRow, ...]:
-    """RREF-canonical basis of a row space (equalities or lineality).
-
-    Rows that already are ``rref`` output, as the stored rows that faces
-    and translates pass on are, come back as they are after a linear scan.
-    """
-    rows = tuple(rows)
-    return rows if _is_rref(rows) else tuple(rref(rows)[0])
-
-
-def _is_rref(rows) -> bool:
-    """Whether the rows are what ``rref`` returns for their span: int
-    tuples of one length, each primitive with a positive pivot (its first
-    nonzero entry), the pivot columns strictly increasing and every other
-    row zero in each pivot column."""
-    pivots = []
-    for row in rows:
-        if (type(row) is not tuple or len(row) != len(rows[0])
-                or not all(type(e) is int for e in row) or math.gcd(*row) != 1):
-            return False
-        p = next(i for i, x in enumerate(row) if x)
-        if row[p] < 0 or (pivots and p <= pivots[-1]):
-            return False
-        pivots.append(p)
-    # a row is zero before its pivot, so only the earlier rows need a look
-    return all(earlier[p] == 0 for i, p in enumerate(pivots) for earlier in rows[:i])
+    """RREF-canonical basis of a row space (equalities or lineality); on
+    rows that already are ``rref`` output, ``rref`` eliminates nothing."""
+    return tuple(rref(rows)[0])
 
 
 def _canon_ineqs(rows, eqs) -> tuple[HomRow, ...]:

@@ -18,7 +18,7 @@ from tropdeg.linalg import (IntVec, int_row, integral_row, is_zero_vec,
                             lattice_index, primitive, rref, saturate, snf, vdot,
                             vsub)
 from tropdeg.multidegree import DivisorSet, pullback
-from tropdeg.ops import (PushforwardResult, Rng, _full_span, derived_seed,
+from tropdeg.ops import (PushforwardResult, Rng, derived_seed,
                          pushforward_linear, stable_intersect)
 from tropdeg.polyhedra import (Polyhedron, _canon_eqs, _canon_generators,
                                _canon_ineqs, _check_len, _point_row,
@@ -363,7 +363,7 @@ def transverse_check(c1: TropicalCycle, c2: TropicalCycle) -> bool:
                 continue
             row = inter.interior_row()
             if fa.relint_contains_row(row) and fb.relint_contains_row(row):
-                if not _full_span(fa, fb, m):
+                if len(rref(fa.direction_basis() + fb.direction_basis())[0]) != m:
                     return False
     return True
 

@@ -1,4 +1,6 @@
 from fractions import Fraction
+import itertools
+from types import SimpleNamespace
 
 import pytest
 
@@ -274,6 +276,38 @@ def test_divisor_power_checks_the_exponent():
 def test_type_vectors_enumeration():
     assert set(type_vectors(full((2, 1)))) == {(2, 1)}
     assert set(type_vectors(diagonal())) == {(1, 0), (0, 1)}
+
+
+def _type_vectors_oracle(blocks, dim):
+    """The hand-written recursion ``type_vectors`` replaced."""
+    if dim is None:
+        return []
+
+    def rec(i, remaining):
+        if i == len(blocks) - 1:
+            if remaining <= blocks[i]:
+                yield (remaining,)
+            return
+        for v in range(min(remaining, blocks[i]) + 1):
+            for rest in rec(i + 1, remaining - v):
+                yield (v,) + rest
+
+    return list(rec(0, dim))
+
+
+def test_type_vectors_order_is_pinned():
+    """Same list, same order as the recursion, on all 738 (blocks, dim)
+    cases with at most 3 blocks of size at most 4, dim None included."""
+    cases = 0
+    for k in (1, 2, 3):
+        for blocks in itertools.product(range(1, 5), repeat=k):
+            for dim in [None, *range(sum(blocks) + 1)]:
+                stand_in = SimpleNamespace(dim=dim, ambient=BlockStructure(blocks))
+                assert type_vectors(stand_in) == _type_vectors_oracle(blocks, dim)
+                cases += 1
+    assert cases == 738
+    assert type_vectors(fixtures.example33b()) == [(0, 1, 1), (1, 0, 1), (1, 1, 0), (2, 0, 0)]
+    assert type_vectors(diagonal()) == [(0, 1), (1, 0)]
 
 
 def test_pullback_carries_marks():

@@ -91,6 +91,38 @@ def test_from_hrep_matches_two_pass(m, ineqs, eqs):
              lambda: two_pass_from_hrep(m, ineqs, eqs))
 
 
+#: (m, awkward generators, the same point set's canonical generators), each
+#: as (vertices, rays, lineality)
+AWKWARD_GENERATORS = [
+    # list-typed vectors
+    (2, ([[0, 0], [1, 0]], [[0, 1]], []), ([(0, 0), (1, 0)], [(0, 1)], [])),
+    (3, ([[0, 0, 0]], [[1, 0, 0]], [[0, 1, 1]]), ([(0, 0, 0)], [(1, 0, 0)], [(0, 1, 1)])),
+    # Fraction and parallel rays
+    (2, ([(0, 0)], [(F(1, 2), 0), (3, 0), (1, 0), (0, F(2, 3)), (0, 5)], []),
+     ([(0, 0)], [(1, 0), (0, 1)], [])),
+    (3, ([(1, 0, 0)], [(F(1, 3), F(2, 3), 0), (1, 2, 0), (2, 4, 0)], []),
+     ([(1, 0, 0)], [(1, 2, 0)], [])),
+    # duplicate vertices
+    (2, ([(0, 0), (0, 0), (1, 1), (1, 1), (F(2, 2), 1)], [], []), ([(0, 0), (1, 1)], [], [])),
+    # vertices that differ by a lineality vector, and parallel lineality vectors
+    (2, ([(0, 0), (2, 2), (-1, -1)], [], [(1, 1), (F(1, 2), F(1, 2)), [-3, -3]]),
+     ([(0, 0)], [], [(1, 1)])),
+    (3, ([(0, 0, 0), (1, 0, 0), (0, 1, 1), (5, 1, 1)], [(1, 0, 0), (-1, 0, 0)], [(1, 0, 0)]),
+     ([(0, 0, 0), (0, 1, 1)], [], [(1, 0, 0)])),
+    # zero rays and zero lineality vectors
+    (2, ([(0, 0)], [(0, 0), (1, 0), [0, 0]], [(0, 0)]), ([(0, 0)], [(1, 0)], [])),
+    (2, ([(1, 2)], [(0, F(0))], [(0, 0), (0, 1)]), ([(1, 2)], [], [(0, 1)])),
+]
+
+
+@pytest.mark.parametrize("m, awkward, canonical", AWKWARD_GENERATORS)
+def test_awkward_generators_give_the_canonical_build(m, awkward, canonical):
+    p = _compare(lambda: Polyhedron.from_generators(m, *awkward),
+                 lambda: Polyhedron.from_generators(m, *canonical))
+    assert same_polyhedron(p, uninterned(lambda: two_pass_from_generators(m, *awkward)))
+    assert same_polyhedron(p, uninterned(lambda: Polyhedron.from_hrep(m, p.ineqs, p.eqs)))
+
+
 def test_generator_redundancy_is_dropped():
     cone = Polyhedron.from_generators(2, [(0, 0)], [(1, 0), (0, 1), (1, 1), (2, 3)])
     assert cone.rays == ((0, 1), (1, 0))

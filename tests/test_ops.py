@@ -5,6 +5,7 @@ from itertools import combinations
 import pytest
 
 from conftest import (
+    FIXTURE_DIR,
     cycle_contains,
     fresh,
     min_attained_twice,
@@ -389,6 +390,29 @@ def test_pair_positive():
     pt = TropicalCycle(BlockStructure((2,)), [(Polyhedron.point((0, 0)), 1)])
     with pytest.raises(WrongDimensionsError):
         pair_positive(pt, fixtures.standard_line())
+
+
+def _rank_pair_positive(c1, c2):
+    """``pair_positive`` by the rank criterion: the first facet pair, in
+    loop order, whose direction bases have rank m together."""
+    for i, f1 in enumerate(c1.support_facets):
+        for j, f2 in enumerate(c2.support_facets):
+            if rank(f1.poly.direction_basis() + f2.poly.direction_basis()) == c1.m:
+                return True, (i, j)
+    return False, None
+
+
+def test_pair_positive_matches_rank_criterion_on_fixtures():
+    shipped = [cycfile.load(path) for path in sorted(FIXTURE_DIR.glob("*.cyc"))]
+    pairs = [(a, b) for a in shipped for b in shipped
+             if a.m == b.m and a.dim + b.dim == a.m]
+    assert len(pairs) == 29
+    outcomes = set()
+    for c1, c2 in pairs:
+        got = pair_positive(c1, c2)
+        assert got == _rank_pair_positive(c1, c2)
+        outcomes.add(got[0])
+    assert outcomes == {True, False}
 
 
 def test_pair_positive_refuses_unbalanced_input():

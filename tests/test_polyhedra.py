@@ -185,6 +185,21 @@ def test_linear_image_rejects_wrong_row_length():
     for matrix in ([(1,)], [(1, 0, 0)], [(1, 0), (0,)]):
         with pytest.raises(DimensionMismatchError):
             diag.linear_image(matrix, len(matrix))
+    # a row count other than m_out, on nonempty and empty polyhedra
+    for p in (diag, Polyhedron.empty(2)):
+        for matrix, m_out in (([(1, 0)], 2), ([(1, 0), (0, 1)], 1), ([], 1)):
+            with pytest.raises(DimensionMismatchError):
+                p.linear_image(matrix, m_out)
+
+
+def test_linear_image_of_a_rational_matrix():
+    seg = Polyhedron.from_generators(1, vertices=[(0,), (1,)])
+    half = Fraction(1, 2)
+    assert seg.linear_image([(half,)], 1) == Polyhedron.from_generators(1, [(0,), (half,)])
+    cone = Polyhedron.from_generators(2, [(1, 1)], rays=[(1, 0)], lineality=[(1, 1)])
+    img = cone.linear_image([(half, 0), (0, Fraction(1, 3))], 2)
+    assert img == Polyhedron.from_generators(2, [(half, Fraction(1, 3))], rays=[(1, 0)],
+                                             lineality=[(3, 2)])
 
 
 def test_roundtrip_membership_agreement():
