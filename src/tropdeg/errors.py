@@ -66,4 +66,4 @@ class BadBlockIndexError(ContractError):
 
 
 class SeedDependenceError(InvariantError):
-    """Two independent generic draws produced different results."""
+    """Two generic displacement directions produced different results."""

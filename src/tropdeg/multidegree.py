@@ -180,9 +180,9 @@ def divisor_power(divisor: TropicalCycle, n: int) -> TropicalCycle:
     Each power is balance-checked once and cached; cycles hash by their
     key, and the cache keeps the ``DIVISOR_POWER_CACHE_SIZE`` powers used
     last.
-    The self-intersections run under the default seed, each checked
-    against a second seed by ``stable_intersect``.  A negative or
-    non-integral exponent raises TypeMismatchError.
+    Each self-intersection is checked under the default seed's direction
+    by ``stable_intersect``.  A negative or non-integral exponent raises
+    TypeMismatchError.
     """
     n = integral_row((n,), TypeMismatchError, "divisor power exponent")[0]
     if n < 0:
@@ -202,10 +202,9 @@ def multidegree(cycle: TropicalCycle, n, divs: DivisorSet | None = None,
 
     This is the degree of the cycle cut by n_i pullbacks of each block's
     divisor, computed as one stable intersection of complementary
-    dimension.  ``seed`` drives the displacement of that intersection;
-    ``stable_intersect`` repeats the displacement step under a second,
-    derived seed and raises SeedDependenceError unless every refined cell
-    gets the same weight.
+    dimension.  ``seed`` picks the direction that checks it:
+    ``stable_intersect`` raises SeedDependenceError unless every refined
+    cell gets the same weight under that direction as under ``u(eps)``.
     """
     n = _check_type(cycle, n)
     if divs is None:

@@ -1,16 +1,12 @@
 """Geometric operations between cycles.
 
-Stable intersection implements the fan displacement rule with a verified
-generic rational displacement.  Each candidate facet pair gets one
-seed-independent displacement cone ``T_x(P) - T_x(Q)``, built by
-``Polyhedron.from_generators``; a drawn vector counts the pair when it
-lies in the cone, decided by integer sign tests.  The vector is redrawn,
-from the same splitmix64 stream, only when it lies on a facet hyperplane
-of a cone: off every cone boundary the counted weights are the stable ones
-(see ``_displacement_flags``).  Seeds are ints; every stable intersection
-is checked under its seed and under ``derived_seed(seed, 101)``.  All
-constructed cycles are checked balanced (``cycles.assert_balanced``) before
-being returned.
+Stable intersection implements the fan displacement rule with the symbolic
+generic direction ``u(eps) = (1, eps, ..., eps^(m-1))``: a candidate facet
+pair counts when its displacement cone ``T_x(P) - T_x(Q)`` holds ``u(eps)``
+by lexicographic sign tests, with no draw (see ``_displacement_flags``).
+Seeds are ints; every stable intersection is checked under the seed's
+signed permutation of ``u(eps)``.  All constructed cycles are checked
+balanced (``cycles.assert_balanced``) before being returned.
 Tropical hyperplane cells are cut out by differences of the homogenized
 term rows, and projection dimensions are ranks of direction bases
 restricted to block coordinates.
@@ -37,7 +33,7 @@ from .errors import (
     WrongDimensionError,
     WrongDimensionsError,
 )
-from .linalg import (IntVec, int_row, integral_row, is_zero_vec, primitive, rank,
+from .linalg import (IntVec, integral_row, is_zero_vec, primitive, rank,
                      saturate, vdot, vneg, vsub)
 from .polyhedra import Polyhedron, is_covered, refine_cells
 
@@ -89,13 +85,10 @@ def stable_intersect(c1: TropicalCycle, c2: TropicalCycle, seed=0) -> TropicalCy
 
     The candidate pairs (facet pairs whose direction spaces span R^m and
     that meet in the output dimension), their lattice-index weights, the
-    refinement of their intersections and one displacement cone per pair
-    are seed-independent and computed once.  The seed drives only the
-    displacement vector, whose integer sign tests against the cones decide
-    the candidates that count; that step runs under ``seed`` and under
-    ``derived_seed(seed, 101)``, and the two must give every refined piece
-    the same weight, otherwise SeedDependenceError is raised.  One cycle
-    is built, on the first seed's weights, and balance-checked.
+    refinement of their intersections and their displacement cones are
+    computed once.  The candidates whose cone holds ``u(eps)`` build the
+    cycle; under the seed's ``_check_direction`` every refined piece must
+    get the same weight, else SeedDependenceError.  Balance-checked.
     """
     if c1.m != c2.m:
         raise DimensionMismatchError(
@@ -125,22 +118,21 @@ def stable_intersect(c1: TropicalCycle, c2: TropicalCycle, seed=0) -> TropicalCy
                 candidates.append((inter, f1.weight * f2.weight * index))
                 cones.append(_displacement_cone(p, q, inter.interior_row()))
 
-    # v decides which candidates count only through their cones, so it
-    # need only avoid the cone boundaries (see _displacement_flags)
     pieces = refine_cells([c for c, _ in candidates])
 
-    flags, redraws = _displacement_flags(cones, m, seed)
-    again, _ = _displacement_flags(cones, m, derived_seed(seed, 101))
+    flags = _displacement_flags(cones, range(m), (1,) * m)
+    again = _displacement_flags(cones, *_check_direction(m, seed))
     weights = [w if f else 0 for (_, w), f in zip(candidates, flags)]
     other = [w if f else 0 for (_, w), f in zip(candidates, again)]
     # the pieces are fixed, so equal piece weights mean equal cycle keys
     if any(sum(weights[c] for c in cells) != sum(other[c] for c in cells)
            for _, cells in pieces):
         raise SeedDependenceError(
-            "stable intersection differs across displacement seeds")
+            "stable intersection differs under the seed's check direction")
     out = cyc.refined_cycle(c1.ambient, pieces, weights)
     cyc.assert_balanced(out, "stable intersection")
-    out._cache["displacement_redraws"] = redraws
+    # always 0; kept for the intersect report, bench/selftest.py and bench/layertrace.py
+    out._cache["displacement_redraws"] = 0
     return out
 
 
@@ -164,9 +156,21 @@ def _displacement_cone(p: Polyhedron, q: Polyhedron, x) -> Polyhedron:
                                       p.lineality + q.lineality)
 
 
-def _displacement_flags(cones, m: int, seed):
-    """([v in C for each cone C], redraws) for the first vector v of the
-    seed's splitmix64 stream that lies on no facet hyperplane of any cone.
+def _check_direction(m: int, seed: int):
+    """The seed's (order, signs) from ``Rng(seed)``; sign -1 leads, unlike the build's."""
+    rng, order = Rng(seed), list(range(m))
+    for i in range(m - 1, 0, -1):
+        j = rng.randint(0, i)
+        order[i], order[j] = order[j], order[i]
+    return order, [-1] + [1 if rng.next64() & 1 else -1 for _ in range(m - 1)]
+
+
+def _displacement_flags(cones, order, signs):
+    """[u in C for each cone C], ``u_{order[i]} = signs[i] * eps^i`` for all
+    small ``eps > 0``: C has no equality row, and each facet row's direction
+    part is lexicographically positive (its first nonzero entry in ``order``,
+    times its sign, is > 0).  For an integer row a != 0, ``a . u(eps)`` has
+    that sign for all ``0 < eps < 1/(1 + max|a_j|)``: u is on no facet.
 
     Why the cone facets suffice.  Fix a refined piece sigma.  Under v its
     weight is ``f(v) = sum w_P*w_Q*[Z^m : L_P+L_Q]*[v in C_PQ]`` over the
@@ -179,19 +183,15 @@ def _displacement_flags(cones, m: int, seed):
     multiplicity of sigma for every v outside a finite union of proper
     subspaces, the spans ``Lin(F) + Lin(F')`` of face pairs of meeting
     facets; their complement is dense.  Every component is open, so it
-    holds such a v, and every v off the cone boundaries gives the stable
-    weights.  (It need not lie outside those spans: a v inside one may
-    flip a flag, but then it flips no piece weight.)
+    holds such a v, and every v off the cone boundaries, such as u(eps),
+    gives the stable weights.  (It need not lie outside those spans: a v
+    inside one may flip a flag, but then it flips no piece weight.)
     """
-    rng = Rng(seed)
-    for redraws in range(64):
-        # an integer multiple of the drawn vector; the cone tests below are
-        # invariant under positive scaling
-        row = (1,) + int_row(rng.vector(m))
-        flags = [c.contains_row(row) for c in cones]
-        if all(c.relint_contains_row(row) for c, f in zip(cones, flags) if f):
-            return flags, redraws
-    raise InvariantError("no generic displacement found in 64 draws")
+    def lex_positive(a):
+        return next((a[i] * s for i, s in zip(order, signs) if a[i]), 0) > 0
+
+    return [not c.eqs and all(lex_positive(r[1:]) for r in c.ineqs)
+            for c in cones]
 
 
 # ---------------------------------------------------------------------------

@@ -218,6 +218,24 @@ def frac_det(rows) -> Fraction:
     return det
 
 
+def concrete_direction(cones, order, signs) -> IntVec:
+    """An integer vector on the side of every cone facet hyperplane that the
+    symbolic direction ``u_{order[i]} = signs[i] * eps^i`` is on.
+
+    It is ``N^(m-1) * u(1/N)`` with ``N = 2 + max |facet-row entry|``: for
+    a nonzero row a, ``a . u(eps)`` has the sign of a's first nonzero entry
+    in ``order`` for all ``0 < eps < 1/(1 + max|a_j|)``, and ``1/N`` is such
+    an eps.
+    """
+    n = 2 + max((abs(x) for c in cones for r in c.ineqs + c.eqs for x in r),
+                default=0)
+    m = len(order)
+    v = [0] * m
+    for i, (j, s) in enumerate(zip(order, signs)):
+        v[j] = s * n ** (m - 1 - i)
+    return tuple(v)
+
+
 def displaced_oracle(f: Polyhedron, g: Polyhedron, v):
     """Whether f meets g + eps*v for arbitrarily small eps > 0, and the
     dimension of the joint (x, eps) polyhedron.

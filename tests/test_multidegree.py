@@ -13,6 +13,7 @@ from tropdeg.cycles import (
     check_balancing,
     degree0,
     product,
+    recession_cycle,
     translate,
     validate_complex,
 )
@@ -380,6 +381,23 @@ def test_matches_iterated_on_generated_cycles():
             _agree(cycle, n, seed=seed)
 
 
+def test_invariant_under_translation_and_recession():
+    """A multidegree is the degree of a stable intersection with a fan, so
+    it does not change when the cycle is translated by a rational vector or
+    replaced by its recession fan."""
+    items = positive = 0
+    for seed in range(20):
+        cycle = fixtures.generate_admissible(seed)
+        shift = ops.Rng(seed).vector(cycle.m, num_bound=7, den_bound=3)
+        moved = (translate(cycle, shift), recession_cycle(cycle))
+        for n in type_vectors(cycle):
+            want = multidegree(cycle, n, seed=seed)
+            assert [multidegree(c, n, seed=seed) for c in moved] == [want, want]
+            items += 1
+            positive += want > 0
+    assert (items, positive) == (40, 21)
+
+
 def test_matches_iterated_on_points():
     pts = TropicalCycle(BlockStructure((1, 2)),
                         [(Polyhedron.point((0, 1, 2)), 2),
@@ -396,18 +414,20 @@ def test_matches_iterated_on_empty_intersection():
 
 
 def _second_seed_disagrees(monkeypatch):
-    """Make the displacement step count no candidate under the second seed
-    of every stable intersection."""
+    """Flip every flag of the check pass of each stable intersection, the
+    pass under the seed's direction, which follows the build pass."""
     original = ops._displacement_flags
-    seeds = []
+    passes = []
 
-    def disagreeing(cones, m, seed):
-        flags, redraws = original(cones, m, seed)
-        seeds.append(seed)
-        if len(seeds) % 2 == 0:
-            assert seed == ops.derived_seed(seeds[-2], 101)
-            flags = [False] * len(flags)
-        return flags, redraws
+    def disagreeing(cones, order, signs):
+        flags = original(cones, order, signs)
+        passes.append(signs)
+        if len(passes) % 2 == 0:
+            assert signs[0] == -1
+            flags = [not f for f in flags]
+        else:
+            assert set(signs) == {1}
+        return flags
 
     monkeypatch.setattr(ops, "_displacement_flags", disagreeing)
 

@@ -1,4 +1,5 @@
 import hashlib
+import math
 from fractions import Fraction
 from itertools import combinations
 
@@ -13,7 +14,7 @@ from conftest import (
     transverse_check,
     transverse_degree_oracle,
 )
-from tropdeg import cycfile, cycles, fixtures
+from tropdeg import cycfile, cycles, fixtures, ops
 from tropdeg.cycles import (
     BlockStructure,
     TropicalCycle,
@@ -411,6 +412,7 @@ def test_pair_positive_matches_rank_criterion_on_fixtures():
     for c1, c2 in pairs:
         got = pair_positive(c1, c2)
         assert got == _rank_pair_positive(c1, c2)
+        assert got[0] == (degree0(stable_intersect(c1, c2)) > 0)
         outcomes.add(got[0])
     assert outcomes == {True, False}
 
@@ -515,32 +517,47 @@ def test_seeds_must_be_integral():
     assert fixtures.generate_admissible(Fraction(3)) == fixtures.generate_admissible(3)
 
 
-def test_displacement_on_a_cone_facet_is_redrawn(monkeypatch):
-    """A first draw of each pass on span(e1), a facet hyperplane of the cone
-    cone(e1, -e2) of the rays e1 and e2, is rejected by the cone sign tests
-    for the next draw of the same stream, and the intersection does not
-    change."""
+def test_displacement_direction_is_off_every_cone_facet():
+    """The flags of every signed permutation of u(eps) = (1, eps) on the
+    cone cone(e1, -e2) and the half-planes y >= 0 and y <= 0, whose facet
+    line y = 0 holds e1, and on that line itself, which has an equality
+    row: u(eps) is in exactly one half-plane and never on the line."""
+    cones = [Polyhedron.from_generators(2, [(0, 0)], rays=[(1, 0), (0, -1)]),
+             Polyhedron.from_hrep(2, ineqs=[(0, 0, 1)]),
+             Polyhedron.from_hrep(2, ineqs=[(0, 0, -1)]),
+             Polyhedron.from_hrep(2, eqs=[(0, 0, 1)])]
+    for order in ((0, 1), (1, 0)):
+        for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+            sign = dict(zip(order, signs))      # the sign of each coordinate
+            want = [sign[0] > 0 > sign[1], sign[1] > 0, sign[1] < 0, False]
+            assert ops._displacement_flags(cones, order, signs) == want
     line, scaled = fixtures.standard_line(), fixtures.scaled_line(2)
-    want = stable_intersect(line, scaled, seed=7)
-    assert want._cache["displacement_redraws"] == 0
-    real_vector = Rng.vector
-    drawn = []
+    for seed in range(8):
+        assert stable_intersect(line, scaled, seed)._cache["displacement_redraws"] == 0
 
-    def first_on_a_facet(rng, m, *args):
-        if any(r is rng for r in drawn):
-            return real_vector(rng, m, *args)
-        drawn.append(rng)
-        return (5, 0)
 
-    monkeypatch.setattr(Rng, "vector", first_on_a_facet)
-    got = stable_intersect(line, scaled, seed=7)
-    assert len(drawn) == 2
-    assert got._cache["displacement_redraws"] == 1
-    assert got == want
+def test_check_direction_is_another_signed_permutation():
+    """The seed's direction is a signed permutation of u(eps) that is never
+    the build direction (identity order, all signs +), and the seeds reach
+    every such direction for m <= 3."""
+    for m in range(1, 6):
+        seen = set()
+        for seed in range(200):
+            order, signs = ops._check_direction(m, seed)
+            assert sorted(order) == list(range(m))
+            assert len(signs) == m and set(signs) <= {1, -1}
+            assert (order, signs) != (list(range(m)), [1] * m)
+            seen.add((tuple(order), tuple(signs)))
+        if m <= 3:
+            assert len(seen) == math.factorial(m) * 2 ** (m - 1)
 
 
 def test_displacement_seed_determinism():
-    line = fixtures.standard_line()
-    out1 = stable_intersect(line, fixtures.scaled_line(3), seed=42)
-    out2 = stable_intersect(line, fixtures.scaled_line(3), seed=42)
-    assert out1 == out2
+    """The cycle does not depend on the seed, which only picks the check
+    direction: seeds 0-31 give one cycle on each pair."""
+    line, plane = fixtures.standard_line(), fixtures.standard_plane()
+    pairs = [(line, fixtures.scaled_line(3)), (line, line), (plane, plane),
+             (plane, fixtures.coordinate_hyperplanes(3)),
+             (fixtures.example33b(), product(line, line, BlockStructure((2, 2))))]
+    for c1, c2 in pairs:
+        assert len({stable_intersect(c1, c2, seed=seed) for seed in range(32)}) == 1

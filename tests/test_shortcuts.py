@@ -7,9 +7,10 @@ and the complex validation of those cycles:
   (``from_hrep``, bypassing the prefilter inside ``intersect``)
   is empty;
 * the cone step of ``stable_intersect`` agrees with ``displaced_oracle``:
-  for every candidate pair (P, Q) and accepted displacement v, the flag
-  ``v in T_x(P) - T_x(Q)`` is whether P meets Q + eps*v, and a counted
-  pair meets in a joint polyhedron of dimension ``out_dim + 1``;
+  for every candidate pair (P, Q) and every pass, with v the pass's
+  direction as an explicit vector (``concrete_direction``), the flag
+  ``u(eps) in T_x(P) - T_x(Q)`` is whether P meets Q + eps*v, and a
+  counted pair meets in a joint polyhedron of dimension ``out_dim + 1``;
 * ``Polyhedron.face`` agrees with ``face_oracle`` and with the two-pass
   ``from_hrep`` in key and V-rep for every inequality of every polyhedron
   the run left in the intern pool;
@@ -24,11 +25,12 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (displaced_oracle, face_oracle, fresh, same_polyhedron,
-                      two_pass_from_generators, two_pass_from_hrep, uninterned)
+from conftest import (concrete_direction, displaced_oracle, face_oracle, fresh,
+                      same_polyhedron, two_pass_from_generators, two_pass_from_hrep,
+                      uninterned)
 from tropdeg import fixtures, ops, polyhedra
 from tropdeg.cycles import validate_complex
-from tropdeg.linalg import int_row, rref
+from tropdeg.linalg import rref
 from tropdeg.multidegree import multidegree, type_vectors
 from tropdeg.polyhedra import Polyhedron
 
@@ -40,7 +42,6 @@ def run():
     """Calls to the shortcuts recorded over the seeds, and the pool they left."""
     disjoint_calls = []
     built_cones = []           # (P, Q, cone) in the order the cones are built
-    drawn = []                 # the vectors drawn by Rng.vector
     cone_calls = []            # (P, Q, v, flag) of every pass of the cone step
 
     def record_disjoint(a, b):
@@ -53,30 +54,23 @@ def run():
         built_cones.append((p, q, cone))
         return cone
 
-    def record_vector(rng, m, *args, **kwargs):
-        drawn.append(real_vector(rng, m, *args, **kwargs))
-        return drawn[-1]
-
-    def record_flags(cones, m, seed):
-        flags, redraws = real_flags(cones, m, seed)
-        # the cones of one intersection are built just before its passes,
-        # and the last draw of a pass is the accepted vector
+    def record_flags(cones, order, signs):
+        flags = real_flags(cones, order, signs)
+        # the cones of one intersection are built just before its passes
         pairs = built_cones[len(built_cones) - len(cones):]
         assert all(c is cone for (*_, c), cone in zip(pairs, cones, strict=True))
-        v = int_row(drawn[-1])
+        v = concrete_direction(cones, order, signs)
         cone_calls.extend((p, q, v, flag)
                           for (p, q, _), flag in zip(pairs, flags, strict=True))
-        return flags, redraws
+        return flags
 
     real_disjoint = polyhedra.quickly_disjoint
     real_cone = ops._displacement_cone
-    real_vector = ops.Rng.vector
     real_flags = ops._displacement_flags
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(Polyhedron, "_interned", {})
         mp.setattr(polyhedra, "quickly_disjoint", record_disjoint)
         mp.setattr(ops, "_displacement_cone", record_cone)
-        mp.setattr(ops.Rng, "vector", record_vector)
         mp.setattr(ops, "_displacement_flags", record_flags)
         for seed in SEEDS:
             cycle = fixtures.generate_admissible(seed)
