@@ -45,11 +45,6 @@ def _check_seed(seed) -> int:
     return integral_row((seed,), InputError, "seed")[0]
 
 
-def derived_seed(seed: int, salt: int) -> int:
-    """The seed of a second splitmix64 stream, one per salt."""
-    return (_check_seed(seed) + salt * _SEED_STRIDE) & _MASK64
-
-
 class Rng:
     """splitmix64; deterministic across platforms and Python versions."""
 

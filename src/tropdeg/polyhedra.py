@@ -24,16 +24,18 @@ every generator and hence a point of the relative interior.  The
 Each constructor runs the double description method once, on the
 homogenization cone and in integer arithmetic; the other side is made
 irredundant by integer sign tests between the rows and the generators
-of that one conversion (``_split``).  A face runs none: its generators
-are the polyhedron's own generators tight on it, and its H-rep is read
-off them the same way.  Every nonempty constructor ends in ``_canonical``,
-the one canonicalizer of rows and generators, which interns the result:
-a point set has one key however it was built.  Constructors hand it raw
-rows and generators, as the double description accepts redundant ones
-(Fukuda-Prodon 1996).  The key is read off the canonical rows alone, so
-the pool is consulted before the generators are canonicalized, and a
-point set built before costs no generator work.
-The empty polyhedron is a first-class value.
+of that one conversion (``_split``).  ``intersect`` and ``split`` do not
+start it over: they continue the operand's double description from its
+stored generators and their tight sets (``_continue_dd``) with only the
+rows they add.  A face runs none: its generators are the polyhedron's
+own generators tight on it, and its H-rep is read off them the same way.
+Every nonempty constructor ends in ``_canonical``, the one canonicalizer
+of rows and generators, which interns the result: a point set has one
+key however it was built.  Constructors hand it raw rows and generators,
+as the double description accepts redundant ones (Fukuda-Prodon 1996).
+The key is read off the canonical rows alone, so the pool is consulted
+before the generators are canonicalized, and a point set built before
+costs no generator work.  The empty polyhedron is a first-class value.
 
 Polyhedra are immutable; the per-instance caches and the intern pool are
 memoization only, so concurrent re-computation is benign.
@@ -82,17 +84,30 @@ def eval_dir(row, direction):
 # double description on a homogeneous cone
 # ---------------------------------------------------------------------------
 
-def dual_description(dim: int, constraints) -> tuple[list[IntVec], list[IntVec]]:
+def dual_description(dim: int, constraints,
+                     start=None) -> tuple[list[IntVec], list[IntVec]]:
     """Extreme rays and lineality basis of {x in R^dim : c.x >= 0 / == 0}.
 
     ``constraints`` is a sequence of (integer row, is_equality) pairs.  The
     incremental double description with the combinatorial adjacency test;
     all arithmetic on integers.
+
+    ``start``, if given, is the state after earlier constraints: a tuple
+    ``((ray, tight-bitmask), ...)``, the lineality basis and the number of
+    constraints the masks run over (``Polyhedron._continue_dd``).  The loop
+    continues from it instead of from all of R^dim; the cone is then the
+    start cone cut by ``constraints``.  The adjacency test only needs the
+    masks over some H-description of the start cone.
     """
-    lin: list[IntVec] = [tuple(r) for r in linalg.identity_rows(dim)]
-    rays: list[list] = []   # [vector, tight-bitmask over processed constraints]
-    n_done = 0
-    prior_mask = 0
+    if start is None:
+        lin: list[IntVec] = [tuple(r) for r in linalg.identity_rows(dim)]
+        rays: list[list] = []   # [vector, tight-bitmask over processed constraints]
+        n_done = 0
+    else:
+        start_rays, start_lin, n_done = start
+        lin = list(start_lin)
+        rays = [[vec, mask] for vec, mask in start_rays]
+    prior_mask = (1 << n_done) - 1
 
     for row, is_eq in constraints:
         c = tuple(row)
@@ -215,16 +230,8 @@ class Polyhedron:
         """Polyhedron {x : c0 + c.x >= 0 for ineqs, == 0 for eqs}."""
         ineqs = [_check_len(int_row(r), m + 1, "constraint row") for r in ineqs]
         eqs = [_check_len(int_row(r), m + 1, "constraint row") for r in eqs]
-        gen_rays, gen_lin = dual_description(
-            m + 1, homogenized_constraints(m, ineqs, eqs))
-        if any(r[0] < 0 for r in gen_rays) or any(l[0] != 0 for l in gen_lin):
-            raise InvariantError("homogenization generator with negative height")
-        verts = [r for r in gen_rays if r[0] > 0]
-        if not verts:
-            return cls.empty(m)
-        facets, eqs = _hrep(ineqs, eqs, gen_rays)
-        return _canonical(m, facets, eqs, verts, [r[1:] for r in gen_rays if r[0] == 0],
-                          [l[1:] for l in gen_lin])
+        return _from_cone(m, ineqs, eqs, dual_description(
+            m + 1, homogenized_constraints(m, ineqs, eqs)))
 
     @classmethod
     def from_generators(cls, m: int, vertices=(), rays=(), lineality=()) -> "Polyhedron":
@@ -349,6 +356,23 @@ class Polyhedron:
 
     # -- derived polyhedra ----------------------------------------------------
 
+    def _continue_dd(self, constraints):
+        """``dual_description`` of the homogenization cone of this nonempty
+        polyhedron cut by more (row, is_equality) pairs, continued from the
+        stored generators: the vertex rows and rays ``(0, r)`` with their
+        tight sets over ``x0 >= 0`` and the facet rows, and the lineality
+        ``(0, l)``.  The state is cached, and ``dual_description`` copies it."""
+        start = self._cache.get("dd_start")
+        if start is None:
+            rows = ((1,) + (0,) * self.m,) + self.ineqs
+            gens = self.vertex_rows + tuple((0,) + r for r in self.rays)
+            start = self._cache["dd_start"] = (
+                tuple((g, sum(1 << j for j, r in enumerate(rows) if vdot(r, g) == 0))
+                      for g in gens),
+                tuple((0,) + l for l in self.lineality),
+                len(rows))
+        return dual_description(self.m + 1, constraints, start=start)
+
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
         """Intersection from the joint H-rep; empty without a double
         description when ``quickly_disjoint`` separates the pair."""
@@ -357,9 +381,9 @@ class Polyhedron:
                 f"ambient dimensions differ: {self.m} vs {other.m}")
         if self.is_empty or other.is_empty or quickly_disjoint(self, other):
             return Polyhedron.empty(self.m)
-        return Polyhedron.from_hrep(self.m,
-                                    ineqs=self.ineqs + other.ineqs,
-                                    eqs=self.eqs + other.eqs)
+        return _from_cone(self.m, self.ineqs + other.ineqs, self.eqs + other.eqs,
+                          self._continue_dd([(r, True) for r in other.eqs]
+                                            + [(r, False) for r in other.ineqs]))
 
     def recession_cone(self) -> "Polyhedron":
         if self.is_empty:
@@ -496,9 +520,9 @@ class Polyhedron:
         if not (has_pos and has_neg):
             return [self]
         out = []
-        for signed in (row, tuple(-x for x in row)):
-            piece = Polyhedron.from_hrep(self.m, ineqs=self.ineqs + (signed,),
-                                         eqs=self.eqs)
+        for signed in (row, vneg(row)):
+            piece = _from_cone(self.m, self.ineqs + (signed,), self.eqs,
+                               self._continue_dd([(signed, False)]))
             if not piece.is_empty and piece.dim == self.dim:
                 out.append(piece)
         return out
@@ -555,6 +579,20 @@ def _split(rows, gens):
     maximal = {t for t in rest if not any(t & u == t and t != u for u in rest)}
     return ([r for r, t in zip(rows, masks) if t == full],
             [r for r, t in zip(rows, masks) if t in maximal])
+
+
+def _from_cone(m, ineqs, eqs, cone) -> Polyhedron:
+    """The polyhedron {x : ineqs >= 0, eqs == 0} from the double description
+    ``cone`` (extreme rays, lineality) of its homogenization cone."""
+    gen_rays, gen_lin = cone
+    if any(r[0] < 0 for r in gen_rays) or any(l[0] != 0 for l in gen_lin):
+        raise InvariantError("homogenization generator with negative height")
+    verts = [r for r in gen_rays if r[0] > 0]
+    if not verts:
+        return Polyhedron.empty(m)
+    facets, eqs = _hrep(ineqs, eqs, gen_rays)
+    return _canonical(m, facets, eqs, verts, [r[1:] for r in gen_rays if r[0] == 0],
+                      [l[1:] for l in gen_lin])
 
 
 def _hrep(ineqs, eqs, gens) -> tuple[list[HomRow], list[HomRow]]:
@@ -633,11 +671,21 @@ def face_key_set(poly: Polyhedron) -> frozenset:
     return poly._cache["face_keys"]
 
 
-def _separates(row: HomRow, p: Polyhedron) -> bool:
-    """Whether ``row`` is negative on the whole of p."""
-    return (all(vdot(row, g) < 0 for g in p.vertex_rows)
-            and all(eval_dir(row, r) <= 0 for r in p.rays)
-            and all(eval_dir(row, l) == 0 for l in p.lineality))
+def _separates(row: HomRow, p: Polyhedron, sign: int = 1) -> bool:
+    """Whether ``sign * row`` is negative on the whole of p, a polyhedron
+    in the row's ambient space (``quickly_disjoint`` checks the lengths
+    that ``vdot`` would)."""
+    for g in p.vertex_rows:
+        if sign * sum(map(mul, row, g)) >= 0:
+            return False
+    c = row[1:]
+    for r in p.rays:
+        if sign * sum(map(mul, c, r)) > 0:
+            return False
+    for l in p.lineality:
+        if sum(map(mul, c, l)):
+            return False
+    return True
 
 
 def quickly_disjoint(a: Polyhedron, b: Polyhedron) -> bool:
@@ -646,15 +694,18 @@ def quickly_disjoint(a: Polyhedron, b: Polyhedron) -> bool:
 
     Looks for a constraint of one polyhedron that is strictly violated on
     the other, by integer dot products with the other's stored vertex
-    rows, rays and lineality.  True means the intersection is empty;
-    False decides nothing.
+    rows, rays and lineality.  An equality row is scanned once, with the
+    sign that its first vertex row gives it.  True means the intersection
+    is empty; False decides nothing.
     """
+    if a.m != b.m:
+        raise ValueError(f"quickly_disjoint of polyhedra in R^{a.m} and R^{b.m}")
     for p, q in ((a, b), (b, a)):
         for row in p.ineqs:
             if _separates(row, q):
                 return True
         for row in p.eqs:
-            if _separates(row, q) or _separates(vneg(row), q):
+            if _separates(row, q, -1 if sum(map(mul, row, q.vertex_rows[0])) > 0 else 1):
                 return True
     return False
 

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from tropdeg import linalg
+from tropdeg import cycfile, fixtures, linalg
 from tropdeg import cycles as cyc
 from tropdeg.cycles import (BlockStructure, TropicalCycle, WeightedFacet,
                             degree0, translate)
@@ -16,10 +16,10 @@ from tropdeg.errors import (DimensionMismatchError, InputError, InvariantError,
                             SeedDependenceError)
 from tropdeg.linalg import (IntVec, int_row, integral_row, is_zero_vec,
                             lattice_index, primitive, rref, saturate, snf, vdot,
-                            vsub)
+                            vneg, vsub)
 from tropdeg.multidegree import DivisorSet, pullback
-from tropdeg.ops import (PushforwardResult, Rng, derived_seed,
-                         pushforward_linear, stable_intersect)
+from tropdeg.ops import (_MASK64, _SEED_STRIDE, PushforwardResult, Rng,
+                         _check_seed, pushforward_linear, stable_intersect)
 from tropdeg.polyhedra import (Polyhedron, _canon_eqs, _canon_generators,
                                _canon_ineqs, _check_len, _point_row,
                                dual_description, homogenized_constraints,
@@ -78,6 +78,16 @@ def transverse_degree_oracle(c1: TropicalCycle, c2: TropicalCycle) -> int:
             assert linalg.rank(dirs) == m, "oracle requires transverse position"
             total += f1.weight * f2.weight * linalg.lattice_index(dirs, m)
     return total
+
+
+def derived_seed(seed: int, salt: int) -> int:
+    """The seed of a second splitmix64 stream, one per salt.
+
+    Retired from ``tropdeg.ops`` once stable intersections stopped drawing
+    from a second stream; kept for the second seed of
+    ``iterated_multidegree``.
+    """
+    return (_check_seed(seed) + salt * _SEED_STRIDE) & _MASK64
 
 
 def iterated_multidegree(cycle: TropicalCycle, n, divs=None, seed=0) -> int:
@@ -287,6 +297,28 @@ def low_face_spans(meeting, m: int):
 def face_oracle(p: Polyhedron, row) -> Polyhedron:
     """The face of p where ``row`` is tight, by a fresh H->V conversion."""
     return Polyhedron.from_hrep(p.m, p.ineqs, p.eqs + (row,))
+
+
+def two_scan_disjoint(a: Polyhedron, b: Polyhedron) -> bool:
+    """``polyhedra.quickly_disjoint`` with two scans per equality row, one
+    for the row and one for its negation.
+
+    The rule that the one-scan ``quickly_disjoint`` replaced; kept as a
+    differential oracle.
+    """
+    def separates(row, p):
+        return (all(vdot(row, g) < 0 for g in p.vertex_rows)
+                and all(vdot(row[1:], r) <= 0 for r in p.rays)
+                and all(vdot(row[1:], l) == 0 for l in p.lineality))
+
+    for p, q in ((a, b), (b, a)):
+        for row in p.ineqs:
+            if separates(row, q):
+                return True
+        for row in p.eqs:
+            if separates(row, q) or separates(vneg(row), q):
+                return True
+    return False
 
 
 def two_pass_from_hrep(m: int, ineqs=(), eqs=()) -> Polyhedron:
@@ -554,6 +586,27 @@ def coordinate_subspaces(m: int):
     for size in range(1, m):
         for coords in combinations(range(m), size):
             yield coords, [tuple(int(t == j) for t in range(m)) for j in coords]
+
+
+def splitting_sums():
+    """(name, cycle, span generators) of Minkowski sums whose refinement
+    splits cells: every coordinate subspace and every line spanned by
+    ``e_i - e_j``, on generator seeds 8 and 19 and three shipped fixtures.
+
+    Of generator seeds 0-29, only the coordinate sums of seeds 8, 19 and
+    27 split cells (seeds 0-4 have one support facet each), and seed 27
+    holds the known push-forward defect.
+    """
+    cycles = [(f"seed {s}", fixtures.generate_admissible(s)) for s in (8, 19)]
+    cycles += [(name, cycfile.load(fixture_path(name)))
+               for name in ("example33b", "standard_plane", "coordinate_hyperplanes_3")]
+    for name, cycle in cycles:
+        m = cycle.m
+        spans = [gens for _, gens in coordinate_subspaces(m)]
+        spans += [[tuple(int(k == i) - int(k == j) for k in range(m))]
+                  for i, j in combinations(range(m), 2)]
+        for gens in spans:
+            yield name, cycle, gens
 
 
 def seeded_points(seed: int, count: int, m: int, num_bound: int = 40,

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import fresh, iterated_multidegree, transverse_degree_oracle
+from conftest import derived_seed, fresh, iterated_multidegree, transverse_degree_oracle
 from tropdeg import fixtures, ops
 from tropdeg.cycles import (
     BlockStructure,
@@ -18,8 +18,8 @@ from tropdeg.cycles import (
     validate_complex,
 )
 from tropdeg.errors import (BadBlockIndexError, DimensionMismatchError,
-                            NonPositiveDivisorError, SeedDependenceError,
-                            TypeMismatchError)
+                            InputError, NonPositiveDivisorError,
+                            SeedDependenceError, TypeMismatchError)
 from tropdeg.multidegree import (
     DIVISOR_POWER_CACHE_SIZE,
     DivisorSet,
@@ -361,6 +361,14 @@ def test_divisor_power_cache_is_bounded():
 
 
 # --- differential tests against the iterated chain of intersections --------
+
+def test_derived_seed_must_be_integral():
+    """The oracle's second seed rejects non-integral seeds like ``Rng``."""
+    for seed in (1.5, Fraction(3, 2), "x"):
+        with pytest.raises(InputError):
+            derived_seed(seed, 101)
+    assert derived_seed(Fraction(3), 101) == derived_seed(3, 101)
+
 
 def _agree(cycle, n, divs=None, seed=0):
     value = multidegree(cycle, n, divs, seed=seed)

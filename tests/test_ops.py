@@ -39,7 +39,6 @@ from tropdeg.ops import (
     NO_COUNTEREXAMPLE_FOUND,
     Rng,
     check_admissible,
-    derived_seed,
     is_positive_divisor,
     minkowski_sum_subspace,
     pair_positive,
@@ -504,14 +503,11 @@ def test_seeds_must_be_integral():
     for seed in (1.5, Fraction(3, 2), "x"):
         with pytest.raises(InputError):
             Rng(seed)
-        with pytest.raises(InputError):
-            derived_seed(seed, 101)
     with pytest.raises(InputError):
         check_admissible(fixtures.standard_line(), "random:2", seed=1.5)
     with pytest.raises(InputError):
         fixtures.generate_admissible(1.5)
     assert Rng(Fraction(3)).next64() == Rng(3).next64()
-    assert derived_seed(Fraction(3), 101) == derived_seed(3, 101)
     assert check_admissible(fixtures.example33a(), "random:4", seed=Fraction(3)) == \
         check_admissible(fixtures.example33a(), "random:4", seed=3)
     assert fixtures.generate_admissible(Fraction(3)) == fixtures.generate_admissible(3)

@@ -5,15 +5,17 @@ only.  The items of the ``md_sweep`` benchmark (generator seeds 0-39: rank
 table, multidegree, criterion and witness key of every type vector) and
 the coordinate-subspace Minkowski sums of generator seeds 0-9 run three
 times in one interpreter: cold, with the pool and the caches cleared;
-warm; and warm in reversed order.  Every item's output must be the same
-each time.
+warm; and warm in reversed order.  So do the Minkowski sums of
+``splitting_sums``, whose refinement splits cells: ``Polyhedron.split``
+continues the double description from a start state that each interned
+polyhedron caches.  Every item's output must be the same each time.
 """
 
 import hashlib
 
 import pytest
 
-from conftest import coordinate_subspaces
+from conftest import coordinate_subspaces, splitting_sums
 from tropdeg import cycfile, fixtures
 from tropdeg.multidegree import (divisor_power, multidegree, positivity_criterion,
                                  rank_function, standard_hyperplane, type_vectors)
@@ -56,19 +58,29 @@ def cold_state(monkeypatch):
     _clear_caches()
 
 
-def test_outputs_do_not_depend_on_pool_state(cold_state):
+def test_outputs_do_not_depend_on_pool_state(cold_state, monkeypatch):
     texts = {s: cycfile.dumps(fixtures.generate_admissible(s)) for s in MD_SEEDS}
+    sums = [(name, cycfile.dumps(cycle), gens) for name, cycle, gens in splitting_sums()]
     # the cycles are parsed on the cleared pool, as in a fresh interpreter
     Polyhedron._interned.clear()
     _clear_caches()
     cycles = {s: cycfile.loads(text) for s, text in texts.items()}
+    cycles.update({name: cycfile.loads(text) for name, text, _ in sums})
     items = [(f"md {s} {n}", lambda s=s, n=n: _md_item(s, cycles[s], n))
              for s in MD_SEEDS for n in type_vectors(cycles[s])]
     items += [(f"mk {s} {coords}", lambda s=s, g=gens: _mk_item(cycles[s], g))
               for s in MK_SEEDS for coords, gens in coordinate_subspaces(cycles[s].m)]
-    assert len(items) == 88 + 216
+    items += [(f"split {name} {gens}", lambda n=name, g=gens: _mk_item(cycles[n], g))
+              for name, _, gens in sums]
+    assert len(items) == 88 + 216 + 87
 
+    split_rows = []
+    split = Polyhedron.split
+    monkeypatch.setattr(Polyhedron, "split",
+                        lambda p, row: split_rows.append(row) or split(p, row))
     cold, warm, reversed_warm = ({name: _digest(run()) for name, run in order}
                                  for order in (items, items, items[::-1]))
     assert warm == cold
     assert reversed_warm == cold
+    # the splitting sums split in every pass
+    assert len(split_rows) >= 3 * 85

@@ -5,7 +5,8 @@ and the complex validation of those cycles:
 
 * ``quickly_disjoint`` answers True only for pairs whose joint H-rep
   (``from_hrep``, bypassing the prefilter inside ``intersect``)
-  is empty;
+  is empty, and answers as ``two_scan_disjoint``, its two-scan rule for
+  equality rows, on every pair;
 * the cone step of ``stable_intersect`` agrees with ``displaced_oracle``:
   for every candidate pair (P, Q) and every pass, with v the pass's
   direction as an explicit vector (``concrete_direction``), the flag
@@ -27,7 +28,7 @@ import pytest
 
 from conftest import (concrete_direction, displaced_oracle, face_oracle, fresh,
                       same_polyhedron, two_pass_from_generators, two_pass_from_hrep,
-                      uninterned)
+                      two_scan_disjoint, uninterned)
 from tropdeg import fixtures, ops, polyhedra
 from tropdeg.cycles import validate_complex
 from tropdeg.linalg import rref
@@ -88,6 +89,14 @@ def test_quickly_disjoint_is_sound(run):
     for a, b in separated:
         assert Polyhedron.from_hrep(a.m, a.ineqs + b.ineqs,
                                     a.eqs + b.eqs).is_empty
+
+
+def test_quickly_disjoint_matches_two_scan_rule(run):
+    calls, _, _ = run
+    # some pairs reach the equality rows: neither operand is full-dimensional
+    assert any(a.eqs and b.eqs for a, b, _ in calls)
+    for a, b, answer in calls:
+        assert answer == two_scan_disjoint(a, b)
 
 
 def test_displaced_matches_oracle(run):
