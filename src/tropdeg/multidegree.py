@@ -175,7 +175,8 @@ DIVISOR_POWER_CACHE_SIZE = 32
 
 @lru_cache(maxsize=DIVISOR_POWER_CACHE_SIZE)
 def divisor_power(divisor: TropicalCycle, n: int) -> TropicalCycle:
-    """Lambda^n: R^b for n = 0, else the n-fold stable self-intersection.
+    """Lambda^n: R^b for n = 0, Lambda for n = 1, else
+    ``stable_intersect(Lambda^(n-1), Lambda)`` through this cache.
 
     Each power is balance-checked once and cached; cycles hash by their
     key, and the cache keeps the ``DIVISOR_POWER_CACHE_SIZE`` powers used
@@ -190,10 +191,9 @@ def divisor_power(divisor: TropicalCycle, n: int) -> TropicalCycle:
     if n == 0:
         return _full_space(divisor.m)
     cyc.require_balanced(divisor)
-    power = divisor
-    for _ in range(n - 1):
-        power = ops.stable_intersect(power, divisor)
-    return power
+    if n == 1:
+        return divisor
+    return ops.stable_intersect(divisor_power(divisor, n - 1), divisor)
 
 
 def multidegree(cycle: TropicalCycle, n, divs: DivisorSet | None = None,

@@ -21,21 +21,27 @@ every generator and hence a point of the relative interior.  The
 ``Fraction`` entry points (``contains``, ``relint_contains``,
 ``relative_interior_point``) clear or restore one denominator around them.
 
-Each constructor runs the double description method once, on the
-homogenization cone and in integer arithmetic; the other side is made
-irredundant by integer sign tests between the rows and the generators
-of that one conversion (``_split``).  ``intersect`` and ``split`` do not
-start it over: they continue the operand's double description from its
-stored generators and their tight sets (``_continue_dd``) with only the
-rows they add.  A face runs none: its generators are the polyhedron's
-own generators tight on it, and its H-rep is read off them the same way.
 Every nonempty constructor ends in ``_canonical``, the one canonicalizer
-of rows and generators, which interns the result: a point set has one
-key however it was built.  Constructors hand it raw rows and generators,
-as the double description accepts redundant ones (Fukuda-Prodon 1996).
-The key is read off the canonical rows alone, so the pool is consulted
-before the generators are canonicalized, and a point set built before
-costs no generator work.  The empty polyhedron is a first-class value.
+of rows and generators, and builds in one of three ways:
+
+* a cut (H->V, ``_cut``): the double description of a polyhedron's
+  homogenization cone continues from its stored generators and their
+  tight sets with only the added rows (``intersect``, ``split``, and
+  ``from_hrep`` on the full space);
+* a hull (V->H, ``_from_generator_rows``): one double description of
+  the generators;
+* a read-off, with no conversion: ``face`` and ``recession_cone`` take
+  their generators off the polyhedron's own, and ``translate``,
+  ``product`` and ``full_space`` map rows and generators.
+
+The other side is read off integer sign tests between the rows and the
+generators (``_hrep``, ``_split``).  ``_canonical`` interns the result:
+a point set has one key however it was built.  Constructors hand it raw
+rows and generators, as the double description accepts redundant ones
+(Fukuda-Prodon 1996).  The key is read off the canonical rows alone, so
+the pool is consulted before the generators are canonicalized, and a
+point set built before costs no generator work.  The empty polyhedron is
+a first-class value.
 
 Polyhedra are immutable; the per-instance caches and the intern pool are
 memoization only, so concurrent re-computation is benign.
@@ -94,7 +100,7 @@ def dual_description(dim: int, constraints,
 
     ``start``, if given, is the state after earlier constraints: a tuple
     ``((ray, tight-bitmask), ...)``, the lineality basis and the number of
-    constraints the masks run over (``Polyhedron._continue_dd``).  The loop
+    constraints the masks run over (``Polyhedron._cut``).  The loop
     continues from it instead of from all of R^dim; the cone is then the
     start cone cut by ``constraints``.  The adjacency test only needs the
     masks over some H-description of the start cone.
@@ -167,14 +173,6 @@ def dual_description(dim: int, constraints,
     return [r[0] for r in rays], lin
 
 
-def homogenized_constraints(m, ineqs, eqs):
-    """Double description input for {x in R^m : ineqs >= 0, eqs == 0}:
-    the equalities, then ``x0 >= 0``, then the inequalities."""
-    x0 = (1,) + (0,) * m
-    return [(r, True) for r in eqs] + [(x0, False)] + \
-           [(r, False) for r in ineqs]
-
-
 def _dedupe(rays):
     seen = set()
     out = []
@@ -230,8 +228,7 @@ class Polyhedron:
         """Polyhedron {x : c0 + c.x >= 0 for ineqs, == 0 for eqs}."""
         ineqs = [_check_len(int_row(r), m + 1, "constraint row") for r in ineqs]
         eqs = [_check_len(int_row(r), m + 1, "constraint row") for r in eqs]
-        return _from_cone(m, ineqs, eqs, dual_description(
-            m + 1, homogenized_constraints(m, ineqs, eqs)))
+        return cls.full_space(m)._cut(eqs, ineqs)
 
     @classmethod
     def from_generators(cls, m: int, vertices=(), rays=(), lineality=()) -> "Polyhedron":
@@ -356,12 +353,13 @@ class Polyhedron:
 
     # -- derived polyhedra ----------------------------------------------------
 
-    def _continue_dd(self, constraints):
-        """``dual_description`` of the homogenization cone of this nonempty
-        polyhedron cut by more (row, is_equality) pairs, continued from the
-        stored generators: the vertex rows and rays ``(0, r)`` with their
-        tight sets over ``x0 >= 0`` and the facet rows, and the lineality
-        ``(0, l)``.  The state is cached, and ``dual_description`` copies it."""
+    def _cut(self, eqs, ineqs) -> "Polyhedron":
+        """This nonempty polyhedron cut by more equality and inequality
+        rows: the double description of the homogenization cone continued
+        from the stored generators, the vertex rows and rays ``(0, r)``
+        with their tight sets over ``x0 >= 0`` and the facet rows, and the
+        lineality ``(0, l)``; ``dual_description`` copies that cached start
+        state.  The H-rep is ``_hrep`` of the joint rows."""
         start = self._cache.get("dd_start")
         if start is None:
             rows = ((1,) + (0,) * self.m,) + self.ineqs
@@ -371,28 +369,41 @@ class Polyhedron:
                       for g in gens),
                 tuple((0,) + l for l in self.lineality),
                 len(rows))
-        return dual_description(self.m + 1, constraints, start=start)
+        gen_rays, gen_lin = dual_description(
+            self.m + 1, [(r, True) for r in eqs] + [(r, False) for r in ineqs],
+            start=start)
+        if any(r[0] < 0 for r in gen_rays) or any(l[0] != 0 for l in gen_lin):
+            raise InvariantError("homogenization generator with negative height")
+        verts = [r for r in gen_rays if r[0] > 0]
+        if not verts:
+            return Polyhedron.empty(self.m)
+        facets, all_eqs = _hrep(self.ineqs + tuple(ineqs), self.eqs + tuple(eqs), gen_rays)
+        return _canonical(self.m, facets, all_eqs, verts,
+                          [r[1:] for r in gen_rays if r[0] == 0],
+                          [l[1:] for l in gen_lin])
 
     def intersect(self, other: "Polyhedron") -> "Polyhedron":
-        """Intersection from the joint H-rep; empty without a double
-        description when ``quickly_disjoint`` separates the pair."""
+        """Intersection: this polyhedron cut by the other's rows; empty
+        without a double description when ``quickly_disjoint`` separates
+        the pair."""
         if self.m != other.m:
             raise DimensionMismatchError(
                 f"ambient dimensions differ: {self.m} vs {other.m}")
         if self.is_empty or other.is_empty or quickly_disjoint(self, other):
             return Polyhedron.empty(self.m)
-        return _from_cone(self.m, self.ineqs + other.ineqs, self.eqs + other.eqs,
-                          self._continue_dd([(r, True) for r in other.eqs]
-                                            + [(r, False) for r in other.ineqs]))
+        return self._cut(other.eqs, other.ineqs)
 
     def recession_cone(self) -> "Polyhedron":
+        """{d : c.d >= 0 for ineqs, == 0 for eqs}, with no double
+        description: the origin, the rays and the lineality generate it,
+        and its H-rep is ``_hrep`` of the rows with ``c0`` set to 0."""
         if self.is_empty:
             raise EmptyPolyhedronError("recession cone of the empty set")
-        if "recession" not in self._cache:
-            ineqs = [(0,) + r[1:] for r in self.ineqs]
-            eqs = [(0,) + r[1:] for r in self.eqs]
-            self._cache["recession"] = Polyhedron.from_hrep(self.m, ineqs, eqs)
-        return self._cache["recession"]
+        origin = (1,) + (0,) * self.m
+        facets, eqs = _hrep([(0,) + r[1:] for r in self.ineqs],
+                            [(0,) + r[1:] for r in self.eqs],
+                            (origin,) + tuple((0,) + r for r in self.rays))
+        return _canonical(self.m, facets, eqs, [origin], self.rays, self.lineality)
 
     def translate(self, v) -> "Polyhedron":
         if self.is_empty:
@@ -482,19 +493,17 @@ class Polyhedron:
 
     def all_faces(self) -> tuple["Polyhedron", ...]:
         """All nonempty faces, including the polyhedron itself."""
-        if "faces" not in self._cache:
-            seen = {self.key: self}
-            frontier = [self]
-            while frontier:
-                nxt = []
-                for f in frontier:
-                    for g in f.facet_faces():
-                        if g.key not in seen:
-                            seen[g.key] = g
-                            nxt.append(g)
-                frontier = nxt
-            self._cache["faces"] = tuple(sorted(seen.values(), key=lambda p: p.key))
-        return self._cache["faces"]
+        seen = {self.key: self}
+        frontier = [self]
+        while frontier:
+            nxt = []
+            for f in frontier:
+                for g in f.facet_faces():
+                    if g.key not in seen:
+                        seen[g.key] = g
+                        nxt.append(g)
+            frontier = nxt
+        return tuple(sorted(seen.values(), key=lambda p: p.key))
 
     # -- splitting ------------------------------------------------------------
 
@@ -521,8 +530,7 @@ class Polyhedron:
             return [self]
         out = []
         for signed in (row, vneg(row)):
-            piece = _from_cone(self.m, self.ineqs + (signed,), self.eqs,
-                               self._continue_dd([(signed, False)]))
+            piece = self._cut((), (signed,))
             if not piece.is_empty and piece.dim == self.dim:
                 out.append(piece)
         return out
@@ -579,20 +587,6 @@ def _split(rows, gens):
     maximal = {t for t in rest if not any(t & u == t and t != u for u in rest)}
     return ([r for r, t in zip(rows, masks) if t == full],
             [r for r, t in zip(rows, masks) if t in maximal])
-
-
-def _from_cone(m, ineqs, eqs, cone) -> Polyhedron:
-    """The polyhedron {x : ineqs >= 0, eqs == 0} from the double description
-    ``cone`` (extreme rays, lineality) of its homogenization cone."""
-    gen_rays, gen_lin = cone
-    if any(r[0] < 0 for r in gen_rays) or any(l[0] != 0 for l in gen_lin):
-        raise InvariantError("homogenization generator with negative height")
-    verts = [r for r in gen_rays if r[0] > 0]
-    if not verts:
-        return Polyhedron.empty(m)
-    facets, eqs = _hrep(ineqs, eqs, gen_rays)
-    return _canonical(m, facets, eqs, verts, [r[1:] for r in gen_rays if r[0] == 0],
-                      [l[1:] for l in gen_lin])
 
 
 def _hrep(ineqs, eqs, gens) -> tuple[list[HomRow], list[HomRow]]:

@@ -22,8 +22,7 @@ from tropdeg.ops import (_MASK64, _SEED_STRIDE, PushforwardResult, Rng,
                          _check_seed, pushforward_linear, stable_intersect)
 from tropdeg.polyhedra import (Polyhedron, _canon_eqs, _canon_generators,
                                _canon_ineqs, _check_len, _point_row,
-                               dual_description, homogenized_constraints,
-                               refine_by_hyperplanes)
+                               dual_description, refine_by_hyperplanes)
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_DIR = ROOT / "fixtures"
@@ -321,13 +320,21 @@ def two_scan_disjoint(a: Polyhedron, b: Polyhedron) -> bool:
     return False
 
 
-def two_pass_from_hrep(m: int, ineqs=(), eqs=()) -> Polyhedron:
-    """``Polyhedron.from_hrep`` by two conversions: H->V, then V->H again
-    for a canonical H-rep.
+def _homogenized(m, ineqs, eqs):
+    """The oracles' double description input for {x in R^m : ineqs >= 0,
+    eqs == 0}, run from scratch: the equalities, then ``x0 >= 0``, then
+    the inequalities."""
+    x0 = (1,) + (0,) * m
+    return [(r, True) for r in eqs] + [(x0, False)] + [(r, False) for r in ineqs]
 
-    The construction that the one-conversion ``from_hrep`` replaced with
-    incidence sign tests; kept as a differential oracle.  The result is
-    not interned.
+
+def two_pass_from_hrep(m: int, ineqs=(), eqs=()) -> Polyhedron:
+    """``Polyhedron.from_hrep`` by two conversions: H->V from scratch,
+    then V->H again for a canonical H-rep.
+
+    The construction that ``from_hrep`` replaced with a cut of the full
+    space and incidence sign tests; kept as a differential oracle that
+    shares no start state with the cut.  The result is not interned.
     """
     ineq_rows, eq_rows = [], []
     for row in ineqs:
@@ -345,7 +352,7 @@ def two_pass_from_hrep(m: int, ineqs=(), eqs=()) -> Polyhedron:
             continue
         eq_rows.append(r)
     gen_rays, gen_lin = dual_description(
-        m + 1, homogenized_constraints(m, ineq_rows, eq_rows))
+        m + 1, _homogenized(m, ineq_rows, eq_rows))
     return _two_pass_cone_output(m, gen_rays, gen_lin)
 
 
@@ -359,7 +366,7 @@ def two_pass_from_generators(m: int, vertices=(), rays=(), lineality=()) -> Poly
     lin_vecs = [primitive(l) for l in lineality if not is_zero_vec(l)]
     ineqs, eqs = _two_pass_hrep(m, *_canon_generators(rows, ray_vecs, lin_vecs))
     gen_rays, gen_lin = dual_description(
-        m + 1, homogenized_constraints(m, ineqs, eqs))
+        m + 1, _homogenized(m, ineqs, eqs))
     poly = _two_pass_cone_output(m, gen_rays, gen_lin, hrep=(ineqs, eqs))
     assert not poly.is_empty
     return poly

@@ -22,7 +22,8 @@ SQUARE = [(0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1)]
 
 @pytest.fixture
 def canon_calls(monkeypatch):
-    """The argument tuples of every ``_canon_generators`` call, on an empty pool."""
+    """The argument tuples of every ``_canon_generators`` call, on a pool
+    that holds only the full spaces that ``from_hrep`` cuts."""
     calls = []
 
     def counting(*args):
@@ -31,6 +32,8 @@ def canon_calls(monkeypatch):
 
     real = polyhedra._canon_generators
     monkeypatch.setattr(Polyhedron, "_interned", {})
+    for m in (2, 3):
+        Polyhedron.full_space(m)
     monkeypatch.setattr(polyhedra, "_canon_generators", counting)
     return calls
 

@@ -345,6 +345,24 @@ def test_divisor_power():
         assert check_balancing(fresh(power)).balanced
 
 
+def test_divisor_power_continues_from_the_cached_power(monkeypatch):
+    """With Lambda^2 cached, Lambda^3 is one more stable intersection."""
+    divisor_power.cache_clear()
+    plane = tropical_hyperplane([0, 1, 2, 3])
+    square = divisor_power(plane, 2)
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = ops.stable_intersect
+    monkeypatch.setattr(ops, "stable_intersect", counting)
+    cube = divisor_power(plane, 3)
+    assert calls == [(square, plane)]
+    assert cube.dim == 0 and degree0(cube) == 1
+
+
 def test_divisor_power_cache_is_bounded():
     """More distinct divisors than the cache holds: it stays within its
     bound, and every power, evicted or not, equals a fresh computation."""

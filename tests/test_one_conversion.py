@@ -1,9 +1,11 @@
 """The one-conversion constructors against the two-pass oracles.
 
-``from_hrep`` and ``from_generators`` run one double description each
-and read the other side off incidence sign tests; the oracles in
-``conftest`` convert back a second time.  Both must give the same key,
-vertex rows, rays and lineality on inputs full of redundancy.
+``from_hrep`` cuts the full space, continuing its stored double
+description with the given rows, and ``from_generators`` runs one double
+description; each reads the other side off incidence sign tests.  The
+oracles in ``conftest`` start from scratch and convert back a second
+time.  Both must give the same key, vertex rows, rays and lineality on
+inputs full of redundancy.
 """
 
 from fractions import Fraction

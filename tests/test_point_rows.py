@@ -8,7 +8,9 @@ of the nine shipped fixtures and of generator seeds 0-59.  On it:
   is on P's side of the facet row;
 * ``contains`` and ``relint_contains`` agree with ``contains_oracle`` on
   seeded points, on the vertices and on the interior points of faces;
-* ``relative_interior_point`` lies in the relative interior.
+* ``relative_interior_point`` lies in the relative interior;
+* ``recession_cone``, read off the rows and generators, equals
+  ``two_pass_from_hrep`` of the rows with ``c0`` set to 0.
 """
 
 import math
@@ -16,10 +18,11 @@ import math
 import pytest
 
 from conftest import (FIXTURE_DIR, contains_oracle, quotient_normal_oracle,
-                      seeded_points)
+                      same_polyhedron, seeded_points, two_pass_from_hrep)
 from tropdeg import cycfile, fixtures
 from tropdeg.cycles import codim1_faces
 from tropdeg.linalg import in_span, vdot, vsub
+from tropdeg.polyhedra import Polyhedron
 
 SEEDS = range(60)
 
@@ -80,3 +83,20 @@ def test_relative_interior_point(pool):
         pt = p.relative_interior_point()
         assert p.relint_contains(pt)
         assert contains_oracle(p, pt, relint=True)
+
+
+def test_recession_cone_matches_two_pass(pool):
+    assert sum(1 for p in pool if p.rays) > 100
+    # polyhedra with several vertices, which the pool has few of: a square,
+    # a half-strip, a wedge over a segment with a lineality line, a point
+    extra = [
+        Polyhedron.from_hrep(2, [(0, 1, 0), (0, 0, 1), (1, -1, 0), (1, 0, -1)]),
+        Polyhedron.from_hrep(2, [(0, 1, 0), (1, -1, 0), (0, 0, 1)]),
+        Polyhedron.from_generators(3, [(0, 0, 0), (1, 0, 0)], [(0, 1, 0), (1, 1, 0)],
+                                   [(1, 1, 1)]),
+        Polyhedron.point((1, 2)),
+    ]
+    homog = lambda rows: [(0,) + r[1:] for r in rows]
+    for p in pool + extra:
+        want = two_pass_from_hrep(p.m, homog(p.ineqs), homog(p.eqs))
+        assert same_polyhedron(p.recession_cone(), want), p

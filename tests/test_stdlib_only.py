@@ -1,6 +1,7 @@
 """The runtime is stdlib-only: every absolute import in ``src/tropdeg``
 names a module of the standard library.  The double-description format
-lives behind ``polyhedra``: no other module imports its kernel."""
+lives behind ``polyhedra``: no other module imports its kernel, and
+inside ``polyhedra`` only the cut (H->V) and the hull (V->H) run it."""
 
 import ast
 import sys
@@ -9,8 +10,8 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src" / "tropdeg"
 
 
-#: the double-description kernel and its input format, private to ``polyhedra``
-DD_NAMES = {"dual_description", "homogenized_constraints"}
+#: the double-description kernel, private to ``polyhedra``
+DD_NAMES = {"dual_description"}
 
 
 def nodes(path: Path):
@@ -45,3 +46,20 @@ def test_only_polyhedra_imports_the_double_description():
              for alias in node.names if alias.name in DD_NAMES]
     assert not leaks, "double description imported outside polyhedra: " + \
         ", ".join(leaks)
+
+
+def dd_calls(node) -> int:
+    """Calls of ``dual_description`` in a node."""
+    return sum(isinstance(n, ast.Call) and getattr(n.func, "id", None) in DD_NAMES
+               for n in ast.walk(node))
+
+
+def test_only_the_cut_and_the_hull_run_the_double_description():
+    tree = ast.parse((SRC / "polyhedra.py").read_text(encoding="utf-8"))
+    methods = {f"{cls.name}.{f.name}": f for cls in tree.body
+               if isinstance(cls, ast.ClassDef)
+               for f in cls.body if isinstance(f, ast.FunctionDef)}
+    callers = {name for name, f in methods.items() if dd_calls(f)}
+    assert callers == {"Polyhedron._cut", "Polyhedron._from_generator_rows"}
+    # and no call outside those methods
+    assert dd_calls(tree) == sum(dd_calls(methods[name]) for name in callers)
