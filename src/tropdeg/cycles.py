@@ -76,7 +76,7 @@ class WeightedFacet:
 class TropicalCycle:
     """Weighted facet list over a block structure; immutable."""
 
-    __slots__ = ("ambient", "facets", "_cache")
+    __slots__ = ("ambient", "facets", "support_facets", "_cache")
 
     def __init__(self, ambient: BlockStructure, facets):
         self.ambient = ambient
@@ -89,15 +89,13 @@ class TropicalCycle:
                     f"facet in R^{f.poly.m}, ambient is R^{ambient.m}")
             fs.append(f)
         self.facets = tuple(sorted(fs, key=lambda f: (f.poly.key, f.weight)))
+        #: the positive-weight facets, in the order of ``facets``
+        self.support_facets = tuple(f for f in self.facets if f.weight > 0)
         self._cache: dict = {}
 
     @property
     def m(self) -> int:
         return self.ambient.m
-
-    @property
-    def support_facets(self) -> tuple[WeightedFacet, ...]:
-        return tuple(f for f in self.facets if f.weight > 0)
 
     @property
     def is_empty(self) -> bool:

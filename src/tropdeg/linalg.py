@@ -7,10 +7,13 @@ of its basis matrix, and x @ M means sum_i x[i] * M[i].
 
 ``rref`` is the one elimination kernel.  It is fraction-free: it clears
 each row's denominators once and works in the integers, returning every
-row as a primitive integer row with a positive pivot.  Ranks and spans
-read off its rows; ``reduce_mod`` eliminates a vector against them the
-same way and returns the residual as a primitive integer row, a positive
-multiple of the exact one.
+row as a primitive integer row with a positive pivot.  It works row by
+row, reducing each row against the pivots found so far, so rows that
+already are ``rref`` output pass through at the cost of one scan, and
+ragged rows raise ``DimensionMismatchError``.  Ranks and spans read off
+its rows; ``reduce_mod`` eliminates a vector against them the same way
+and returns the residual as a primitive integer row, a positive multiple
+of the exact one.
 
 ``_smith`` is the one Smith elimination.  It updates the row and column
 transforms only when its caller passes them in: ``snf`` tracks both,
@@ -22,6 +25,7 @@ saturation, ``lattice_index`` the index in Z^m.
 
 from __future__ import annotations
 
+import bisect
 import math
 from fractions import Fraction
 from operator import mul
@@ -119,37 +123,50 @@ def identity_rows(n: int) -> list[list[int]]:
 # ---------------------------------------------------------------------------
 
 def rref(rows) -> tuple[list[IntVec], list[int]]:
-    """Reduced row echelon form over Q, computed fraction-free.
+    """Reduced row echelon form over Q, computed fraction-free, row by row.
 
-    Each row is cleared of denominators once; a pivot column is then
-    eliminated from every other row by ``pv*row - f*pivot_row`` and the
-    result divided by its gcd, so all arithmetic stays in the integers.
-    Returns (rows, pivot columns): each row is the primitive integer
-    multiple of the corresponding RREF row with a positive pivot entry.
+    Each row is taken to its ``int_row`` and reduced against the pivots
+    found so far by ``pv*row - f*pivot_row``, the result divided by its
+    gcd, so all arithmetic stays in the integers.  A nonzero remainder
+    becomes a pivot row (negated if its leading entry is negative), and
+    its pivot column is eliminated from the earlier rows the same way.  A
+    row that is zero at every earlier pivot column costs one scan, so rows
+    that already are ``rref`` output pass through.  Returns (rows, pivot
+    columns) in pivot order: each row is the primitive integer multiple of
+    the corresponding RREF row with a positive pivot entry.  Rows of
+    different lengths raise ``DimensionMismatchError``.
     """
-    mat = [int_row(r) for r in rows]
-    if not mat:
-        return [], []
-    ncols = len(mat[0])
+    red: list[IntVec] = []
     pivots: list[int] = []
-    r = 0
-    for c in range(ncols):
-        pr = next((i for i in range(r, len(mat)) if mat[i][c] != 0), None)
-        if pr is None:
+    ncols = None
+    for r in rows:
+        row = int_row(r)
+        if ncols is None:
+            ncols = len(row)
+        elif len(row) != ncols:
+            raise DimensionMismatchError(f"matrix rows of lengths {ncols} and {len(row)}")
+        if len(pivots) == ncols:
+            continue   # full rank: every further row reduces to zero
+        for prow, p in zip(red, pivots):
+            f = row[p]
+            if f:
+                pv = prow[p]
+                row = _divide_gcd([pv * a - f * b for a, b in zip(row, prow)])
+        lead = next(filter(None, row), 0)
+        if not lead:
             continue
-        prow = sign_normalized(mat[pr])   # its first nonzero entry is at c
-        mat[pr] = mat[r]
-        mat[r] = prow
-        pv = prow[c]
-        for i in range(len(mat)):
-            f = mat[i][c]
-            if i != r and f != 0:
-                mat[i] = _divide_gcd([pv * a - f * b for a, b in zip(mat[i], prow)])
-        pivots.append(c)
-        r += 1
-        if r == len(mat):
-            break
-    return mat[:r], pivots
+        c = row.index(lead)
+        if lead < 0:
+            row = tuple(-a for a in row)
+            lead = -lead
+        for i, prow in enumerate(red):
+            f = prow[c]
+            if f:
+                red[i] = _divide_gcd([lead * a - f * b for a, b in zip(prow, row)])
+        k = bisect.bisect(pivots, c)
+        pivots.insert(k, c)
+        red.insert(k, row)
+    return red, pivots
 
 
 def reduce_mod(echelon_rows, vec) -> IntVec:
@@ -164,7 +181,7 @@ def reduce_mod(echelon_rows, vec) -> IntVec:
     """
     out = int_row(vec)
     for row in echelon_rows:
-        p = next(i for i, x in enumerate(row) if x != 0)
+        p = row.index(next(filter(None, row)))
         f = out[p]
         if f != 0:
             pv = row[p]

@@ -384,10 +384,9 @@ def is_positive_divisor(cycle: TropicalCycle):
     rows = []
     for f in cycle.support_facets:
         rows.extend(r[1:] for r in f.poly.eqs)
-    kernel = linalg.int_kernel(rows, m)
-    if not kernel:
+    if linalg.rank(rows) == m:
         return True, None
-    return False, kernel[0]
+    return False, linalg.int_kernel(rows, m)[0]
 
 
 def pair_positive(c1: TropicalCycle, c2: TropicalCycle):

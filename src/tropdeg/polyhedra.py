@@ -220,6 +220,9 @@ class Polyhedron:
 
     @classmethod
     def empty(cls, m: int) -> "Polyhedron":
+        pooled = Polyhedron._interned.get((m, "empty"))
+        if pooled is not None:
+            return pooled
         return cls(m=m, eqs=(), ineqs=(), vertex_rows=(), rays=(), lineality=(),
                    is_empty=True)._intern()
 

@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 PASS lines.
 """
 
+import hashlib
 import time
 from fractions import Fraction
 from itertools import combinations
@@ -43,6 +44,10 @@ from tropdeg.polyhedra import Polyhedron
 
 SUITE3_SEEDS = range(200)
 
+#: sha256 over the rank table, the degrees and the criterion verdicts of every
+#: suite3 seed; recorded before ``rref`` became a row-by-row elimination
+SUITE3_DIGEST = "1d24a84c2c10e7ea04eb4b3b76b0f65936d68843193c74d6bcf08c700f218716"
+
 #: balanced-output registry for criterion 7, filled by the tests as they run
 CONSTRUCTED = []
 
@@ -68,6 +73,19 @@ def suite3():
         data.append((seed, cycle, ranks, degrees, criteria))
     elapsed = time.time() - start
     return data, elapsed
+
+
+def test_suite3_outputs_are_pinned(suite3):
+    data, _ = suite3
+    h = hashlib.sha256()
+    for seed, _, ranks, degrees, criteria in data:
+        verdicts = []
+        for n, res in criteria.items():
+            facet = res.facet_witness
+            witness = None if facet is None else (facet.poly.key, facet.weight)
+            verdicts.append((n, res.holds, res.violating_subset, witness))
+        h.update(repr((seed, ranks.table, sorted(degrees.items()), verdicts)).encode())
+    assert h.hexdigest() == SUITE3_DIGEST
 
 
 def test_criterion_1_example33a():

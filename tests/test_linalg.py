@@ -112,6 +112,12 @@ def test_lattice_index_examples():
     pytest.param(lambda: lattice_index([(1, 0, 0), (0, 1, 0)], 2), id="lattice_index-in-Z3"),
     pytest.param(lambda: lattice_index([(1, 0), (0, 1)], 3), id="lattice_index-in-Z2"),
     pytest.param(lambda: lattice_index([(1, 0), (0, 1, 0)], 2), id="lattice_index-ragged"),
+    pytest.param(lambda: rref([(1,), (1, 2)]), id="rref-long-row-in-span"),
+    pytest.param(lambda: rref([(0, 1), (1, 2, 3)]), id="rref-long-row"),
+    pytest.param(lambda: rref([(1, 2), (3,)]), id="rref-short-row"),
+    pytest.param(lambda: rref([(1, 0), (0, 1), (1, 1, 1)]), id="rref-row-past-full-rank"),
+    pytest.param(lambda: rank([(0, 0), (0, 0, 0)]), id="rank-zero-rows"),
+    pytest.param(lambda: in_span([(1, 0), (Fraction(1, 2),)], (1, 0)), id="in_span-ragged"),
 ])
 def test_ragged_and_wrong_length_matrices_are_rejected(call):
     with pytest.raises(DimensionMismatchError):
@@ -196,9 +202,12 @@ def test_rref_and_rank():
 # the fraction-free kernel against the Fraction elimination it replaced
 # ---------------------------------------------------------------------------
 
-def _random_matrix(rng):
-    """0-6 rows x 1-7 columns, with zero rows and dependent rows mixed in."""
-    nrows, ncols = rng.randint(0, 6), rng.randint(1, 7)
+def _random_matrix(rng, ncols=None):
+    """0-6 rows x 1-7 columns (or ``ncols``), with zero rows and dependent
+    rows mixed in."""
+    nrows = rng.randint(0, 6)
+    if ncols is None:
+        ncols = rng.randint(1, 7)
     rational = rng.randint(0, 1) == 1
 
     def entry():
@@ -301,6 +310,21 @@ def test_kernel_matches_fraction_oracle():
         _check_inverse(_unimodular(rng, n))
         _check_inverse([[rng.randint(-3, 3) for _ in range(n)] for _ in range(n)])
     assert outcomes == {True, False}
+
+
+def test_rref_continues_from_reduced_rows():
+    """Rows already in ``rref`` form pass through, and ``rref`` of reduced
+    rows with more rows, on either side, is the elimination of all rows."""
+    rng = Rng(1968)
+    for _ in range(300):
+        rows, ncols = _random_matrix(rng)
+        red, piv = rref(rows)
+        assert rref(red) == (red, piv)
+        extra, _ = _random_matrix(rng, ncols)
+        o_red, o_piv = fraction_rref(rows + extra)
+        want = ([int_row(r) for r in o_red], o_piv)
+        assert rref(red + extra) == want
+        assert rref(extra + red) == want
 
 
 def test_reduce_mod_is_primitive_multiple_of_fraction_residual():
