@@ -226,7 +226,7 @@ def _cmd_check_balance(args, cycle):
 
 def _cmd_intersect(args, c1, c2):
     out = ops.stable_intersect(c1, c2, seed=args.seed)
-    outputs = {"displacement_redraws": out._cache.get("displacement_redraws", 0)}
+    outputs = {"displacement_redraws": 0}
     if out.dim in (None, 0):
         outputs["degree"] = cyc.degree0(out)
     return outputs, out, ()

@@ -283,31 +283,36 @@ def translate(cycle: TropicalCycle, v) -> TropicalCycle:
 
 def _propagate_checks(dst: TropicalCycle, *srcs: TropicalCycle) -> None:
     """Give ``dst`` the valid and balanced verdicts that every source
-    carries; its callers (translation, reblocking, products) preserve
-    both properties."""
+    carries; its callers (``translate`` and ``product``) preserve both
+    properties."""
     if all(getattr(s._cache.get("valid"), "ok", False) for s in srcs):
         dst._cache.setdefault("valid", _KNOWN_VALID)
     if all(getattr(s._cache.get("balance"), "balanced", False) for s in srcs):
         dst._cache.setdefault("balance", _KNOWN_BALANCED)
 
 
-def product(c1: TropicalCycle, c2: TropicalCycle,
+def product(*factors: TropicalCycle,
             blocks: BlockStructure | None = None) -> TropicalCycle:
-    """Direct product; weights multiply, dimensions add.
+    """Direct product of any number of cycles, in factor order, over
+    ``blocks`` (by default the factors' blocks joined); weights multiply,
+    dimensions add.
 
-    The product keeps the valid and balanced marks when both factors carry
-    them: a product of valid, balanced cycles is valid and balanced
-    (Allermann-Rau 2010).
+    Support facets are folded from the left, so each prefix polyhedron is
+    built once.  The product keeps the valid and balanced marks when every
+    factor carries them: a product of valid, balanced cycles is valid and
+    balanced (Allermann-Rau 2010).  No factors raise DimensionMismatchError.
     """
     if blocks is None:
-        blocks = BlockStructure(c1.ambient.blocks + c2.ambient.blocks)
-    if blocks.m != c1.m + c2.m:
+        blocks = BlockStructure(sum((c.ambient.blocks for c in factors), ()))
+    if blocks.m != sum(c.m for c in factors):
         raise DimensionMismatchError("blocks do not sum to the product dimension")
     # zero-weight facets are refinement bookkeeping; products drop them
-    facets = [WeightedFacet(f1.poly.product(f2.poly), f1.weight * f2.weight)
-              for f1 in c1.support_facets for f2 in c2.support_facets]
+    facets = factors[0].support_facets
+    for c in factors[1:]:
+        facets = [WeightedFacet(p.poly.product(f.poly), p.weight * f.weight)
+                  for p in facets for f in c.support_facets]
     out = TropicalCycle(blocks, facets)
-    _propagate_checks(out, c1, c2)
+    _propagate_checks(out, *factors)
     return out
 
 

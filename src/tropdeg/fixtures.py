@@ -145,7 +145,7 @@ def generate_admissible(seed: int, max_m: int = 6, max_k: int = 3) -> TropicalCy
         remaining -= b
     blocks = BlockStructure(tuple(blocks))
 
-    out = md._block_product([_block_cycle(rng, b) for b in blocks.blocks], blocks)
+    out = cyc.product(*(_block_cycle(rng, b) for b in blocks.blocks), blocks=blocks)
 
     # optionally cut down with translated hyperplane pullbacks
     cuts = rng.randint(0, 1) if out.dim and out.dim > 1 else 0

@@ -177,9 +177,13 @@ def reduce_mod(echelon_rows, vec) -> IntVec:
     the pivot columns are zero; it is zero exactly when vec lies in the
     span, and then so is the returned row.  ``vec`` is cleared of
     denominators once and each pivot is eliminated by ``pv*out -
-    out[p]*row`` with ``pv > 0``, so the orientation is kept.
+    out[p]*row`` with ``pv > 0``, so the orientation is kept.  A vector
+    whose length differs from the rows' raises ``DimensionMismatchError``.
     """
     out = int_row(vec)
+    if echelon_rows and len(echelon_rows[0]) != len(out):
+        raise DimensionMismatchError(
+            f"vector of length {len(out)} against rows of length {len(echelon_rows[0])}")
     for row in echelon_rows:
         p = row.index(next(filter(None, row)))
         f = out[p]

@@ -143,18 +143,9 @@ def _full_space(b: int) -> TropicalCycle:
     return full
 
 
-def _block_product(parts, blocks: BlockStructure) -> TropicalCycle:
-    """Product of one cycle per block, the last one over ``blocks``;
-    ``product`` keeps proven marks.  A single part is returned as it is."""
-    out = parts[0]
-    for i, part in enumerate(parts[1:], 2):
-        out = cyc.product(out, part, blocks if i == len(parts) else None)
-    return out
-
-
 def pullback(divisor: TropicalCycle, block: int,
              blocks: BlockStructure) -> TropicalCycle:
-    """divisor x product of the other blocks' full spaces, as a cycle in R^m.
+    """divisor x product of the other blocks' full spaces, one product over ``blocks``.
 
     The result is marked valid and balanced when the divisor is.
     """
@@ -163,9 +154,8 @@ def pullback(divisor: TropicalCycle, block: int,
     if divisor.m != size:
         raise DimensionMismatchError(
             f"divisor in R^{divisor.m} for block {block} of size {size}")
-    return _block_product(
-        [divisor if i == block else _full_space(b)
-         for i, b in enumerate(blocks.blocks, 1)], blocks)
+    return cyc.product(*(divisor if i == block else _full_space(b)
+                         for i, b in enumerate(blocks.blocks, 1)), blocks=blocks)
 
 
 #: powers kept by ``divisor_power``; the standard divisors of blocks of
@@ -210,8 +200,7 @@ def multidegree(cycle: TropicalCycle, n, divs: DivisorSet | None = None,
     if divs is None:
         divs = DivisorSet.standard(cycle.ambient)
     divs.validate(cycle.ambient)
-    lin = _block_product([divisor_power(d, e) for d, e in zip(divs.divisors, n)],
-                         cycle.ambient)
+    lin = cyc.product(*map(divisor_power, divs.divisors, n), blocks=cycle.ambient)
     return cyc.degree0(ops.stable_intersect(cycle, lin, seed=seed))
 
 

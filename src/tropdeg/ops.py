@@ -126,7 +126,7 @@ def stable_intersect(c1: TropicalCycle, c2: TropicalCycle, seed=0) -> TropicalCy
             "stable intersection differs under the seed's check direction")
     out = cyc.refined_cycle(c1.ambient, pieces, weights)
     cyc.assert_balanced(out, "stable intersection")
-    # always 0; kept for the intersect report, bench/selftest.py and bench/layertrace.py
+    # always 0; kept for bench/selftest.py and bench/layertrace.py
     out._cache["displacement_redraws"] = 0
     return out
 

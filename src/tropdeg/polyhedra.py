@@ -409,13 +409,9 @@ class Polyhedron:
         return _canonical(self.m, facets, eqs, [origin], self.rays, self.lineality)
 
     def translate(self, v) -> "Polyhedron":
+        d, *dv = _point_row(v, self.m, "translation vector")     # (d, d*v), d > 0
         if self.is_empty:
             return self
-        v = tuple(v)
-        if len(v) != self.m:
-            raise DimensionMismatchError(
-                f"translation vector of length {len(v)} in R^{self.m}")
-        d, *dv = _point_row(v, self.m)     # (d, d*v), d > 0
         # c0 + c.(x - v) >= 0 scaled by d
         shift = lambda rows: [(d * r[0] - vdot(r[1:], dv),) + tuple(d * c for c in r[1:])
                               for r in rows]
@@ -428,9 +424,9 @@ class Polyhedron:
     def plus_span(self, basis) -> "Polyhedron":
         """Minkowski sum with the linear span of the given vectors: the
         same generators with the vectors added to the lineality."""
+        lin = [int_row(_check_len(tuple(b), self.m, "span vector")) for b in basis]
         if self.is_empty:
             return self
-        lin = [int_row(_check_len(tuple(b), self.m, "span vector")) for b in basis]
         return Polyhedron._from_generator_rows(self.m, self.vertex_rows, self.rays,
                                                self.lineality + tuple(lin))
 

@@ -118,6 +118,9 @@ def test_lattice_index_examples():
     pytest.param(lambda: rref([(1, 0), (0, 1), (1, 1, 1)]), id="rref-row-past-full-rank"),
     pytest.param(lambda: rank([(0, 0), (0, 0, 0)]), id="rank-zero-rows"),
     pytest.param(lambda: in_span([(1, 0), (Fraction(1, 2),)], (1, 0)), id="in_span-ragged"),
+    pytest.param(lambda: in_span([(1, 0, 0)], (1, 0)), id="in_span-short-target"),
+    pytest.param(lambda: in_span([(1, 0)], (1, 0, 0)), id="in_span-long-target"),
+    pytest.param(lambda: reduce_mod([(1, 0, 0)], (1, 2)), id="reduce_mod-short-vector"),
 ])
 def test_ragged_and_wrong_length_matrices_are_rejected(call):
     with pytest.raises(DimensionMismatchError):

@@ -181,7 +181,7 @@ def test_facet_witness():
     assert f is not None and f.poly.dim == 3
 
     prod = product(fixtures.standard_line(), fixtures.standard_line(),
-                   BlockStructure((2, 2)))
+                   blocks=BlockStructure((2, 2)))
     f = facet_witness(prod, (1, 1))
     assert f is not None
 
@@ -207,7 +207,7 @@ def test_divisor_choice_invariance():
         assert _agree(g, n, seed=8) == _agree(g, n, custom, seed=9) == 1
 
     prod = product(fixtures.standard_line(), fixtures.standard_line(),
-                   BlockStructure((2, 2)))
+                   blocks=BlockStructure((2, 2)))
     coord = DivisorSet(prod.ambient, (fixtures.coordinate_hyperplanes(2),
                                       fixtures.coordinate_hyperplanes(2)))
     shifted = DivisorSet(prod.ambient, (tropical_hyperplane([0, 1, -2]),
@@ -259,6 +259,10 @@ def test_pullback_checks_block_and_divisor():
     blocks = BlockStructure((2, 1))
     plane = standard_hyperplane(2)
     assert pullback(plane, 1, blocks).ambient == blocks
+    # one block too: the divisor over (1, 1) is pulled back to R^2 as one block
+    one = pullback(fixtures.diagonal_11(), 1, BlockStructure((2,)))
+    assert one.ambient == BlockStructure((2,))
+    assert one.support_facets == fixtures.diagonal_11().support_facets
     for b in (0, 3, -1, 1.5, Fraction(3, 2)):
         with pytest.raises(BadBlockIndexError):
             pullback(plane, b, blocks)
@@ -321,6 +325,54 @@ def test_pullback_carries_marks():
 
     unchecked = pullback(tropical_hyperplane([0, 0, 0]), 2, BlockStructure((1, 2)))
     assert "valid" not in unchecked._cache and "balance" not in unchecked._cache
+
+
+def _marks(cycle):
+    return (getattr(cycle._cache.get("valid"), "ok", None),
+            getattr(cycle._cache.get("balance"), "balanced", None))
+
+
+def _nested(parts, blocks):
+    """The product of ``parts`` over ``blocks`` by binary products folded
+    from the left, only the last one reblocked; one part stays as it is."""
+    out = parts[0]
+    for i, part in enumerate(parts[1:], 2):
+        out = product(out, part, blocks=blocks if i == len(parts) else None)
+    return out
+
+
+def _same_product(parts, blocks):
+    flat, nested = product(*parts, blocks=blocks), _nested(parts, blocks)
+    assert flat.ambient == blocks
+    assert (flat.key, flat.ambient, _marks(flat)) == \
+           (nested.key, nested.ambient, _marks(nested))
+    return flat
+
+
+def test_nary_product_matches_nested_binary_products():
+    """``L_n`` for every type vector of generator seeds 0-59, the pullback
+    of each standard hyperplane, and products of shipped fixtures."""
+    for s in range(60):
+        cycle = fixtures.generate_admissible(s)
+        blocks = cycle.ambient
+        divs = DivisorSet.standard(blocks).divisors
+        for n in type_vectors(cycle):
+            lin = _same_product([divisor_power(d, e) for d, e in zip(divs, n)], blocks)
+            assert _marks(lin) == (True, True)
+        for i, d in enumerate(divs, 1):
+            parts = [d if j == i else divisor_power(e, 0) for j, e in enumerate(divs, 1)]
+            assert pullback(d, i, blocks) == _same_product(parts, blocks)
+
+    line, diag, lines = fixtures.standard_line(), fixtures.diagonal_11(), fixtures.parallel_lines()
+    check_balancing(line)
+    for blocks in (BlockStructure((2, 1, 1, 2)), BlockStructure((6,)), BlockStructure((3, 3))):
+        _same_product([line, diag, lines], blocks)
+    assert product(line, diag, lines) == product(product(line, diag), lines)
+    for kwargs in ({}, {"blocks": BlockStructure((1,))}):
+        with pytest.raises(DimensionMismatchError):
+            product(**kwargs)
+    with pytest.raises(DimensionMismatchError):
+        product(line, diag, blocks=BlockStructure((2, 1)))
 
 
 def test_standard_divisors_built_once():
@@ -434,7 +486,7 @@ def test_matches_iterated_on_points():
 def test_matches_iterated_on_empty_intersection():
     g = fixtures.example33a()
     lin = product(fixtures.standard_line(), fixtures.standard_line(),
-                  BlockStructure((2, 2)))
+                  blocks=BlockStructure((2, 2)))
     assert stable_intersect(g, lin, seed=4).is_empty
     assert _agree(g, (1, 1), seed=4) == 0
 

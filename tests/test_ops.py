@@ -310,7 +310,7 @@ def test_block_indices_are_not_truncated(subset):
 def test_projection_pushforward():
     blocks = BlockStructure((2, 1))
     lam = fixtures.standard_line()
-    cyl = product(lam, line_cycle(1, (1,)), blocks)
+    cyl = product(lam, line_cycle(1, (1,)), blocks=blocks)
     out = projection_pushforward(cyl, [1])
     assert out.is_pure
     assert out.cycle == lam
@@ -428,7 +428,7 @@ def test_pair_positive_refuses_unbalanced_input():
 
 def test_pair_positive_example33a():
     lines = product(fixtures.standard_line(), fixtures.standard_line(),
-                    BlockStructure((2, 2)))
+                    blocks=BlockStructure((2, 2)))
     ok, _ = pair_positive(fixtures.example33a(), lines)
     assert not ok
     deg = degree0(stable_intersect(fixtures.example33a(), lines, seed=8))
@@ -554,6 +554,6 @@ def test_displacement_seed_determinism():
     line, plane = fixtures.standard_line(), fixtures.standard_plane()
     pairs = [(line, fixtures.scaled_line(3)), (line, line), (plane, plane),
              (plane, fixtures.coordinate_hyperplanes(3)),
-             (fixtures.example33b(), product(line, line, BlockStructure((2, 2))))]
+             (fixtures.example33b(), product(line, line, blocks=BlockStructure((2, 2))))]
     for c1, c2 in pairs:
         assert len({stable_intersect(c1, c2, seed=seed) for seed in range(32)}) == 1

@@ -64,6 +64,12 @@ def test_vector_lengths_checked():
     for test in (point.contains, point.relint_contains):
         with pytest.raises(DimensionMismatchError):
             test((0, 0, 0))
+    # the empty polyhedron checks lengths before it returns itself
+    empty = Polyhedron.empty(2)
+    for call in (lambda: empty.translate((1, 2, 3)), lambda: empty.plus_span([(1, 2, 3)])):
+        with pytest.raises(DimensionMismatchError):
+            call()
+    assert empty.translate((1, 2)) is empty and empty.plus_span([(1, 2)]) is empty
 
 
 def test_recession_cone():
