@@ -198,7 +198,16 @@ def rank(rows) -> int:
 
 
 def in_span(basis_rows, target) -> bool:
-    return is_zero_vec(reduce_mod(rref(basis_rows)[0], target))
+    """Whether ``target`` lies in the span of the rows.  Its length is
+    compared with the rows' before ``rref`` drops zero rows, so a target
+    of another length raises ``DimensionMismatchError`` also against an
+    all-zero basis."""
+    basis_rows = list(basis_rows)
+    echelon = rref(basis_rows)[0]
+    if basis_rows and len(basis_rows[0]) != len(target):
+        raise DimensionMismatchError(
+            f"vector of length {len(target)} against rows of length {len(basis_rows[0])}")
+    return is_zero_vec(reduce_mod(echelon, target))
 
 
 # ---------------------------------------------------------------------------

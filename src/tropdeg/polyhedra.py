@@ -24,10 +24,10 @@ every generator and hence a point of the relative interior.  The
 Every nonempty constructor ends in ``_canonical``, the one canonicalizer
 of rows and generators, and builds in one of three ways:
 
-* a cut (H->V, ``_cut``): the double description of a polyhedron's
-  homogenization cone continues from its stored generators and their
-  tight sets with only the added rows (``intersect``, ``split``, and
-  ``from_hrep`` on the full space);
+* a cut (H->V, ``_cut``, canonicalized by ``_cut_canonical``): the
+  double description of a polyhedron's homogenization cone continues
+  from its stored generators and their tight sets with only the added
+  rows (``intersect``, ``split``, and ``from_hrep`` on the full space);
 * a hull (V->H, ``_from_generator_rows``): one double description of
   the generators;
 * a read-off, with no conversion: ``face`` and ``recession_cone`` take
@@ -43,6 +43,13 @@ the pool is consulted before the generators are canonicalized, and a
 point set built before costs no generator work.  The empty polyhedron is
 a first-class value.
 
+The face condition of a complex builds no intersection:
+``meets_off_faces`` cuts one cell by the other's rows and reads the
+result off the tight bitmasks of that cut.  The rows tight on the
+intersection pick the smallest face of each cell that contains it, and
+sign tests of the other cell's rows on that face's stored generators say
+whether the intersection is that face.
+
 Polyhedra are immutable; the per-instance caches and the intern pool are
 memoization only, so concurrent re-computation is benign.
 """
@@ -50,8 +57,9 @@ memoization only, so concurrent re-computation is benign.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import reduce
 from itertools import combinations
-from operator import mul
+from operator import and_, mul
 
 from . import linalg
 from .errors import (
@@ -90,8 +98,7 @@ def eval_dir(row, direction):
 # double description on a homogeneous cone
 # ---------------------------------------------------------------------------
 
-def dual_description(dim: int, constraints,
-                     start=None) -> tuple[list[IntVec], list[IntVec]]:
+def dual_description(dim: int, constraints, start=None, masks: bool = False):
     """Extreme rays and lineality basis of {x in R^dim : c.x >= 0 / == 0}.
 
     ``constraints`` is a sequence of (integer row, is_equality) pairs.  The
@@ -104,6 +111,12 @@ def dual_description(dim: int, constraints,
     continues from it instead of from all of R^dim; the cone is then the
     start cone cut by ``constraints``.  The adjacency test only needs the
     masks over some H-description of the start cone.
+
+    Returns ``(rays, lineality)``, and with ``masks=True`` also each ray's
+    tight bitmask as a third item.  A mask is the exact set of rows zero on
+    its ray: bit ``j`` for the j-th start row, then one bit per constraint
+    in order.  A zero row is skipped without taking a bit, so a caller
+    that reads the masks hands in nonzero rows, as canonical rows are.
     """
     if start is None:
         lin: list[IntVec] = [tuple(r) for r in linalg.identity_rows(dim)]
@@ -170,6 +183,8 @@ def dual_description(dim: int, constraints,
             rays = _dedupe(keep + combos)
         n_done += 1
         prior_mask |= bit
+    if masks:
+        return [r[0] for r in rays], lin, [r[1] for r in rays]
     return [r[0] for r in rays], lin
 
 
@@ -231,7 +246,7 @@ class Polyhedron:
         """Polyhedron {x : c0 + c.x >= 0 for ineqs, == 0 for eqs}."""
         ineqs = [_check_len(int_row(r), m + 1, "constraint row") for r in ineqs]
         eqs = [_check_len(int_row(r), m + 1, "constraint row") for r in eqs]
-        return cls.full_space(m)._cut(eqs, ineqs)
+        return cls.full_space(m)._cut_canonical(eqs, ineqs)
 
     @classmethod
     def from_generators(cls, m: int, vertices=(), rays=(), lineality=()) -> "Polyhedron":
@@ -356,13 +371,11 @@ class Polyhedron:
 
     # -- derived polyhedra ----------------------------------------------------
 
-    def _cut(self, eqs, ineqs) -> "Polyhedron":
-        """This nonempty polyhedron cut by more equality and inequality
-        rows: the double description of the homogenization cone continued
-        from the stored generators, the vertex rows and rays ``(0, r)``
-        with their tight sets over ``x0 >= 0`` and the facet rows, and the
-        lineality ``(0, l)``; ``dual_description`` copies that cached start
-        state.  The H-rep is ``_hrep`` of the joint rows."""
+    def _dd_start(self):
+        """The cached start state of this nonempty polyhedron's double
+        description: the vertex rows and rays ``(0, r)`` with their tight
+        bitmasks over ``x0 >= 0`` (bit 0) and the facet rows (bits ``1`` to
+        ``len(ineqs)``), the lineality ``(0, l)``, and the row count."""
         start = self._cache.get("dd_start")
         if start is None:
             rows = ((1,) + (0,) * self.m,) + self.ineqs
@@ -372,11 +385,29 @@ class Polyhedron:
                       for g in gens),
                 tuple((0,) + l for l in self.lineality),
                 len(rows))
-        gen_rays, gen_lin = dual_description(
+        return start
+
+    def _cut(self, eqs, ineqs, masks: bool = False):
+        """The generators of this nonempty polyhedron's homogenization cone
+        cut by more equality and inequality rows: the double description
+        continued from ``_dd_start``, which ``dual_description`` copies.
+
+        Returns the rays and the lineality, of heights ``>= 0`` and ``0``;
+        the cut is empty when no ray has a positive height.  With
+        ``masks=True`` each ray's tight bitmask comes third: the start
+        state's bits, then one bit per added row, equalities first.  The
+        rows must then be nonzero (``dual_description``)."""
+        out = dual_description(
             self.m + 1, [(r, True) for r in eqs] + [(r, False) for r in ineqs],
-            start=start)
-        if any(r[0] < 0 for r in gen_rays) or any(l[0] != 0 for l in gen_lin):
+            start=self._dd_start(), masks=masks)
+        if any(r[0] < 0 for r in out[0]) or any(l[0] != 0 for l in out[1]):
             raise InvariantError("homogenization generator with negative height")
+        return out
+
+    def _cut_canonical(self, eqs, ineqs) -> "Polyhedron":
+        """The polyhedron of ``_cut``: its vertex rows, rays and lineality,
+        and the H-rep ``_hrep`` of the joint rows."""
+        gen_rays, gen_lin = self._cut(eqs, ineqs)
         verts = [r for r in gen_rays if r[0] > 0]
         if not verts:
             return Polyhedron.empty(self.m)
@@ -394,7 +425,7 @@ class Polyhedron:
                 f"ambient dimensions differ: {self.m} vs {other.m}")
         if self.is_empty or other.is_empty or quickly_disjoint(self, other):
             return Polyhedron.empty(self.m)
-        return self._cut(other.eqs, other.ineqs)
+        return self._cut_canonical(other.eqs, other.ineqs)
 
     def recession_cone(self) -> "Polyhedron":
         """{d : c.d >= 0 for ineqs, == 0 for eqs}, with no double
@@ -491,7 +522,11 @@ class Polyhedron:
         return self._cache["facets"]
 
     def all_faces(self) -> tuple["Polyhedron", ...]:
-        """All nonempty faces, including the polyhedron itself."""
+        """All nonempty faces, including the polyhedron itself.
+
+        ``src/`` no longer calls it: the face condition reads tight masks
+        (``meets_off_faces``).  The tests' oracles and ``bench/layertrace``
+        keep it until the benchmark stops tracing it."""
         seen = {self.key: self}
         frontier = [self]
         while frontier:
@@ -529,7 +564,7 @@ class Polyhedron:
             return [self]
         out = []
         for signed in (row, vneg(row)):
-            piece = self._cut((), (signed,))
+            piece = self._cut_canonical((), (signed,))
             if not piece.is_empty and piece.dim == self.dim:
                 out.append(piece)
         return out
@@ -658,12 +693,6 @@ def refine_by_hyperplanes(cell: Polyhedron, rows) -> list[Polyhedron]:
     return pieces
 
 
-def face_key_set(poly: Polyhedron) -> frozenset:
-    if "face_keys" not in poly._cache:
-        poly._cache["face_keys"] = frozenset(f.key for f in poly.all_faces())
-    return poly._cache["face_keys"]
-
-
 def _separates(row: HomRow, p: Polyhedron, sign: int = 1) -> bool:
     """Whether ``sign * row`` is negative on the whole of p, a polyhedron
     in the row's ambient space (``quickly_disjoint`` checks the lengths
@@ -703,20 +732,54 @@ def quickly_disjoint(a: Polyhedron, b: Polyhedron) -> bool:
     return False
 
 
+def _face_inside(p: Polyhedron, tight: int, q: Polyhedron) -> bool:
+    """Whether the face of p on which the facet rows of the bitmask
+    ``tight`` are tight lies in q.  ``tight`` is over p's ``_dd_start``
+    rows; the face is generated by the start generators whose masks
+    contain it and by p's lineality, so the test is a set of sign tests of
+    q's rows on them."""
+    gens, lin, _ = p._dd_start()
+    if any(vdot(r, l) for l in lin for r in q.eqs + q.ineqs):
+        return False
+    for g, mask in gens:
+        if mask & tight == tight and (any(vdot(r, g) for r in q.eqs)
+                                      or any(vdot(r, g) < 0 for r in q.ineqs)):
+            return False
+    return True
+
+
+def meets_off_faces(p: Polyhedron, q: Polyhedron) -> bool:
+    """Whether ``p & q`` is nonempty and not a face of both, without
+    building it: read off the tight masks of ``p._cut`` by q's rows.
+
+    A row is tight on ``F = p & q`` exactly when it is tight on every ray
+    of the cut (the lineality is tight on every row), so the AND ``t`` of
+    the masks gives the facet rows of p and of q tight on F.  As the faces
+    of a polyhedron are ordered like their tight sets (Fukuda-Prodon
+    1996), the smallest face of p containing F is the one where p's rows
+    in ``t`` are tight, and F is a face of p exactly when that face lies
+    in q; likewise for q.  q's inequality bits follow p's start rows and
+    q's equalities in ``t`` and are shifted to q's start positions.
+    """
+    if p.m != q.m:
+        raise DimensionMismatchError(f"ambient dimensions differ: {p.m} vs {q.m}")
+    if p.is_empty or q.is_empty or quickly_disjoint(p, q):
+        return False
+    rays, _, masks = p._cut(q.eqs, q.ineqs, masks=True)
+    if not any(r[0] > 0 for r in rays):
+        return False
+    t = reduce(and_, masks)
+    n_p = 1 + len(p.ineqs)
+    return not (_face_inside(p, t & ((1 << n_p) - 2), q)
+                and _face_inside(q, (t >> (n_p + len(q.eqs))) << 1, p))
+
+
 def offending_pairs(polys) -> list[tuple[int, int]]:
     """Index pairs ``i < j``, in loop order, of cells that are equal or
-    whose intersection is nonempty and not a face of both: the face
-    condition of a complex, in which each cell is listed once."""
-    bad = []
-    for (i, a), (j, b) in combinations(enumerate(polys), 2):
-        if a.key == b.key:
-            bad.append((i, j))
-            continue
-        inter = a.intersect(b)
-        if not inter.is_empty and (inter.key not in face_key_set(a)
-                                   or inter.key not in face_key_set(b)):
-            bad.append((i, j))
-    return bad
+    that ``meets_off_faces``: the face condition of a complex, in which
+    each cell is listed once."""
+    return [(i, j) for (i, a), (j, b) in combinations(enumerate(polys), 2)
+            if a.key == b.key or meets_off_faces(a, b)]
 
 
 def common_refinement(cells) -> list[Polyhedron]:

@@ -298,6 +298,27 @@ def face_oracle(p: Polyhedron, row) -> Polyhedron:
     return Polyhedron.from_hrep(p.m, p.ineqs, p.eqs + (row,))
 
 
+def box_rows(lo, hi):
+    """The box [lo_1, hi_1] x ... in R^m as rows ``x_i - lo_i >= 0``,
+    ``hi_i - x_i >= 0``."""
+    m = len(lo)
+    unit = lambda i, s: tuple(s * int(j == i) for j in range(m))
+    return [(-a,) + unit(i, 1) for i, a in enumerate(lo)] + \
+        [(b,) + unit(i, -1) for i, b in enumerate(hi)]
+
+
+def off_faces_oracle(a: Polyhedron, b: Polyhedron) -> bool:
+    """Whether ``a & b`` is nonempty and not a face of both, by the
+    canonical ``intersect`` and the keys of the whole face lattice of each.
+
+    The rule that the tight-mask test of ``polyhedra.meets_off_faces``
+    replaced; kept as a differential oracle.
+    """
+    inter = a.intersect(b)
+    return not inter.is_empty and any(
+        inter.key not in frozenset(f.key for f in p.all_faces()) for p in (a, b))
+
+
 def two_scan_disjoint(a: Polyhedron, b: Polyhedron) -> bool:
     """``polyhedra.quickly_disjoint`` with two scans per equality row, one
     for the row and one for its negation.

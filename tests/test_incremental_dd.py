@@ -25,7 +25,7 @@ import copy
 
 import pytest
 
-from conftest import (fresh, same_polyhedron, splitting_sums,
+from conftest import (box_rows, fresh, same_polyhedron, splitting_sums,
                       two_pass_from_hrep, uninterned)
 from tropdeg import fixtures
 from tropdeg.cycles import validate_complex
@@ -102,15 +102,6 @@ def test_split_matches_joint_from_hrep(run):
 
 # --- hand-made cases ---------------------------------------------------------
 
-def _box(lo, hi):
-    """The box [lo_1, hi_1] x ... in R^m as rows ``x_i - lo_i >= 0``,
-    ``hi_i - x_i >= 0``."""
-    m = len(lo)
-    unit = lambda i, s: tuple(s * int(j == i) for j in range(m))
-    return [(-a,) + unit(i, 1) for i, a in enumerate(lo)] + \
-        [(b,) + unit(i, -1) for i, b in enumerate(hi)]
-
-
 def test_unbounded_cells_with_lineality():
     # the slab 0 <= x1 <= 2 in R^3, and a wedge with lineality along e1 - e2
     slab = Polyhedron.from_hrep(3, ineqs=[(0, 1, 0, 0), (2, -1, 0, 0)])
@@ -140,7 +131,7 @@ def test_disjoint_pair_past_the_prefilter():
 
 
 def test_joins_that_only_add_equalities():
-    cube = Polyhedron.from_hrep(3, _box((0, 0, 0), (2, 2, 2)))
+    cube = Polyhedron.from_hrep(3, box_rows((0, 0, 0), (2, 2, 2)))
     plane = Polyhedron.from_hrep(3, eqs=[(-2, 1, 1, 1)])
     line = Polyhedron.from_hrep(3, eqs=[(-1, 1, 0, 0), (-1, 0, 1, 0)])
     assert not plane.ineqs and not line.ineqs
@@ -153,8 +144,8 @@ def test_joins_that_only_add_equalities():
 
 
 def test_point_results():
-    square = Polyhedron.from_hrep(2, _box((0, 0), (1, 1)))
-    corner = Polyhedron.from_hrep(2, _box((1, 1), (3, 2)))
+    square = Polyhedron.from_hrep(2, box_rows((0, 0), (1, 1)))
+    corner = Polyhedron.from_hrep(2, box_rows((1, 1), (3, 2)))
     point = _check_intersect(square, corner)
     assert point.dim == 0 and point.vertices == ((1, 1),)
     # two segments crossing at (3/5, 2/5)
@@ -170,7 +161,7 @@ def test_split_through_a_vertex():
     halves = _check_split(triangle, (0, 1, -1))
     assert len(halves) == 2 and all(h.dim == 2 for h in halves)
     # the diagonal of a square, through two vertices
-    square = Polyhedron.from_hrep(2, _box((0, 0), (1, 1)))
+    square = Polyhedron.from_hrep(2, box_rows((0, 0), (1, 1)))
     assert len(_check_split(square, (1, -1, -1))) == 2
     # lines that only touch a vertex or an edge do not cut
     assert _check_split(triangle, (0, -1, -1)) == [triangle]
@@ -178,7 +169,7 @@ def test_split_through_a_vertex():
 
 
 def test_start_state_is_not_mutated():
-    cube = Polyhedron.from_hrep(3, _box((0, 0, 0), (2, 2, 2)))
+    cube = Polyhedron.from_hrep(3, box_rows((0, 0, 0), (2, 2, 2)))
     slab = Polyhedron.from_hrep(3, ineqs=[(-1, 1, 1, 0), (2, -1, -1, 0)])
     first = cube.intersect(slab)
     start = cube._cache["dd_start"]

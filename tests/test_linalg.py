@@ -120,12 +120,20 @@ def test_lattice_index_examples():
     pytest.param(lambda: in_span([(1, 0), (Fraction(1, 2),)], (1, 0)), id="in_span-ragged"),
     pytest.param(lambda: in_span([(1, 0, 0)], (1, 0)), id="in_span-short-target"),
     pytest.param(lambda: in_span([(1, 0)], (1, 0, 0)), id="in_span-long-target"),
+    pytest.param(lambda: in_span([(0, 0, 0)], (1, 0)), id="in_span-zero-basis-short-target"),
+    pytest.param(lambda: in_span([(0, 0), (0, 0)], (1, 0, 0)), id="in_span-zero-basis-long-target"),
     pytest.param(lambda: reduce_mod([(1, 0, 0)], (1, 2)), id="reduce_mod-short-vector"),
 ])
 def test_ragged_and_wrong_length_matrices_are_rejected(call):
     with pytest.raises(DimensionMismatchError):
         call()
     assert issubclass(DimensionMismatchError, ContractError)
+
+
+def test_in_span_of_zero_rows():
+    assert in_span([(0, 0, 0)], (0, 0, 0))
+    assert not in_span([(0, 0, 0)], (0, 1, 0))
+    assert not in_span([], (0, 1))
 
 
 def test_lattice_index_matches_determinant():
