@@ -29,7 +29,9 @@ of rows and generators, and builds in one of three ways:
   from its stored generators and their tight sets with only the added
   rows (``intersect``, ``split``, and ``from_hrep`` on the full space);
 * a hull (V->H, ``_from_generator_rows``): one double description of
-  the generators;
+  the generators; ``plus_span`` continues it from the polyhedron's own
+  facet and equality rows, the dual cone's rays and lineality, with
+  only the span's rows (``_dual_start``);
 * a read-off, with no conversion: ``face`` and ``recession_cone`` take
   their generators off the polyhedron's own, and ``translate``,
   ``product`` and ``full_space`` map rows and generators.
@@ -260,7 +262,7 @@ class Polyhedron:
         return cls._from_generator_rows(m, rows, ray_vecs, lin_vecs)
 
     @classmethod
-    def _from_generator_rows(cls, m, vert_rows, rays, lineality) -> "Polyhedron":
+    def _from_generator_rows(cls, m, vert_rows, rays, lineality, start=None) -> "Polyhedron":
         """``from_generators`` on integer vertex rows ``(d, d*v)``, ``d > 0``,
         and integer ray and lineality tuples, canonical or not.
 
@@ -269,13 +271,17 @@ class Polyhedron:
         a lineality vector (never a vertex row, of height d > 0).  Zero,
         duplicate and parallel generators, and vertex rows that differ by
         a lineality vector, pass ``_split`` alike and meet in
-        ``_canonical``.
+        ``_canonical``.  ``start``, a ``_dual_start`` over these vertex
+        rows and rays, already holds the generators, so the conversion
+        continues from it with the lineality rows alone.
         """
         if not vert_rows:
             return cls.empty(m)
         gens = [*vert_rows, *((0,) + r for r in rays)]
-        dual_rays, dual_lin = dual_description(
-            m + 1, [((0,) + l, True) for l in lineality] + [(g, False) for g in gens])
+        constraints = [((0,) + l, True) for l in lineality]
+        if start is None:
+            constraints += [(g, False) for g in gens]
+        dual_rays, dual_lin = dual_description(m + 1, constraints, start=start)
         facets, eqs = _hrep(dual_rays, dual_lin, gens)
         flat, extreme = _split(gens, dual_rays)
         return _canonical(m, facets, eqs, [g for g in extreme if g[0] > 0],
@@ -381,10 +387,25 @@ class Polyhedron:
             rows = ((1,) + (0,) * self.m,) + self.ineqs
             gens = self.vertex_rows + tuple((0,) + r for r in self.rays)
             start = self._cache["dd_start"] = (
-                tuple((g, sum(1 << j for j, r in enumerate(rows) if vdot(r, g) == 0))
-                      for g in gens),
+                tuple((g, _tight_mask(g, rows)) for g in gens),
                 tuple((0,) + l for l in self.lineality),
                 len(rows))
+        return start
+
+    def _dual_start(self):
+        """The cached start state of the double description of this
+        nonempty polyhedron's dual cone: the facet rows, and ``x0 >= 0``
+        when it is a facet (rays and lineality span ``dim`` dimensions),
+        with their tight bitmasks over the vertex rows and rays ``(0, r)``;
+        the equality rows as the lineality; the generator count."""
+        start = self._cache.get("dual_start")
+        if start is None:
+            gens = self.vertex_rows + tuple((0,) + r for r in self.rays)
+            rows = self.ineqs
+            if linalg.rank(self.rays + self.lineality) == self.dim:
+                rows += ((1,) + (0,) * self.m,)
+            start = self._cache["dual_start"] = (
+                tuple((r, _tight_mask(r, gens)) for r in rows), self.eqs, len(gens))
         return start
 
     def _cut(self, eqs, ineqs, masks: bool = False):
@@ -454,12 +475,14 @@ class Polyhedron:
 
     def plus_span(self, basis) -> "Polyhedron":
         """Minkowski sum with the linear span of the given vectors: the
-        same generators with the vectors added to the lineality."""
+        same generators with the vectors added to the lineality, a hull
+        continued from this polyhedron's own rows (``_dual_start``)."""
         lin = [int_row(_check_len(tuple(b), self.m, "span vector")) for b in basis]
         if self.is_empty:
             return self
         return Polyhedron._from_generator_rows(self.m, self.vertex_rows, self.rays,
-                                               self.lineality + tuple(lin))
+                                               self.lineality + tuple(lin),
+                                               start=self._dual_start())
 
     def product(self, other: "Polyhedron") -> "Polyhedron":
         """Cartesian product, coordinates of ``other`` appended after self's."""
@@ -607,6 +630,12 @@ def _canon_ineqs(rows, eqs) -> tuple[HomRow, ...]:
     return tuple(sorted(out))
 
 
+def _tight_mask(x, ys) -> int:
+    """Bit ``j`` set for each ``ys[j]`` on which the row or generator x is
+    zero."""
+    return sum(1 << j for j, y in enumerate(ys) if vdot(x, y) == 0)
+
+
 def _split(rows, gens):
     """(rows tight on every generator, the other rows whose tight sets are
     maximal among the other rows'; the first rows' set is everything and
@@ -615,8 +644,7 @@ def _split(rows, gens):
     cone are ordered like their tight sets (Fukuda-Prodon 1996); with rows
     and generators swapped, the lineality and the extreme generators."""
     full = (1 << len(gens)) - 1
-    masks = [sum(1 << j for j, g in enumerate(gens) if vdot(r, g) == 0)
-             for r in rows]
+    masks = [_tight_mask(r, gens) for r in rows]
     rest = {t for t in masks if t != full}
     maximal = {t for t in rest if not any(t & u == t and t != u for u in rest)}
     return ([r for r, t in zip(rows, masks) if t == full],

@@ -637,6 +637,17 @@ def splitting_sums():
             yield name, cycle, gens
 
 
+def random_generators(rng, m):
+    """(vertices, rays, lineality) of a small random polyhedron in R^m:
+    one to three rational vertices, up to two nonzero rays and up to two
+    nonzero lineality vectors, dependent ones allowed."""
+    verts = [tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m))
+             for _ in range(rng.randint(1, 3))]
+    rays = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(rng.randint(0, 2))]
+    lin = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(rng.randint(0, 2))]
+    return verts, [r for r in rays if any(r)], [l for l in lin if any(l)]
+
+
 def seeded_points(seed: int, count: int, m: int, num_bound: int = 40,
                   den_bound: int = 7):
     rng = Rng(seed)

@@ -1,8 +1,11 @@
 from fractions import Fraction
+from operator import add
 
 import pytest
 
-from conftest import coords_in_rows, same_polyhedron, uninterned
+from conftest import (coordinate_subspaces, coords_in_rows, random_generators,
+                      same_polyhedron, uninterned)
+from tropdeg import fixtures
 from tropdeg.errors import DimensionMismatchError, EmptyPolyhedronError
 from tropdeg.ops import Rng
 from tropdeg.polyhedra import (Polyhedron, common_refinement, hyperplane_pool,
@@ -283,21 +286,13 @@ def test_dd_fuzz_generator_side():
             assert poly.contains(pt), (trial, pt)
 
 
-def _random_generators(rng, m):
-    verts = [tuple(Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(m))
-             for _ in range(rng.randint(1, 3))]
-    rays = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(rng.randint(0, 2))]
-    lin = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(rng.randint(0, 2))]
-    return verts, [r for r in rays if any(r)], [l for l in lin if any(l)]
-
-
 def test_translate_matches_from_generators():
     """Translating a polyhedron with lineality gives the polyhedron of the
     translated vertices: same key, same canonical vertex rows."""
     rng = Rng(5772)
     for trial in range(60):
         m = rng.randint(1, 4)
-        verts, rays, lin = _random_generators(rng, m)
+        verts, rays, lin = random_generators(rng, m)
         poly = Polyhedron.from_generators(m, verts, rays, lin)
         v = rng.vector(m, 20, 5)
         # fresh pools, so neither result is the other's interned instance
@@ -316,7 +311,7 @@ def test_constructors_give_the_hrep_instance():
     rng = Rng(4669)
     checked = 0
     for trial in range(40):
-        a, b = (Polyhedron.from_generators(m, *_random_generators(rng, m))
+        a, b = (Polyhedron.from_generators(m, *random_generators(rng, m))
                 for m in (rng.randint(1, 3), rng.randint(1, 3)))
         prod = a.product(b)
         shift = rng.vector(prod.m, 20, 5)
@@ -346,21 +341,44 @@ def test_common_refinement_dedupes_two_copies_of_a_product_cell():
     assert common_refinement([prod, twin]) == [prod]
 
 
+def _sum_matches_hull(poly, span):
+    """Whether ``plus_span`` builds what the from-scratch hull of the same
+    generators builds (key and V-rep), each on an empty intern pool."""
+    got = uninterned(lambda: poly.plus_span(span))
+    want = uninterned(lambda: Polyhedron.from_generators(
+        poly.m, poly.vertices, poly.rays, poly.lineality + tuple(span)))
+    return same_polyhedron(got, want)
+
+
 def test_plus_span_matches_from_generators():
-    rng = Rng(1414)
+    """Random polyhedra with random spans and with spans that hold a zero
+    vector, dependent vectors or vectors of Lin(poly); then every proper
+    coordinate subspace added to every support facet of generator seeds
+    0-29 (the sums of ``check_admissible``'s coords candidates)."""
+    rng, odd_rng = Rng(1414), Rng(1415)
     for trial in range(60):
         m = rng.randint(1, 4)
-        verts, rays, lin = _random_generators(rng, m)
+        verts, rays, lin = random_generators(rng, m)
         poly = Polyhedron.from_generators(m, verts, rays, lin)
         span = [tuple(rng.randint(-2, 2) for _ in range(m))
                 for _ in range(rng.randint(0, 2))]
-        want = uninterned(lambda: Polyhedron.from_generators(
-            m, poly.vertices, poly.rays, poly.lineality + tuple(span)))
-        got = uninterned(lambda: poly.plus_span(span))
-        assert (got.key, got.vertex_rows, got.rays, got.lineality) == \
-               (want.key, want.vertex_rows, want.rays, want.lineality), trial
+        assert _sum_matches_hull(poly, span), trial
+        v, w = (tuple(odd_rng.randint(-2, 2) for _ in range(m)) for _ in range(2))
+        inside = poly.direction_basis()
+        for odd in ([(0,) * m, *span], [v, tuple(-2 * x for x in v)],
+                    [v, w, tuple(map(add, v, w))], list(inside[:1]),
+                    [*inside, *poly.lineality, v]):
+            assert _sum_matches_hull(poly, odd), (trial, odd)
     with pytest.raises(DimensionMismatchError):
         poly.plus_span([(1,) * (m + 1)])
+    sums = 0
+    for seed in range(30):
+        cycle = fixtures.generate_admissible(seed)
+        for f in cycle.support_facets:
+            for _, gens in coordinate_subspaces(cycle.m):
+                assert _sum_matches_hull(f.poly, gens), (seed, gens)
+                sums += 1
+    assert sums == 1896
 
 
 def test_common_refinement_overlap():
