@@ -34,7 +34,7 @@ from .errors import (
     WrongDimensionsError,
 )
 from .linalg import (IntVec, integral_row, is_zero_vec, primitive, rank,
-                     saturate, vdot, vneg, vsub)
+                     saturate, sign_normalized, vdot, vneg, vsub)
 from .polyhedra import Polyhedron, is_covered, refine_cells
 
 _MASK64 = (1 << 64) - 1
@@ -141,14 +141,15 @@ def _displacement_cone(p: Polyhedron, q: Polyhedron, x) -> Polyhedron:
     ``Q``'s vertices to ``x``, ``P``'s rays, ``Q``'s negated rays and both
     linealities (the fan displacement rule, Fulton-Sturmfels 1997).
     """
-    def towards(a, b):
-        # a positive multiple of the direction from point row a to point row b
-        return tuple(a[0] * bj - b[0] * aj for aj, bj in zip(a[1:], b[1:]))
-
-    rays = ([towards(x, r) for r in p.vertex_rows] + list(p.rays)
-            + [towards(r, x) for r in q.vertex_rows] + [vneg(r) for r in q.rays])
+    rays = ([_towards(x, r) for r in p.vertex_rows] + list(p.rays)
+            + [_towards(r, x) for r in q.vertex_rows] + [vneg(r) for r in q.rays])
     return Polyhedron.from_generators(p.m, [(0,) * p.m], rays,
                                       p.lineality + q.lineality)
+
+
+def _towards(a, b):
+    """A positive multiple of the direction from point row a to point row b."""
+    return tuple(a[0] * bj - b[0] * aj for aj, bj in zip(a[1:], b[1:]))
 
 
 def _check_direction(m: int, seed: int):
@@ -449,6 +450,7 @@ def check_admissible(cycle: TropicalCycle, strategy: str = "coords",
     """Search candidate subspaces V for an impure Minkowski sum cycle+V,
     read off the supports of the facet sums alone (no weights computed)."""
     cyc.require_balanced(cycle)
+    seed = _check_seed(seed)
     m = cycle.m
     tested = 0
     seen = set()
@@ -512,11 +514,9 @@ def _direction_pool(cycle):
         p = f.poly
         pool.update(p.rays)
         pool.update(p.lineality)
-        verts = p.vertices
-        for a, b in combinations(verts, 2):
-            diff = vsub(b, a)
-            if not is_zero_vec(diff):
-                pool.add(primitive(diff))
+        # never zero; signed from the lesser to the greater point
+        pool.update(sign_normalized(primitive(_towards(a, b)))
+                    for a, b in combinations(p.vertex_rows, 2))
     base = sorted(pool)
     for a, b in combinations(base, 2):
         for vec in (tuple(x + y for x, y in zip(a, b)),

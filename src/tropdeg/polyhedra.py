@@ -100,7 +100,7 @@ def eval_dir(row, direction):
 # double description on a homogeneous cone
 # ---------------------------------------------------------------------------
 
-def dual_description(dim: int, constraints, start=None, masks: bool = False):
+def dual_description(dim: int, constraints, start=None):
     """Extreme rays and lineality basis of {x in R^dim : c.x >= 0 / == 0}.
 
     ``constraints`` is a sequence of (integer row, is_equality) pairs.  The
@@ -114,11 +114,10 @@ def dual_description(dim: int, constraints, start=None, masks: bool = False):
     start cone cut by ``constraints``.  The adjacency test only needs the
     masks over some H-description of the start cone.
 
-    Returns ``(rays, lineality)``, and with ``masks=True`` also each ray's
-    tight bitmask as a third item.  A mask is the exact set of rows zero on
-    its ray: bit ``j`` for the j-th start row, then one bit per constraint
-    in order.  A zero row is skipped without taking a bit, so a caller
-    that reads the masks hands in nonzero rows, as canonical rows are.
+    Returns ``(rays, lineality, masks)``: a ray's mask is the exact set of
+    rows zero on it, bit ``j`` for the j-th start row, then one bit per
+    constraint in order.  A zero row takes no bit, so a caller that reads
+    the masks hands in nonzero rows, as canonical rows are.
     """
     if start is None:
         lin: list[IntVec] = [tuple(r) for r in linalg.identity_rows(dim)]
@@ -185,9 +184,7 @@ def dual_description(dim: int, constraints, start=None, masks: bool = False):
             rays = _dedupe(keep + combos)
         n_done += 1
         prior_mask |= bit
-    if masks:
-        return [r[0] for r in rays], lin, [r[1] for r in rays]
-    return [r[0] for r in rays], lin
+    return [r[0] for r in rays], lin, [r[1] for r in rays]
 
 
 def _dedupe(rays):
@@ -281,7 +278,7 @@ class Polyhedron:
         constraints = [((0,) + l, True) for l in lineality]
         if start is None:
             constraints += [(g, False) for g in gens]
-        dual_rays, dual_lin = dual_description(m + 1, constraints, start=start)
+        dual_rays, dual_lin, _ = dual_description(m + 1, constraints, start=start)
         facets, eqs = _hrep(dual_rays, dual_lin, gens)
         flat, extreme = _split(gens, dual_rays)
         return _canonical(m, facets, eqs, [g for g in extreme if g[0] > 0],
@@ -340,7 +337,8 @@ class Polyhedron:
 
     def contains_row(self, row: HomRow) -> bool:
         """Whether the point with integer row ``(d, d*x)``, ``d > 0``, lies
-        in the polyhedron."""
+        in the polyhedron; for a ray row ``(0, r)``, whether ``r`` is in
+        the recession cone."""
         return self._sign_test(row, strict=False)
 
     def relint_contains_row(self, row: HomRow) -> bool:
@@ -408,19 +406,18 @@ class Polyhedron:
                 tuple((r, _tight_mask(r, gens)) for r in rows), self.eqs, len(gens))
         return start
 
-    def _cut(self, eqs, ineqs, masks: bool = False):
+    def _cut(self, eqs, ineqs):
         """The generators of this nonempty polyhedron's homogenization cone
         cut by more equality and inequality rows: the double description
         continued from ``_dd_start``, which ``dual_description`` copies.
 
-        Returns the rays and the lineality, of heights ``>= 0`` and ``0``;
-        the cut is empty when no ray has a positive height.  With
-        ``masks=True`` each ray's tight bitmask comes third: the start
-        state's bits, then one bit per added row, equalities first.  The
-        rows must then be nonzero (``dual_description``)."""
+        Returns the rays, of heights ``>= 0``, the lineality, of height
+        ``0``, and each ray's tight bitmask: the start state's bits, then
+        one bit per added row, equalities first.  The cut is empty when no
+        ray has a positive height."""
         out = dual_description(
             self.m + 1, [(r, True) for r in eqs] + [(r, False) for r in ineqs],
-            start=self._dd_start(), masks=masks)
+            start=self._dd_start())
         if any(r[0] < 0 for r in out[0]) or any(l[0] != 0 for l in out[1]):
             raise InvariantError("homogenization generator with negative height")
         return out
@@ -428,7 +425,7 @@ class Polyhedron:
     def _cut_canonical(self, eqs, ineqs) -> "Polyhedron":
         """The polyhedron of ``_cut``: its vertex rows, rays and lineality,
         and the H-rep ``_hrep`` of the joint rows."""
-        gen_rays, gen_lin = self._cut(eqs, ineqs)
+        gen_rays, gen_lin, _ = self._cut(eqs, ineqs)
         verts = [r for r in gen_rays if r[0] > 0]
         if not verts:
             return Polyhedron.empty(self.m)
@@ -502,17 +499,15 @@ class Polyhedron:
     def linear_image(self, matrix, m_out: int) -> "Polyhedron":
         """Image under x -> matrix @ x (matrix given as m_out rows of length m).
 
-        The matrix is applied through each row's nonzero entries; the
-        coordinate projections it serves here have one per row.  A rational
-        matrix is allowed: the images are taken to their ``int_row``.
+        A rational matrix is allowed: the images are taken to their
+        ``int_row``.
         """
         if len(matrix) != m_out or any(len(row) != self.m for row in matrix):
             raise DimensionMismatchError(
                 f"matrix is not {m_out} rows of length {self.m}")
         if self.is_empty:
             return Polyhedron.empty(m_out)
-        sparse = [[(j, c) for j, c in enumerate(row) if c] for row in matrix]
-        apply = lambda x: [sum(c * x[j] for j, c in row) for row in sparse]
+        apply = lambda x: [vdot(row, x) for row in matrix]
         verts = [int_row([r[0]] + apply(r[1:])) for r in self.vertex_rows]
         rays = [r2 for r2 in (int_row(apply(r)) for r in self.rays) if not is_zero_vec(r2)]
         lin = [l2 for l2 in (int_row(apply(l)) for l in self.lineality)
@@ -769,11 +764,7 @@ def _face_inside(p: Polyhedron, tight: int, q: Polyhedron) -> bool:
     gens, lin, _ = p._dd_start()
     if any(vdot(r, l) for l in lin for r in q.eqs + q.ineqs):
         return False
-    for g, mask in gens:
-        if mask & tight == tight and (any(vdot(r, g) for r in q.eqs)
-                                      or any(vdot(r, g) < 0 for r in q.ineqs)):
-            return False
-    return True
+    return all(q.contains_row(g) for g, mask in gens if mask & tight == tight)
 
 
 def meets_off_faces(p: Polyhedron, q: Polyhedron) -> bool:
@@ -793,7 +784,7 @@ def meets_off_faces(p: Polyhedron, q: Polyhedron) -> bool:
         raise DimensionMismatchError(f"ambient dimensions differ: {p.m} vs {q.m}")
     if p.is_empty or q.is_empty or quickly_disjoint(p, q):
         return False
-    rays, _, masks = p._cut(q.eqs, q.ineqs, masks=True)
+    rays, _, masks = p._cut(q.eqs, q.ineqs)
     if not any(r[0] > 0 for r in rays):
         return False
     t = reduce(and_, masks)

@@ -372,7 +372,7 @@ def two_pass_from_hrep(m: int, ineqs=(), eqs=()) -> Polyhedron:
                 return Polyhedron.empty(m)
             continue
         eq_rows.append(r)
-    gen_rays, gen_lin = dual_description(
+    gen_rays, gen_lin, _ = dual_description(
         m + 1, _homogenized(m, ineq_rows, eq_rows))
     return _two_pass_cone_output(m, gen_rays, gen_lin)
 
@@ -386,7 +386,7 @@ def two_pass_from_generators(m: int, vertices=(), rays=(), lineality=()) -> Poly
     ray_vecs = [primitive(r) for r in rays if not is_zero_vec(r)]
     lin_vecs = [primitive(l) for l in lineality if not is_zero_vec(l)]
     ineqs, eqs = _two_pass_hrep(m, *_canon_generators(rows, ray_vecs, lin_vecs))
-    gen_rays, gen_lin = dual_description(
+    gen_rays, gen_lin, _ = dual_description(
         m + 1, _homogenized(m, ineqs, eqs))
     poly = _two_pass_cone_output(m, gen_rays, gen_lin, hrep=(ineqs, eqs))
     assert not poly.is_empty
@@ -409,7 +409,7 @@ def _two_pass_hrep(m, vert_rows, rays, lineality):
     constraints = [((0,) + tuple(l), True) for l in lineality]
     constraints += [(g, False) for g in vert_rows]
     constraints += [((0,) + tuple(r), False) for r in rays]
-    dual_rays, dual_lin = dual_description(m + 1, constraints)
+    dual_rays, dual_lin, _ = dual_description(m + 1, constraints)
     eqs = _canon_eqs([row for row in dual_lin if not is_zero_vec(row[1:])])
     ineqs = _canon_ineqs([row for row in dual_rays if not is_zero_vec(row[1:])], eqs)
     return ineqs, eqs
@@ -498,11 +498,8 @@ def minkowski_oracle(cycle: TropicalCycle, span_gens) -> PushforwardResult:
 
 
 def linear_image_oracle(p: Polyhedron, matrix, m_out: int) -> Polyhedron:
-    """Image of p under x -> matrix @ x with a dense dot product per row.
-
-    The apply that ``Polyhedron.linear_image`` replaced with a sparse one;
-    kept as a differential oracle.
-    """
+    """Image of p under x -> matrix @ x, applied to the ``Fraction``
+    vertices rather than the vertex rows; a differential oracle."""
     if p.is_empty:
         return Polyhedron.empty(m_out)
     apply = lambda x: tuple(vdot(row, x) for row in matrix)
@@ -646,6 +643,27 @@ def random_generators(rng, m):
     rays = [tuple(rng.randint(-3, 3) for _ in range(m)) for _ in range(rng.randint(0, 2))]
     lin = [tuple(rng.randint(-2, 2) for _ in range(m)) for _ in range(rng.randint(0, 2))]
     return verts, [r for r in rays if any(r)], [l for l in lin if any(l)]
+
+
+def fraction_direction_pool(cycle):
+    """``ops._direction_pool`` with the vertex differences taken between
+    the ``Fraction`` points; kept as a differential oracle."""
+    pool: set = set()
+    for f in cycle.support_facets:
+        p = f.poly
+        pool.update(p.rays)
+        pool.update(p.lineality)
+        for a, b in combinations(p.vertices, 2):
+            diff = vsub(b, a)
+            if not is_zero_vec(diff):
+                pool.add(primitive(diff))
+    base = sorted(pool)
+    for a, b in combinations(base, 2):
+        for vec in (tuple(x + y for x, y in zip(a, b)),
+                    tuple(x - y for x, y in zip(a, b))):
+            if not is_zero_vec(vec):
+                pool.add(primitive(vec))
+    return sorted(pool)
 
 
 def seeded_points(seed: int, count: int, m: int, num_bound: int = 40,

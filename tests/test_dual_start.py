@@ -11,7 +11,8 @@ against integer sign tests, on the random polyhedra of
 hand-made cases.
 
 ``plus_span`` must hand the double description the lineality and span
-rows only, never the generators, from one cached start state.
+rows only, never the generators, from one cached start state; the masks
+of such a continued hull are checked against integer sign tests too.
 """
 
 from fractions import Fraction
@@ -32,7 +33,7 @@ def _check_dual_start(p):
     assert count == len(gens) and lin == p.eqs
     for row, mask in rows:
         assert mask == sum(1 << j for j, g in enumerate(gens) if vdot(row, g) == 0)
-    want_rays, want_lin = dual_description(
+    want_rays, want_lin, _ = dual_description(
         p.m + 1, [((0,) + l, True) for l in p.lineality] + [(g, False) for g in gens])
     assert _canon_eqs(want_lin) == p.eqs
     got = [reduce_mod(p.eqs, row) for row, _ in rows]
@@ -81,14 +82,35 @@ def test_hand_cases(name):
     assert _check_dual_start(build()) == with_x0
 
 
+def test_masks_continue_from_the_dual_start():
+    """A hull continued from ``_dual_start`` by lineality and span rows
+    masks each ray with the sign tests over the start generators, then
+    over the nonzero added rows; a zero span vector takes no bit."""
+    rng = Rng(2718)
+    rays_checked = zero_rows = 0
+    for p in _random_pool():
+        span = [tuple(rng.randint(-1, 1) for _ in range(p.m))
+                for _ in range(rng.randint(0, 2))]
+        added = [(0,) + v for v in p.lineality + tuple(span)]
+        rays, _, masks = dual_description(p.m + 1, [(r, True) for r in added],
+                                          start=p._dual_start())
+        gens = p.vertex_rows + tuple((0,) + r for r in p.rays)
+        rows = gens + tuple(r for r in added if any(r))
+        assert masks == [sum(1 << j for j, g in enumerate(rows) if vdot(ray, g) == 0)
+                         for ray in rays]
+        rays_checked += len(rays)
+        zero_rows += len(added) + len(gens) - len(rows)
+    assert rays_checked > 200 and zero_rows
+
+
 def test_plus_span_continues_from_the_cached_start(monkeypatch):
     wedge = Polyhedron.from_generators(3, [(1, 0, 2)], rays=[(1, 0, 0), (0, 1, 0)],
                                        lineality=[(1, 1, 1)])
     calls = []
 
-    def record(dim, constraints, start=None, masks=False):
+    def record(dim, constraints, start=None):
         calls.append((list(constraints), start))
-        return real(dim, constraints, start=start, masks=masks)
+        return real(dim, constraints, start=start)
 
     real = polyhedra.dual_description
     monkeypatch.setattr(polyhedra, "dual_description", record)

@@ -19,7 +19,7 @@ Each pair is checked with ``quickly_disjoint`` on and switched off, so
 that the masks also decide the disjoint pairs, and through
 ``offending_pairs``.
 
-The masks themselves: every mask of ``dual_description(..., masks=True)``
+The masks themselves: every mask of ``dual_description``
 is the tight set recomputed by integer sign tests over ``x0 >= 0``, the
 start rows and the added rows, for cuts of pool polyhedra by the rows of
 others (``Polyhedron._cut``) and for the same rows from scratch; the cuts
@@ -137,7 +137,7 @@ def test_masks_are_tight_sets(run):
     for p, q in _pool_pairs(pool):
         for a, b in ((p, q), (q, p)):
             x0 = (1,) + (0,) * a.m
-            rays, lin, masks = a._cut(b.eqs, b.ineqs, masks=True)
+            rays, lin, masks = a._cut(b.eqs, b.ineqs)
             rows = (x0,) + a.ineqs + b.eqs + b.ineqs
             assert [_tight(rows, r) for r in rays] == masks
             start_gens, start_lin, _ = a._dd_start()
@@ -147,7 +147,7 @@ def test_masks_are_tight_sets(run):
             rays, lin, masks = dual_description(
                 a.m + 1, [(x0, False)] + [(r, True) for r in a.eqs]
                 + [(r, False) for r in a.ineqs] + [(r, True) for r in b.eqs]
-                + [(r, False) for r in b.ineqs], masks=True)
+                + [(r, False) for r in b.ineqs])
             rows = (x0,) + a.eqs + a.ineqs + b.eqs + b.ineqs
             assert [_tight(rows, r) for r in rays] == masks
     assert pivots and combined

@@ -8,8 +8,10 @@ import pytest
 from conftest import (
     FIXTURE_DIR,
     cycle_contains,
+    fraction_direction_pool,
     fresh,
     min_attained_twice,
+    random_generators,
     seeded_points,
     transverse_check,
     transverse_degree_oracle,
@@ -499,12 +501,35 @@ def test_admissible_spans_adds_vertex_differences():
     assert (verdict.status, verdict.tested) == (NO_COUNTEREXAMPLE_FOUND, 82)
 
 
+def test_spans_pool_matches_the_fraction_rule():
+    """The spans pool takes vertex differences on integer point rows; it
+    equals the rule on ``Fraction`` points on one-facet cycles of random
+    polyhedra (one to three vertices, denominators 1-3), on generator
+    seeds 0-29 and on the shipped fixtures."""
+    cycles = [fixtures.generate_admissible(s) for s in range(30)]
+    cycles += [cycfile.load(path) for path in sorted(FIXTURE_DIR.glob("*.cyc"))]
+    rng = Rng(1414)
+    for _ in range(200):
+        m = rng.randint(1, 4)
+        p = Polyhedron.from_generators(m, *random_generators(rng, m))
+        cycles.append(TropicalCycle(BlockStructure((m,)), [WeightedFacet(p, 1)]))
+    fractional = [f for c in cycles for f in c.support_facets
+                  if len(f.poly.vertex_rows) > 1 and any(r[0] > 1 for r in f.poly.vertex_rows)]
+    assert len(fractional) > 50
+    for cycle in cycles:
+        assert ops._direction_pool(cycle) == fraction_direction_pool(cycle)
+
+
 def test_seeds_must_be_integral():
     for seed in (1.5, Fraction(3, 2), "x"):
         with pytest.raises(InputError):
             Rng(seed)
     with pytest.raises(InputError):
         check_admissible(fixtures.standard_line(), "random:2", seed=1.5)
+    # checked before the first candidate, so a counterexample found by
+    # an earlier part does not hide a bad seed
+    with pytest.raises(InputError):
+        check_admissible(fixtures.example33a(), "coords+random:2", seed=1.5)
     with pytest.raises(InputError):
         fixtures.generate_admissible(1.5)
     assert Rng(Fraction(3)).next64() == Rng(3).next64()
