@@ -2,8 +2,9 @@
 
 Stable intersection implements the fan displacement rule with the symbolic
 generic direction ``u(eps) = (1, eps, ..., eps^(m-1))``: a candidate facet
-pair counts when its displacement cone ``T_x(P) - T_x(Q)`` holds ``u(eps)``
-by lexicographic sign tests, with no draw (see ``_displacement_flags``).
+pair counts when its displacement cone ``T_x(P) - T_x(Q)``, cut out by
+lifted tight facet rows, holds ``u(eps)`` by lexicographic sign tests, with
+no draw (see ``_displacement_flags``).
 Seeds are ints; every stable intersection is checked under the seed's
 signed permutation of ``u(eps)``.  All constructed cycles are checked
 balanced (``cycles.assert_balanced``) before being returned.
@@ -34,7 +35,8 @@ from .errors import (
     WrongDimensionsError,
 )
 from .linalg import (IntVec, integral_row, is_zero_vec, primitive, rank,
-                     saturate, sign_normalized, vdot, vneg, vsub)
+                     reduce_mod, rref, saturate, sign_normalized, vdot, vneg,
+                     vsub)
 from .polyhedra import Polyhedron, is_covered, refine_cells
 
 _MASK64 = (1 << 64) - 1
@@ -80,7 +82,7 @@ def stable_intersect(c1: TropicalCycle, c2: TropicalCycle, seed=0) -> TropicalCy
 
     The candidate pairs (facet pairs whose direction spaces span R^m and
     that meet in the output dimension), their lattice-index weights, the
-    refinement of their intersections and their displacement cones are
+    refinement of their intersections and their displacement cone rows are
     computed once.  The candidates whose cone holds ``u(eps)`` build the
     cycle; under the seed's ``_check_direction`` every refined piece must
     get the same weight, else SeedDependenceError.  Balance-checked.
@@ -131,20 +133,28 @@ def stable_intersect(c1: TropicalCycle, c2: TropicalCycle, seed=0) -> TropicalCy
     return out
 
 
-def _displacement_cone(p: Polyhedron, q: Polyhedron, x) -> Polyhedron:
-    """``T_x(P) - T_x(Q)`` for the point row ``x`` of ``P ∩ Q``.
+def _displacement_cone(p: Polyhedron, q: Polyhedron, x) -> list:
+    """Integer rows ``a`` with ``T_x(P) - T_x(Q) = {v : a.v >= 0}``, ``x`` a
+    relative interior point row of a candidate's ``P ∩ Q``.
 
-    ``P`` meets ``Q + eps*v`` for all small ``eps > 0`` exactly when ``v``
-    lies in this cone of feasible directions of ``P - Q`` at 0, which is
-    ``cone(P - Q)`` whichever ``x`` of ``P ∩ Q`` is taken.  It is
-    generated by the directions from ``x`` to ``P``'s vertices and from
-    ``Q``'s vertices to ``x``, ``P``'s rays, ``Q``'s negated rays and both
-    linealities (the fan displacement rule, Fulton-Sturmfels 1997).
+    ``P`` meets ``Q + eps*v`` for all small ``eps > 0`` exactly when ``v`` is
+    in this cone (Fulton-Sturmfels 1997).  Writing ``v = s - t`` with ``s``
+    in ``Lin P`` and ``t`` in ``Lin Q`` (they span R^m), ``v`` is in it when
+    ``s`` is in ``T_x(P)`` and ``t`` in ``T_x(Q)``.
     """
-    rays = ([_towards(x, r) for r in p.vertex_rows] + list(p.rays)
-            + [_towards(r, x) for r in q.vertex_rows] + [vneg(r) for r in q.rays])
-    return Polyhedron.from_generators(p.m, [(0,) * p.m], rays,
-                                      p.lineality + q.lineality)
+    return _lifted(p, q, x) + [vneg(r) for r in _lifted(q, p, x)]
+
+
+def _lifted(p: Polyhedron, q: Polyhedron, x) -> list:
+    """``p``'s facet rows tight at ``x``, each lifted to the form equal to it
+    on ``Lin P`` and zero on ``Lin Q``: it vanishes on ``Lin P ∩ Lin Q =
+    Lin(P ∩ Q)``, so the lift exists and is unique.  The values of ``p.eqs``
+    on ``q``'s direction basis are independent and lead the echelon rows,
+    so the residual's value part is zero."""
+    basis = q.direction_basis()
+    ech, _ = rref([tuple(vdot(e[1:], b) for b in basis) + e[1:] for e in p.eqs])
+    return [reduce_mod(ech, tuple(vdot(a[1:], b) for b in basis) + a[1:])[len(basis):]
+            for a in p.ineqs if vdot(a, x) == 0]
 
 
 def _towards(a, b):
@@ -162,11 +172,12 @@ def _check_direction(m: int, seed: int):
 
 
 def _displacement_flags(cones, order, signs):
-    """[u in C for each cone C], ``u_{order[i]} = signs[i] * eps^i`` for all
-    small ``eps > 0``: C has no equality row, and each facet row's direction
-    part is lexicographically positive (its first nonzero entry in ``order``,
-    times its sign, is > 0).  For an integer row a != 0, ``a . u(eps)`` has
-    that sign for all ``0 < eps < 1/(1 + max|a_j|)``: u is on no facet.
+    """[u in C for each cone C given as rows], ``u_{order[i]} = signs[i] *
+    eps^i`` for all small ``eps > 0``: each row of C is lexicographically
+    positive (its first nonzero entry in ``order``, times its sign, is > 0).
+    For an integer row a != 0, ``a . u(eps)`` has that sign for all
+    ``0 < eps < 1/(1 + max|a_j|)``: u is on no row's hyperplane, so the
+    test is exact for any H-description of C, redundant or not.
 
     Why the cone facets suffice.  Fix a refined piece sigma.  Under v its
     weight is ``f(v) = sum w_P*w_Q*[Z^m : L_P+L_Q]*[v in C_PQ]`` over the
@@ -186,8 +197,7 @@ def _displacement_flags(cones, order, signs):
     def lex_positive(a):
         return next((a[i] * s for i, s in zip(order, signs) if a[i]), 0) > 0
 
-    return [not c.eqs and all(lex_positive(r[1:]) for r in c.ineqs)
-            for c in cones]
+    return [all(lex_positive(r) for r in rows) for rows in cones]
 
 
 # ---------------------------------------------------------------------------

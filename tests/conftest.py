@@ -19,7 +19,8 @@ from tropdeg.linalg import (IntVec, int_row, integral_row, is_zero_vec,
                             vneg, vsub)
 from tropdeg.multidegree import DivisorSet, pullback
 from tropdeg.ops import (_MASK64, _SEED_STRIDE, PushforwardResult, Rng,
-                         _check_seed, pushforward_linear, stable_intersect)
+                         _check_seed, _towards, pushforward_linear,
+                         stable_intersect)
 from tropdeg.polyhedra import (Polyhedron, _canon_eqs, _canon_generators,
                                _canon_ineqs, _check_len, _point_row,
                                dual_description, refine_by_hyperplanes)
@@ -228,21 +229,39 @@ def frac_det(rows) -> Fraction:
 
 
 def concrete_direction(cones, order, signs) -> IntVec:
-    """An integer vector on the side of every cone facet hyperplane that the
-    symbolic direction ``u_{order[i]} = signs[i] * eps^i`` is on.
+    """An integer vector on the side of every cone row's hyperplane that the
+    symbolic direction ``u_{order[i]} = signs[i] * eps^i`` is on; each cone
+    is a list of integer rows, as ``ops._displacement_cone`` returns it.
 
-    It is ``N^(m-1) * u(1/N)`` with ``N = 2 + max |facet-row entry|``: for
-    a nonzero row a, ``a . u(eps)`` has the sign of a's first nonzero entry
+    It is ``N^(m-1) * u(1/N)`` with ``N = 2 + max |row entry|``: for a
+    nonzero row a, ``a . u(eps)`` has the sign of a's first nonzero entry
     in ``order`` for all ``0 < eps < 1/(1 + max|a_j|)``, and ``1/N`` is such
     an eps.
     """
-    n = 2 + max((abs(x) for c in cones for r in c.ineqs + c.eqs for x in r),
-                default=0)
+    n = 2 + max((abs(x) for rows in cones for r in rows for x in r), default=0)
     m = len(order)
     v = [0] * m
     for i, (j, s) in enumerate(zip(order, signs)):
         v[j] = s * n ** (m - 1 - i)
     return tuple(v)
+
+
+def in_row_cone(rows, v) -> bool:
+    """Whether ``v`` lies in the cone ``{v : a.v >= 0 for each row a}``."""
+    return all(vdot(r, v) >= 0 for r in rows)
+
+
+def displacement_cone_oracle(p: Polyhedron, q: Polyhedron, x) -> Polyhedron:
+    """``T_x(P) - T_x(Q)`` for the point row ``x`` of ``P ∩ Q``, as the hull
+    of its generators: the directions from ``x`` to ``P``'s vertices and
+    from ``Q``'s vertices to ``x``, ``P``'s rays, ``Q``'s negated rays and
+    both linealities.  It is ``cone(P - Q)`` whichever ``x`` is taken; the
+    rows of ``ops._displacement_cone`` must cut out the same cone.
+    """
+    rays = ([_towards(x, r) for r in p.vertex_rows] + list(p.rays)
+            + [_towards(r, x) for r in q.vertex_rows] + [vneg(r) for r in q.rays])
+    return Polyhedron.from_generators(p.m, [(0,) * p.m], rays,
+                                      p.lineality + q.lineality)
 
 
 def displaced_oracle(f: Polyhedron, g: Polyhedron, v):

@@ -7,24 +7,24 @@ generator seeds 0-59 and all their multidegrees run:
 
 * every displacement pass (the build pass and the seed's check pass) gives
   the flags of one explicit integer vector (``concrete_direction``), which
-  lies on no facet hyperplane of any cone;
+  lies on no hyperplane of any cone row;
 * vectors inside a proper span ``Lin(F) + Lin(F')`` of a face pair of
   meeting facets (``low_face_spans``, a condition the step does not check)
-  but on no cone facet are forced as the build pass's direction.  Each must
-  pass the check pass and give the same cycle, also where it flips a
+  but on no cone's boundary are forced as the build pass's direction.  Each
+  must pass the check pass and give the same cycle, also where it flips a
   candidate's flag.
 """
 
 import pytest
 
-from conftest import concrete_direction, low_face_spans
+from conftest import concrete_direction, in_row_cone, low_face_spans
 from tropdeg import fixtures, ops
 from tropdeg import multidegree as md
 from tropdeg.linalg import vdot
 from tropdeg.multidegree import multidegree, type_vectors
 
 SEEDS = range(60)
-#: vectors drawn in each low span: 540 lie on no cone facet, and 85 of
+#: vectors drawn in each low span: 539 lie on no cone boundary, and 88 of
 #: them flip a flag; the replay takes about 2 s
 DRAWS_PER_SPAN = 2
 MAX_VECTORS = 800
@@ -72,20 +72,22 @@ def test_every_pass_is_an_explicit_vector(intersections):
         assert (check[1], check[2]) == ops._check_direction(c1.m, seed)
         for cones, order, signs, flags in passes:
             v = concrete_direction(cones, order, signs)
-            row = (1,) + v
-            assert flags == [c.contains_row(row) for c in cones]
-            assert all(vdot(r, row) != 0 for c in cones for r in c.ineqs + c.eqs)
+            assert flags == [in_row_cone(rows, v) for rows in cones]
+            assert all(vdot(r, v) != 0 for rows in cones for r in rows)
             cones_seen += len(cones)
     assert cones_seen > 2 * len(intersections)
 
 
-def _off_every_facet(cones, row) -> bool:
-    return all(c.relint_contains_row(row) for c in cones if c.contains_row(row))
+def _off_every_boundary(cones, v) -> bool:
+    """Whether ``v`` is interior to each cone that holds it: the rows cut
+    out the cone, so it is on a boundary when all are >= 0 and one is 0."""
+    return all(all(vdot(r, v) > 0 for r in rows)
+               for rows in cones if in_row_cone(rows, v))
 
 
 def _low_span_vectors(c1, c2, cones, rng):
     """Nonzero integer vectors in the proper low face spans of the meeting
-    facet pairs of c1 and c2 that lie on no facet hyperplane of a cone."""
+    facet pairs of c1 and c2 that lie on no cone's boundary."""
     meeting = [(f.poly, g.poly) for f in c1.support_facets
                for g in c2.support_facets if not f.poly.intersect(g.poly).is_empty]
     for basis in low_face_spans(meeting, c1.m):
@@ -93,7 +95,7 @@ def _low_span_vectors(c1, c2, cones, rng):
             coeffs = [rng.randint(-9, 9) for _ in basis]
             v = tuple(sum(k * b[j] for k, b in zip(coeffs, basis))
                       for j in range(c1.m))
-            if any(v) and _off_every_facet(cones, (1,) + v):
+            if any(v) and _off_every_boundary(cones, v):
                 yield v
 
 
@@ -112,7 +114,7 @@ def test_low_span_displacements_keep_the_cycle(intersections, monkeypatch):
         if signs[0] < 0:
             return real_flags(cones, order, signs)
         built.append(cones)
-        return [c.contains_row((1,) + forced) for c in cones]
+        return [in_row_cone(rows, forced) for rows in cones]
 
     monkeypatch.setattr(ops, "_displacement_flags", build_on_forced)
     flipped = 0
@@ -122,5 +124,5 @@ def test_low_span_displacements_keep_the_cycle(intersections, monkeypatch):
         assert len(built) == 1
         assert got._cache["displacement_redraws"] == 0
         assert got == want
-        flipped += [c.contains_row((1,) + forced) for c in cones] != flags
+        flipped += [in_row_cone(rows, forced) for rows in cones] != flags
     assert flipped > 0

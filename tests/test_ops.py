@@ -540,13 +540,11 @@ def test_seeds_must_be_integral():
 
 def test_displacement_direction_is_off_every_cone_facet():
     """The flags of every signed permutation of u(eps) = (1, eps) on the
-    cone cone(e1, -e2) and the half-planes y >= 0 and y <= 0, whose facet
-    line y = 0 holds e1, and on that line itself, which has an equality
-    row: u(eps) is in exactly one half-plane and never on the line."""
-    cones = [Polyhedron.from_generators(2, [(0, 0)], rays=[(1, 0), (0, -1)]),
-             Polyhedron.from_hrep(2, ineqs=[(0, 0, 1)]),
-             Polyhedron.from_hrep(2, ineqs=[(0, 0, -1)]),
-             Polyhedron.from_hrep(2, eqs=[(0, 0, 1)])]
+    cone cone(e1, -e2) and the half-planes y >= 0 and y <= 0, whose
+    boundary line y = 0 holds e1, and on that line itself, given by the
+    rows +-(0, 1): u(eps) is in exactly one half-plane and never on the
+    line."""
+    cones = [[(1, 0), (0, -1)], [(0, 1)], [(0, -1)], [(0, 1), (0, -1)]]
     for order in ((0, 1), (1, 0)):
         for signs in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
             sign = dict(zip(order, signs))      # the sign of each coordinate

@@ -26,7 +26,8 @@ from fractions import Fraction
 
 import pytest
 
-from conftest import (concrete_direction, displaced_oracle, face_oracle, fresh,
+from conftest import (concrete_direction, displaced_oracle,
+                      displacement_cone_oracle, face_oracle, fresh,
                       same_polyhedron, two_pass_from_generators, two_pass_from_hrep,
                       two_scan_disjoint, uninterned)
 from tropdeg import fixtures, ops, polyhedra
@@ -40,7 +41,8 @@ SEEDS = (*range(10), 34)
 
 @pytest.fixture(scope="module")
 def run():
-    """Calls to the shortcuts recorded over the seeds, and the pool they left."""
+    """Calls to the shortcuts recorded over the seeds, and the pool they
+    left, with the hull of every candidate's displacement cone."""
     disjoint_calls = []
     built_cones = []           # (P, Q, cone) in the order the cones are built
     cone_calls = []            # (P, Q, v, flag) of every pass of the cone step
@@ -53,6 +55,9 @@ def run():
     def record_cone(p, q, x):
         cone = real_cone(p, q, x)
         built_cones.append((p, q, cone))
+        # the cone's hull is not built by the cone step; built here, it
+        # keeps the displacement cones in the pool that the tests read
+        displacement_cone_oracle(p, q, x)
         return cone
 
     def record_flags(cones, order, signs):
