@@ -3,8 +3,10 @@
 Each subcommand is one ``COMMANDS`` entry: its handler, its cycle-file and
 positional arguments, the flags of ``FLAGS`` it reads (no other flag
 parses) and whether its inputs must be valid, balanced complexes.  One
-dispatcher loads the files, checks balance, resolves the seed, runs the
-handler and builds the report; a handler only computes its outputs.
+dispatcher loads the files, gates such inputs on
+``cycles.require_balanced`` (validity, then balance), resolves the seed,
+runs the handler and builds the report; a handler only computes its
+outputs.
 
 Exit codes: 0 success, 1 input or parse error, 2 contract violation
 (an operation called outside its contract, e.g. unbalanced input where
@@ -29,7 +31,7 @@ from . import cycles as cyc
 from . import multidegree as md
 from . import ops
 from .cycles import TropicalCycle
-from .errors import ContractError, InputError, InvariantError, TropdegError
+from .errors import InputError, InvariantError, TropdegError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -80,7 +82,7 @@ def _run(args) -> dict:
     cycles = [cycle for cycle, _ in loaded]
     if spec.balanced:
         for cycle in cycles:
-            _require_balance(cycle)
+            cyc.require_balanced(cycle)
     if "seed" in spec.flags:
         args.seed = _seed(args)
     outputs, out_cycle, caveats = spec.handler(args, *cycles)
@@ -196,13 +198,6 @@ def _pushforward_result(result, outputs):
         return outputs, result.cycle, ()
     outputs["absorbed_facets"] = list(result.absorbed)
     return outputs, result.cycle, ["lower-dimensional image facets absorbed"]
-
-
-def _require_balance(cycle) -> None:
-    report = cyc.complex_report(cycle)
-    if not report.ok:
-        raise ContractError(f"input is not a valid complex: {report}")
-    cyc.require_balanced(cycle)
 
 
 # -- command handlers ---------------------------------------------------------

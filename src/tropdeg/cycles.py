@@ -47,6 +47,7 @@ class BlockStructure:
 
     def block_range(self, i: int) -> range:
         """Coordinate range of block i (1-based)."""
+        i = integral_row((i,), DimensionMismatchError, "block index")[0]
         if not 1 <= i <= self.k:
             raise DimensionMismatchError(f"block index {i} out of 1..{self.k}")
         start = sum(self.blocks[: i - 1])

@@ -19,8 +19,7 @@ of the exact one.
 transforms only when its caller passes them in: ``snf`` tracks both,
 ``int_kernel`` only the column transform, and the diagonal readers none.
 Lattice indices are products of Smith invariant factors, and ranks are
-their count: ``saturation_index`` is the index of a lattice in its
-saturation, ``lattice_index`` the index in Z^m.
+their count: ``lattice_index`` is the index of a lattice in Z^m.
 """
 
 from __future__ import annotations
@@ -359,21 +358,6 @@ def int_kernel(rows, m: int) -> tuple[IntVec, ...]:
     return tuple(sign_normalized(b) for b in basis)
 
 
-def _invariant_factors(gens) -> list[int]:
-    """The nonzero Smith invariant factors of the generator matrix, after
-    checking that every entry is integral (``ContractError`` otherwise)."""
-    rows = [integral_row(g, ContractError, "lattice generator") for g in gens]
-    return [d for d in snf_diagonal(rows) if d != 0]
-
-
-def saturation_index(gens) -> int:
-    """Index [L : <gens>] of the lattice generated by integer vectors in its
-    saturation L = span(gens) ∩ Z^m: the product of the nonzero Smith
-    invariant factors of the generator matrix (1 for no generators).
-    A non-integral entry raises ``ContractError``."""
-    return math.prod(_invariant_factors(gens))
-
-
 def lattice_index(gens, m: int):
     """Index [Z^m : L] of the lattice generated by integer vectors in Z^m, or
     INFINITE when fewer than m invariant factors are nonzero.  A generator
@@ -382,7 +366,8 @@ def lattice_index(gens, m: int):
     if any(len(g) != m for g in gens):
         raise DimensionMismatchError(
             f"lattice generators of lengths {sorted({len(g) for g in gens})} in Z^{m}")
-    factors = _invariant_factors(gens)
+    rows = [integral_row(g, ContractError, "lattice generator") for g in gens]
+    factors = [d for d in snf_diagonal(rows) if d != 0]
     return math.prod(factors) if len(factors) == m else INFINITE
 
 

@@ -236,13 +236,13 @@ def pushforward_linear(cycle: TropicalCycle, matrix,
     matrix = [integral_row(row, InputError, "matrix row") for row in matrix]
     if len(matrix) != out_blocks.m or any(len(r) != cycle.m for r in matrix):
         raise DimensionMismatchError("matrix shape does not match the map")
-    return _image_cycle(_linear_images(cycle, matrix, out_blocks.m), out_blocks)
+    return _image_cycle(_linear_images(cycle, matrix), out_blocks)
 
 
-def _linear_images(cycle: TropicalCycle, matrix, m_out: int):
+def _linear_images(cycle: TropicalCycle, matrix):
     """(``linear_image``, weight, images of the direction basis as lattice
     generators) per support facet."""
-    return [(f.poly.linear_image(matrix, m_out), f.weight,
+    return [(f.poly.linear_image(matrix), f.weight,
              [tuple(vdot(row, b) for row in matrix) for b in f.poly.direction_basis()])
             for f in cycle.support_facets]
 

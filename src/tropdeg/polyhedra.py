@@ -88,14 +88,6 @@ from .linalg import (
 HomRow = IntVec  # length m+1: (c0, c1, ..., cm)
 
 
-def eval_dir(row, direction):
-    """c . d for a direction vector."""
-    if len(row) != len(direction) + 1:
-        raise ValueError(f"eval_dir of a row of length {len(row)} "
-                         f"on a direction of length {len(direction)}")
-    return sum(map(mul, row[1:], direction))
-
-
 # ---------------------------------------------------------------------------
 # double description on a homogeneous cone
 # ---------------------------------------------------------------------------
@@ -496,15 +488,16 @@ class Polyhedron:
                           verts, vecs(self.rays, other.rays),
                           vecs(self.lineality, other.lineality))
 
-    def linear_image(self, matrix, m_out: int) -> "Polyhedron":
-        """Image under x -> matrix @ x (matrix given as m_out rows of length m).
+    def linear_image(self, matrix) -> "Polyhedron":
+        """Image under x -> matrix @ x, in R^len(matrix) (matrix given as
+        rows of length m).
 
         A rational matrix is allowed: the images are taken to their
         ``int_row``.
         """
-        if len(matrix) != m_out or any(len(row) != self.m for row in matrix):
-            raise DimensionMismatchError(
-                f"matrix is not {m_out} rows of length {self.m}")
+        m_out = len(matrix)
+        if any(len(row) != self.m for row in matrix):
+            raise DimensionMismatchError(f"matrix rows are not of length {self.m}")
         if self.is_empty:
             return Polyhedron.empty(m_out)
         apply = lambda x: [vdot(row, x) for row in matrix]
@@ -522,7 +515,7 @@ class Polyhedron:
         verts = tuple(g for g in self.vertex_rows if vdot(ineq_row, g) == 0)
         if not verts:
             return Polyhedron.empty(self.m)
-        rays = tuple(r for r in self.rays if eval_dir(ineq_row, r) == 0)
+        rays = tuple(r for r in self.rays if vdot(ineq_row[1:], r) == 0)
         facets, eqs = _hrep(self.ineqs, self.eqs + (tuple(ineq_row),),
                             verts + tuple((0,) + r for r in rays))
         return _canonical(self.m, facets, eqs, verts, rays, self.lineality)
@@ -566,12 +559,13 @@ class Polyhedron:
             s = vdot(row, g)
             has_pos |= s > 0
             has_neg |= s < 0
+        c = row[1:]
         for r in self.rays:
-            s = eval_dir(row, r)
+            s = sum(map(mul, c, r))
             has_pos |= s > 0
             has_neg |= s < 0
         for l in self.lineality:
-            if eval_dir(row, l) != 0:
+            if sum(map(mul, c, l)):
                 has_pos = has_neg = True
         return has_pos, has_neg
 

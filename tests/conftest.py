@@ -20,7 +20,7 @@ from tropdeg.linalg import (IntVec, int_row, integral_row, is_zero_vec,
 from tropdeg.multidegree import DivisorSet, pullback
 from tropdeg.ops import (_MASK64, _SEED_STRIDE, PushforwardResult, Rng,
                          _check_seed, _towards, pushforward_linear,
-                         stable_intersect)
+                         stable_intersect, tropical_hyperplane)
 from tropdeg.polyhedra import (Polyhedron, _canon_eqs, _canon_generators,
                                _canon_ineqs, _check_len, _point_row,
                                dual_description, refine_by_hyperplanes)
@@ -690,6 +690,27 @@ def seeded_points(seed: int, count: int, m: int, num_bound: int = 40,
     rng = Rng(seed)
     return [rng.vector(m, num_bound=num_bound, den_bound=den_bound)
             for _ in range(count)]
+
+
+#: the block structures that ``tropical_linear_space`` draws from
+LINEAR_SPACE_BLOCKS = ((1, 1), (2, 1), (1, 2), (2, 2), (1, 1, 1), (3, 1),
+                       (2, 1, 1), (1, 2, 1), (2, 2, 1))
+
+
+def tropical_linear_space(seed: int) -> TropicalCycle:
+    """A seeded tropical linear space of codimension c in R^m: the stable
+    intersection of c tropical hyperplanes with random coefficients,
+    reblocked over a random block structure of R^m."""
+    rng = Rng(seed)
+    blocks = BlockStructure(
+        LINEAR_SPACE_BLOCKS[rng.randint(0, len(LINEAR_SPACE_BLOCKS) - 1)])
+    m = blocks.m
+    out = None
+    for _ in range(rng.randint(1, m - 1)):
+        h = tropical_hyperplane([rng.fraction(num_bound=9, den_bound=4)
+                                 for _ in range(m + 1)])
+        out = h if out is None else stable_intersect(out, h, seed=seed)
+    return TropicalCycle(blocks, out.facets)
 
 
 def fresh(cycle: TropicalCycle) -> TropicalCycle:

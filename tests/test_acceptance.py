@@ -290,7 +290,7 @@ def test_criterion_9_facet_witness(suite3):
                     coords = blocks.coords_of(subset)
                     matrix = [tuple(1 if t == j else 0 for t in range(cycle.m))
                               for j in coords]
-                    image = facet.poly.linear_image(matrix, len(coords))
+                    image = facet.poly.linear_image(matrix)
                     if image.dim < sum(n[i - 1] for i in subset):
                         failures.append((seed, n, subset))
     assert failures == []

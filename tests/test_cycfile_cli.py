@@ -141,11 +141,22 @@ def test_cli_validates_each_input_once(argv, monkeypatch, capsys):
     assert len({id(c) for c in calls}) == len(calls)
 
 
-def test_cli_check_balance_flags_repeated_facet(tmp_path):
+def _bad_inputs(tmp_path):
+    """A cycle file that is not a valid complex (a facet listed twice) and
+    one that is valid but unbalanced (a single ray), with the words their
+    reports must contain."""
     data = cycfile.cycle_to_dict(fixtures.standard_line())
     data["facets"].append(data["facets"][0])
     twice = tmp_path / "twice.cyc"
     twice.write_text(json.dumps(data))
+    ray = tmp_path / "ray.cyc"
+    cycfile.save(ray, cycles.TropicalCycle(cycles.BlockStructure((2,)), [
+        (Polyhedron.from_generators(2, [(0, 0)], rays=[(1, 0)]), 1)]))
+    return {"invalid": (twice, "not a valid complex"), "unbalanced": (ray, "balancing")}
+
+
+def test_cli_check_balance_flags_repeated_facet(tmp_path):
+    twice, _ = _bad_inputs(tmp_path)["invalid"]
     proc = run_cli("check-balance", str(twice))
     assert proc.returncode == 0
     outputs = json.loads(proc.stdout)["outputs"]
@@ -339,14 +350,50 @@ def test_cli_pair_positive():
 
 
 def test_cli_pair_positive_refuses_unbalanced_input(tmp_path):
-    ray = tmp_path / "ray.cyc"
-    cycfile.save(ray, cycles.TropicalCycle(cycles.BlockStructure((2,)), [
-        (Polyhedron.from_generators(2, [(0, 0)], rays=[(1, 0)]), 1)]))
+    ray, _ = _bad_inputs(tmp_path)["unbalanced"]
     line = str(fixture_path("standard_line"))
     for cmd in ("pair-positive", "intersect"):
         proc = run_cli(cmd, str(ray), line)
         assert proc.returncode == 2
         assert "balancing" in proc.stdout + proc.stderr
+
+
+#: a command line of each balanced command with one input BAD; OUT is an
+#: output file that the command must not write
+GATED = [
+    ("intersect", "BAD", "LINE", "-o", "OUT"),
+    ("intersect", "LINE", "BAD", "-o", "OUT"),
+    ("recession", "BAD", "-o", "OUT"),
+    ("minkowski", "BAD", "1,1", "-o", "OUT"),
+    ("project", "BAD", "--blocks", "1", "-o", "OUT"),
+    ("pair-positive", "BAD", "LINE"),
+    ("pair-positive", "LINE", "BAD"),
+    ("admissible", "BAD"),
+    ("multidegree", "BAD", "--type", "1"),
+    # the gate runs before the handler parses its arguments
+    ("multidegree", "BAD", "--type", "9"),
+    ("minkowski", "BAD", "1,x"),
+]
+
+
+def test_gated_command_lines_cover_the_balanced_commands():
+    assert {argv[0] for argv in GATED} == \
+        {name for name, spec in cli.COMMANDS.items() if spec.balanced}
+
+
+@pytest.mark.parametrize("kind", ["invalid", "unbalanced"])
+@pytest.mark.parametrize("template", GATED, ids=" ".join)
+def test_cli_gates_balanced_commands(template, kind, tmp_path, monkeypatch, capsys):
+    monkeypatch.delenv("TROPDEG_SEED", raising=False)
+    path, words = _bad_inputs(tmp_path)[kind]
+    out = tmp_path / "out.cyc"
+    names = {"BAD": str(path), "LINE": str(fixture_path("standard_line")),
+             "OUT": str(out)}
+    assert cli.main([names.get(a, a) for a in template]) == cli.EXIT_CONTRACT
+    report = json.loads(capsys.readouterr().out)
+    assert words in report["error"]
+    assert "outputs" not in report
+    assert not out.exists()
 
 
 def test_cli_divisor_override(tmp_path):

@@ -40,6 +40,21 @@ def test_block_sizes_must_be_integral():
         BlockStructure((1.5, 2))
 
 
+@pytest.mark.parametrize("index", [1.5, Fraction(3, 2), "x"])
+def test_block_indices_must_be_integral(index):
+    blocks = BlockStructure((2, 1))
+    with pytest.raises(DimensionMismatchError):
+        blocks.block_range(index)
+    with pytest.raises(DimensionMismatchError):
+        blocks.coords_of([index])
+
+
+def test_integral_block_indices_are_normalized():
+    blocks = BlockStructure((2, 1))
+    assert blocks.block_range(2.0) == blocks.block_range(Fraction(2)) == range(2, 3)
+    assert blocks.coords_of([1.0]) == [0, 1]
+
+
 @pytest.mark.parametrize("weight", [1.5, Fraction(3, 2), "x"])
 def test_facet_weights_must_be_integral(weight):
     with pytest.raises(InvalidComplexError):

@@ -42,7 +42,7 @@ def cases():
                           for j in blocks.coords_of(subset)]
                 out_blocks = BlockStructure(tuple(blocks.blocks[i - 1] for i in subset))
                 yield ((path.stem, subset),
-                       ops._linear_images(cycle, matrix, out_blocks.m), out_blocks,
+                       ops._linear_images(cycle, matrix), out_blocks,
                        partial(ops.projection_pushforward, cycle, subset))
 
 

@@ -70,21 +70,21 @@ def test_generator_constructors_canonicalize_only_on_a_miss(canon_calls):
     assert Polyhedron.from_generators(
         2, [(1, 1), (0, 0), [1, 0], (0, 1), (half, half), (0, 0)]) is square
     assert square.plus_span([]) is square
-    assert square.linear_image([(1, 0), (0, 1)], 2) is square
-    assert square.linear_image([(0, 1), (1, 0)], 2) is square
+    assert square.linear_image([(1, 0), (0, 1)]) is square
+    assert square.linear_image([(0, 1), (1, 0)]) is square
     assert len(canon_calls) == 1
     # a miss in each constructor canonicalizes once
     strip = square.plus_span([(0, 1)])
     assert len(canon_calls) == 2
-    wide = square.linear_image([(2, 0), (0, 1)], 2)
+    wide = square.linear_image([(2, 0), (0, 1)])
     assert len(canon_calls) == 3
     segment = Polyhedron.from_generators(1, [(0,), (1,)])
     assert len(canon_calls) == 4
     # and a rebuild of what they made does not
     assert Polyhedron.from_hrep(2, [(0, 1, 0), (1, -1, 0)]) is strip
     assert Polyhedron.from_generators(2, [(0, 0), (1, 5)], lineality=[(0, -3)]) is strip
-    assert wide.plus_span([(0, 1)]).linear_image([(Fraction(1, 2), 0), (0, 1)], 2) is strip
-    assert square.linear_image([(1, 0)], 1) is segment
+    assert wide.plus_span([(0, 1)]).linear_image([(Fraction(1, 2), 0), (0, 1)]) is strip
+    assert square.linear_image([(1, 0)]) is segment
     assert Polyhedron.from_generators(2, [(0, 0), (2, 0), (0, 1), (2, 1)]) is wide
     assert len(canon_calls) == 5
 

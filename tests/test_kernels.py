@@ -1,7 +1,7 @@
 """Contracts of the integer kernels that every constructor runs.
 
-* ``vdot`` and ``eval_dir`` reject vectors of different lengths, so
-  ``quickly_disjoint`` of polyhedra in different ambient spaces raises;
+* ``vdot`` rejects vectors of different lengths, so ``quickly_disjoint``
+  of polyhedra in different ambient spaces raises;
 * ``is_zero_vec`` is ``all(a == 0 ...)`` on ints, Fractions and ``()``;
 * ``linalg._divide_gcd`` is ``int_row`` on integer rows;
 * ``polyhedra._canon_eqs`` is ``rref``, and returns ``rref`` output
@@ -26,7 +26,7 @@ from tropdeg.cycles import TropicalCycle, WeightedFacet, check_balancing, codim1
 from tropdeg.linalg import (_divide_gcd, in_span, int_kernel, int_row, is_zero_vec, rref,
                             saturate, sign_normalized, snf, snf_diagonal, vdot)
 from tropdeg.ops import Rng
-from tropdeg.polyhedra import Polyhedron, eval_dir, quickly_disjoint
+from tropdeg.polyhedra import Polyhedron, quickly_disjoint
 
 F = Fraction
 
@@ -42,18 +42,6 @@ def test_vdot_values():
     assert vdot((), ()) == 0
     assert vdot((1, -2, 3), (4, 5, 6)) == 12
     assert vdot((F(1, 2), 3), (4, F(1, 3))) == 3
-
-
-@pytest.mark.parametrize("row, direction", [((0, 1, 2), (1,)), ((0, 1), (1, 2)),
-                                            ((5,), (1,)), ((0, 1, 1), ())])
-def test_eval_dir_rejects_a_length_mismatch(row, direction):
-    with pytest.raises(ValueError):
-        eval_dir(row, direction)
-
-
-def test_eval_dir_skips_the_constant():
-    assert eval_dir((7, 1, -2), (3, 1)) == 1
-    assert eval_dir((7,), ()) == 0
 
 
 def test_quickly_disjoint_across_ambient_dimensions_raises():

@@ -17,7 +17,6 @@ from tropdeg.linalg import (
     reduce_mod,
     rref,
     saturate,
-    saturation_index,
     snf,
     snf_diagonal,
 )
@@ -87,17 +86,13 @@ def test_lattice_index_examples():
     assert lattice_index([(1, 0), (0, 1)], 2) == 1
     assert lattice_index([(1, 1), (1, -1)], 2) == 2
     assert lattice_index([(1, 1)], 2) is INFINITE
-    assert saturation_index([(2, 2), (0, 3)]) == 6
-    assert saturation_index([(2, 4), (1, 2)]) == 1
-    assert saturation_index([]) == lattice_index([], 0) == 1
+    assert lattice_index([], 0) == 1
     # integrality is checked before the rank is read: rank-deficient
     # non-integral generators raise too
     for gens in ([(Fraction(1, 2),)], [(1.5, 0), (0, 1)], [(Fraction(1, 2), 0)],
                  [(1.5, 0)], [(0, 0), (Fraction(1, 3), 0)]):
         with pytest.raises(ContractError, match="non-integral"):
             lattice_index(gens, len(gens[0]))
-        with pytest.raises(ContractError, match="non-integral"):
-            saturation_index(gens)
 
 
 @pytest.mark.parametrize("call", [
@@ -108,7 +103,6 @@ def test_lattice_index_examples():
     pytest.param(lambda: int_kernel([(1, 2), (3,)], 2), id="int_kernel-ragged"),
     pytest.param(lambda: int_kernel([(1, 2, 3)], 2), id="int_kernel-long-rows"),
     pytest.param(lambda: int_kernel([(0, 0, 0)], 2), id="int_kernel-long-zero-row"),
-    pytest.param(lambda: saturation_index([(1, 0), (1,)]), id="saturation_index-ragged"),
     pytest.param(lambda: lattice_index([(1, 0, 0), (0, 1, 0)], 2), id="lattice_index-in-Z3"),
     pytest.param(lambda: lattice_index([(1, 0), (0, 1)], 3), id="lattice_index-in-Z2"),
     pytest.param(lambda: lattice_index([(1, 0), (0, 1, 0)], 2), id="lattice_index-ragged"),
