@@ -31,7 +31,7 @@ from . import cycles as cyc
 from . import multidegree as md
 from . import ops
 from .cycles import TropicalCycle
-from .errors import InputError, InvariantError, TropdegError
+from .errors import BadBlockIndexError, InputError, InvariantError, TropdegError
 
 EXIT_OK = 0
 EXIT_INPUT = 1
@@ -170,11 +170,11 @@ def _divisors(args, cycle) -> md.DivisorSet:
     for spec_item in args.divisor:
         try:
             block_str, path = spec_item.split(":", 1)
-            block = int(block_str)
+            block = cycle.ambient.index(int(block_str))
         except ValueError as exc:
             raise InputError(f"bad --divisor {spec_item!r}, want i:FILE") from exc
-        if not 1 <= block <= cycle.ambient.k:
-            raise InputError(f"--divisor block {block} out of 1..{cycle.ambient.k}")
+        except BadBlockIndexError as exc:
+            raise InputError(f"--divisor {exc}") from exc
         divs = divs.replaced(block, _load(path)[0])
     return divs
 

@@ -7,7 +7,8 @@
              "weight": non-negative int}, ...]}
 
 Rationals are written "p/q" (or bare integers); rays and lineality are
-integer vectors, normalized on load.  Any other key is an error.
+integer vectors, normalized on load.  A missing "weight" reads as 1 and
+missing "rays" or "lineality" as [].  Any other key is an error.
 Serialization is canonical, so parse -> serialize -> parse is the
 identity.
 """

@@ -8,10 +8,13 @@ separate, report-style checks: construction never repairs or refines input.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import combinations
 
 from . import linalg
 from .errors import (
+    BadBlockIndexError,
     DimensionMismatchError,
+    EmptySubsetError,
     InvalidComplexError,
     InvariantError,
     UnbalancedCycleError,
@@ -45,19 +48,34 @@ class BlockStructure:
     def m(self) -> int:
         return sum(self.blocks)
 
+    def index(self, i) -> int:
+        """The 1-based block index i as an int, checked to lie in 1..k."""
+        i = integral_row((i,), BadBlockIndexError, "block index")[0]
+        if not 1 <= i <= self.k:
+            raise BadBlockIndexError(f"block index {i} out of 1..{self.k}")
+        return i
+
+    def subset(self, indices) -> tuple[int, ...]:
+        """The checked block indices, sorted, without repeats and nonempty."""
+        subset = tuple(sorted(set(map(self.index, indices))))
+        if not subset:
+            raise EmptySubsetError("empty block subset")
+        return subset
+
+    def subsets(self) -> list[tuple[int, ...]]:
+        """Every nonempty block subset, by size, then lexicographically."""
+        indices = range(1, self.k + 1)
+        return [s for size in indices for s in combinations(indices, size)]
+
     def block_range(self, i: int) -> range:
         """Coordinate range of block i (1-based)."""
-        i = integral_row((i,), DimensionMismatchError, "block index")[0]
-        if not 1 <= i <= self.k:
-            raise DimensionMismatchError(f"block index {i} out of 1..{self.k}")
+        i = self.index(i)
         start = sum(self.blocks[: i - 1])
         return range(start, start + self.blocks[i - 1])
 
     def coords_of(self, subset) -> list[int]:
-        out: list[int] = []
-        for i in sorted(subset):
-            out.extend(self.block_range(i))
-        return out
+        """Coordinates of the blocks in ``subset``, checked as ``subset`` does."""
+        return [j for i in self.subset(subset) for j in self.block_range(i)]
 
 
 @dataclass(frozen=True)

@@ -61,8 +61,8 @@ class EmptySubsetError(ContractError):
     pass
 
 
-class BadBlockIndexError(ContractError):
-    pass
+class BadBlockIndexError(DimensionMismatchError):
+    """A block index outside 1..k, or not an integer."""
 
 
 class SeedDependenceError(InvariantError):

@@ -16,13 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 from . import cycles as cyc
 from . import ops
 from .cycles import BlockStructure, TropicalCycle, WeightedFacet
 from .errors import (
-    BadBlockIndexError,
     DimensionMismatchError,
     NonPositiveDivisorError,
     TypeMismatchError,
@@ -48,7 +47,7 @@ class DivisorSet:
 
     def replaced(self, i: int, divisor: TropicalCycle) -> "DivisorSet":
         """The set with block i's divisor (1-based) replaced."""
-        i = _block_index(i, self.blocks)
+        i = self.blocks.index(i)
         divs = list(self.divisors)
         divs[i - 1] = divisor
         return DivisorSet(self.blocks, tuple(divs))
@@ -85,9 +84,6 @@ class RankFunction:
                 return r
         raise KeyError(f"subset {key} not tabulated")
 
-    def subsets(self):
-        return [s for s, _ in self.table]
-
 
 @dataclass(frozen=True)
 class CriterionResult:
@@ -98,14 +94,6 @@ class CriterionResult:
 
     def __bool__(self):
         return self.holds
-
-
-def _block_index(i, blocks: BlockStructure) -> int:
-    """The 1-based block index i as an int, checked to lie in 1..k."""
-    i = integral_row((i,), BadBlockIndexError, "block index")[0]
-    if not 1 <= i <= blocks.k:
-        raise BadBlockIndexError(f"block index {i} out of 1..{blocks.k}")
-    return i
 
 
 def _check_type(cycle: TropicalCycle, n) -> tuple[int, ...]:
@@ -149,7 +137,7 @@ def pullback(divisor: TropicalCycle, block: int,
 
     The result is marked valid and balanced when the divisor is.
     """
-    block = _block_index(block, blocks)
+    block = blocks.index(block)
     size = blocks.blocks[block - 1]
     if divisor.m != size:
         raise DimensionMismatchError(
@@ -208,12 +196,17 @@ def rank_function(cycle: TropicalCycle) -> RankFunction:
     """Tabulate dim pi_I over every subset of [k]."""
     if cycle.is_empty:
         raise WrongDimensionError("rank function of an empty cycle")
-    k = cycle.ambient.k
-    table = [((), 0)]
-    for size in range(1, k + 1):
-        for subset in combinations(range(1, k + 1), size):
-            table.append((subset, ops.projection_dim(cycle, subset)))
-    return RankFunction(k, tuple(table))
+    blocks = cycle.ambient
+    table = [((), 0)] + [(s, ops.projection_dim(cycle, s)) for s in blocks.subsets()]
+    return RankFunction(blocks.k, tuple(table))
+
+
+def _violating_subset(n, ranks: RankFunction) -> tuple[int, ...] | None:
+    """The first subset I in table order with n_I > rank(I), or None."""
+    for subset, rank in ranks.table:
+        if sum(n[i - 1] for i in subset) > rank:
+            return subset
+    return None
 
 
 def positivity_criterion(cycle: TropicalCycle, n,
@@ -222,12 +215,9 @@ def positivity_criterion(cycle: TropicalCycle, n,
     n = _check_type(cycle, n)
     if ranks is None:
         ranks = rank_function(cycle)
-    for subset in ranks.subsets():
-        if not subset:
-            continue
-        n_i = sum(n[i - 1] for i in subset)
-        if n_i > ranks.rank(subset):
-            return CriterionResult(False, subset, None)
+    subset = _violating_subset(n, ranks)
+    if subset is not None:
+        return CriterionResult(False, subset, None)
     return CriterionResult(True, None, facet_witness(cycle, n))
 
 
@@ -236,8 +226,7 @@ def facet_witness(cycle: TropicalCycle, n) -> WeightedFacet | None:
     n = _check_type(cycle, n)
     blocks = cycle.ambient
     bounds = [(blocks.coords_of(s), sum(n[i - 1] for i in s))
-              for size in range(1, blocks.k + 1)
-              for s in combinations(range(1, blocks.k + 1), size)]
+              for s in blocks.subsets()]
     for f in cycle.support_facets:
         if all(ops.projected_dim(f.poly, coords) >= need for coords, need in bounds):
             return f
@@ -264,8 +253,7 @@ def msupp(cycle: TropicalCycle, divs: DivisorSet | None = None,
         raise WrongDimensionError("msupp of an empty cycle")
     if mode == "criterion":
         ranks = rank_function(cycle)
-        out = [n for n in type_vectors(cycle)
-               if positivity_criterion(cycle, n, ranks).holds]
+        out = [n for n in type_vectors(cycle) if _violating_subset(n, ranks) is None]
     elif mode == "bruteforce":
         out = [n for n in type_vectors(cycle)
                if multidegree(cycle, n, divs, seed) > 0]
@@ -276,7 +264,7 @@ def msupp(cycle: TropicalCycle, divs: DivisorSet | None = None,
 
 def check_submodular(ranks: RankFunction):
     """rank(I&J) + rank(I|J) <= rank(I) + rank(J) over all subset pairs."""
-    subsets = [frozenset(s) for s in ranks.subsets()]
+    subsets = [frozenset(s) for s, _ in ranks.table]
     for a in subsets:
         for b in subsets:
             lhs = ranks.rank(a & b) + ranks.rank(a | b)

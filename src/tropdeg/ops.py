@@ -24,9 +24,7 @@ from . import cycles as cyc
 from . import linalg
 from .cycles import BlockStructure, TropicalCycle, WeightedFacet
 from .errors import (
-    BadBlockIndexError,
     DimensionMismatchError,
-    EmptySubsetError,
     InputError,
     InvariantError,
     SeedDependenceError,
@@ -320,11 +318,9 @@ def _image_weight(img: Polyhedron, weight: int, gens) -> int:
 
 def projection_dim(cycle: TropicalCycle, subset) -> int:
     """Dimension of the image of the support under the block projection."""
-    blocks = cycle.ambient
-    subset = _check_subset(subset, blocks.k)
+    coords = cycle.ambient.coords_of(subset)
     if cycle.is_empty:
         raise WrongDimensionError("projection of an empty cycle")
-    coords = blocks.coords_of(subset)
     return max(projected_dim(f.poly, coords) for f in cycle.support_facets)
 
 
@@ -337,21 +333,11 @@ def projected_dim(poly: Polyhedron, coords) -> int:
 def projection_pushforward(cycle: TropicalCycle, subset) -> PushforwardResult:
     """Push the cycle forward along the coordinate projection onto blocks."""
     blocks = cycle.ambient
-    subset = _check_subset(subset, blocks.k)
+    subset = blocks.subset(subset)
     coords = blocks.coords_of(subset)
     matrix = [tuple(1 if t == j else 0 for t in range(cycle.m)) for j in coords]
-    out_blocks = BlockStructure(tuple(blocks.blocks[i - 1] for i in sorted(subset)))
+    out_blocks = BlockStructure(tuple(blocks.blocks[i - 1] for i in subset))
     return pushforward_linear(cycle, matrix, out_blocks)
-
-
-def _check_subset(subset, k: int) -> tuple[int, ...]:
-    subset = tuple(sorted(set(integral_row(subset, BadBlockIndexError,
-                                           "block index"))))
-    if not subset:
-        raise EmptySubsetError("empty block subset")
-    if subset[0] < 1 or subset[-1] > k:
-        raise BadBlockIndexError(f"block indices {subset} out of 1..{k}")
-    return subset
 
 
 # ---------------------------------------------------------------------------

@@ -259,6 +259,9 @@ BAD_ARGUMENTS = {
     "admissible standard_line --strategy bogus": 1,
     "admissible standard_line --strategy random:x": 1,
     "admissible standard_line --strategy random:-3": 1,
+    # a divisor for a block the cycle does not have, refused before loading
+    "multidegree diagonal_11 --type 1,0 --divisor 3:missing.cyc": 1,
+    "multidegree diagonal_11 --type 1,0 --divisor 0:missing.cyc": 1,
 }
 
 

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product as cartesian
 
 import pytest
 
@@ -18,7 +19,9 @@ from tropdeg.cycles import (
     validate_complex,
 )
 from tropdeg.errors import (
+    BadBlockIndexError,
     DimensionMismatchError,
+    EmptySubsetError,
     InputError,
     InvalidComplexError,
     InvariantError,
@@ -40,7 +43,7 @@ def test_block_sizes_must_be_integral():
         BlockStructure((1.5, 2))
 
 
-@pytest.mark.parametrize("index", [1.5, Fraction(3, 2), "x"])
+@pytest.mark.parametrize("index", [1.5, Fraction(3, 2), "x", "1"])
 def test_block_indices_must_be_integral(index):
     blocks = BlockStructure((2, 1))
     with pytest.raises(DimensionMismatchError):
@@ -53,6 +56,32 @@ def test_integral_block_indices_are_normalized():
     blocks = BlockStructure((2, 1))
     assert blocks.block_range(2.0) == blocks.block_range(Fraction(2)) == range(2, 3)
     assert blocks.coords_of([1.0]) == [0, 1]
+
+
+@pytest.mark.parametrize("k", [1, 2, 3, 4])
+def test_block_subsets_come_by_size_then_lexicographically(k):
+    """``subsets`` lists every nonempty subset of 1..k once, shorter ones
+    first and equal sizes in lexicographic order: the rank table's order."""
+    masks = cartesian((False, True), repeat=k)
+    every = [tuple(i for i, keep in enumerate(mask, 1) if keep) for mask in masks]
+    expected = sorted((s for s in every if s), key=lambda s: (len(s), s))
+    assert BlockStructure((1,) * k).subsets() == expected
+
+
+def test_block_subset_is_checked_sorted_and_deduplicated():
+    blocks = BlockStructure((2, 1, 3))
+    assert blocks.subset([3, 1, 3, 2.0, Fraction(1)]) == (1, 2, 3)
+    assert blocks.subset((2,)) == (2,)
+    assert blocks.index(Fraction(3)) == 3
+    assert blocks.coords_of([3, 1, 3]) == blocks.coords_of([1, 3]) == [0, 1, 3, 4, 5]
+    for call in (blocks.subset, blocks.coords_of):
+        with pytest.raises(EmptySubsetError):
+            call([])
+    for index in (0, blocks.k + 1, 1.5):
+        with pytest.raises(BadBlockIndexError):
+            blocks.subset([1, index])
+        with pytest.raises(BadBlockIndexError):
+            blocks.index(index)
 
 
 @pytest.mark.parametrize("weight", [1.5, Fraction(3, 2), "x"])

@@ -18,8 +18,9 @@ from tropdeg.cycles import (
     validate_complex,
 )
 from tropdeg.errors import (BadBlockIndexError, DimensionMismatchError,
-                            InputError, NonPositiveDivisorError,
-                            SeedDependenceError, TypeMismatchError)
+                            InputError, InvalidComplexError,
+                            NonPositiveDivisorError, SeedDependenceError,
+                            TypeMismatchError)
 from tropdeg.multidegree import (
     DIVISOR_POWER_CACHE_SIZE,
     DivisorSet,
@@ -114,6 +115,42 @@ def test_rank_function():
     pt = TropicalCycle(BlockStructure((1, 1)), [(Polyhedron.point((0, 0)), 1)])
     pt_ranks = rank_function(pt)
     assert all(r == 0 for _, r in pt_ranks.table)
+
+
+@pytest.mark.parametrize("name", sorted(fixtures.CORPUS))
+def test_rank_table_follows_the_block_subsets(name):
+    cycle = fixtures.CORPUS[name]()
+    keys = tuple(s for s, _ in rank_function(cycle).table)
+    assert keys == ((),) + tuple(cycle.ambient.subsets())
+
+
+NUMERIC_STRINGS = {
+    "block_range": (DimensionMismatchError,
+                    lambda: BlockStructure((2, 1)).block_range("1")),
+    "coords_of": (DimensionMismatchError,
+                  lambda: BlockStructure((2, 1)).coords_of(["2"])),
+    "projection_dim": (BadBlockIndexError,
+                       lambda: ops.projection_dim(fixtures.example33a(), ["1"])),
+    "type_vector": (TypeMismatchError,
+                    lambda: positivity_criterion(fixtures.example33b(), ("1", "0", "1"))),
+    "exponent": (TypeMismatchError,
+                 lambda: divisor_power(standard_hyperplane(2), "2")),
+    "seed": (InputError,
+             lambda: stable_intersect(fixtures.standard_line(),
+                                      fixtures.standard_line(), seed="3")),
+    "facet_weight": (InvalidComplexError,
+                     lambda: WeightedFacet(Polyhedron.point((0,)), "2")),
+    "block_size": (DimensionMismatchError, lambda: BlockStructure(("2",))),
+}
+
+
+@pytest.mark.parametrize("case", sorted(NUMERIC_STRINGS))
+def test_numeric_strings_are_not_numbers(case):
+    """A string that ``Fraction`` would parse is refused like any other
+    non-number, with the error class of the argument it was passed as."""
+    error, call = NUMERIC_STRINGS[case]
+    with pytest.raises(error, match="is not numeric"):
+        call()
 
 
 def test_positivity_criterion():
