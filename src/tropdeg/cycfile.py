@@ -9,8 +9,16 @@
 Rationals are written "p/q" (or bare integers); rays and lineality are
 integer vectors, normalized on load.  A missing "weight" reads as 1 and
 missing "rays" or "lineality" as [].  Any other key is an error.
-Serialization is canonical, so parse -> serialize -> parse is the
-identity.
+
+``dumps`` (so ``save`` and the CLI's ``-o``) writes one layout, the text
+``json.dumps(..., indent=1, sort_keys=True)`` gives for the object above,
+plus a final newline, built directly without that encoder: every key, in
+sorted order, and the canonical generators of each facet (vertices sorted,
+rays and lineality as stored); each list item on its own line, one space
+deeper than its brackets; ``[]`` for an empty list; an integral
+coordinate as a JSON number and any other as the string "p/q".  The text
+is byte-stable: a cycle has one file, whatever the Python version or hash
+seed, so parse -> serialize -> parse is the identity.
 """
 
 from __future__ import annotations
@@ -112,11 +120,6 @@ def facet_to_dict(facet: WeightedFacet) -> dict:
     }
 
 
-def cycle_to_dict(cycle: TropicalCycle) -> dict:
-    return {"blocks": list(cycle.ambient.blocks),
-            "facets": [facet_to_dict(f) for f in cycle.facets]}
-
-
 def loads(text: str) -> TropicalCycle:
     try:
         data = json.loads(text)
@@ -126,7 +129,38 @@ def loads(text: str) -> TropicalCycle:
 
 
 def dumps(cycle: TropicalCycle) -> str:
-    return json.dumps(cycle_to_dict(cycle), indent=1, sort_keys=True) + "\n"
+    """The cycle's file text, in the layout of the module docstring."""
+    return ('{\n "blocks": [\n  ' + ",\n  ".join(map(str, cycle.ambient.blocks))
+            + '\n ],\n "facets": '
+            + ("[\n  " + ",\n  ".join(map(_facet_text, cycle.facets)) + "\n ]"
+               if cycle.facets else "[]")
+            + "\n}\n")
+
+
+def _facet_text(facet: WeightedFacet) -> str:
+    p = facet.poly
+    return ('{\n   "lineality": ' + _vector_list(p.lineality, str)
+            + ',\n   "rays": ' + _vector_list(p.rays, str)
+            + ',\n   "vertices": ' + _vector_list(p.vertices, _number)
+            + ',\n   "weight": ' + str(facet.weight) + "\n  }")
+
+
+def _number(x: Fraction) -> str:
+    """A coordinate as JSON: a number if integral, else the string "p/q",
+    as ``rational_str`` chooses."""
+    text = str(x)
+    return f'"{text}"' if "/" in text else text
+
+
+def _vector_list(vecs, fmt) -> str:
+    """A facet's list of vectors, each entry formatted by ``fmt``; a vector
+    is never empty, as a block structure has positive size."""
+    if not vecs:
+        return "[]"
+    return ("[\n    [\n     "
+            + "\n    ],\n    [\n     ".join([",\n     ".join(map(fmt, v))
+                                           for v in vecs])
+            + "\n    ]\n   ]")
 
 
 def loads_bytes(raw: bytes, source) -> TropicalCycle:

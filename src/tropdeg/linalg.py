@@ -84,13 +84,13 @@ def _divide_gcd(entries) -> IntVec:
 
 
 def integral_row(entries, error, what: str) -> IntVec:
-    """The entries as ints; raises ``error`` when one is a string or not an
-    integral number, where ``int`` would truncate it."""
+    """The entries as ints; raises ``error`` when one is a string, a
+    ``bool`` or not an integral number, where ``int`` would truncate it."""
     entries = tuple(entries)
     if all(type(e) is int for e in entries):
         return entries
     try:
-        if any(isinstance(e, (str, bytes)) for e in entries):
+        if any(isinstance(e, (str, bytes, bool)) for e in entries):
             raise TypeError
         fv = [Fraction(e) for e in entries]
     except (TypeError, ValueError, OverflowError):

@@ -260,9 +260,10 @@ class Polyhedron:
         a lineality vector (never a vertex row, of height d > 0).  Zero,
         duplicate and parallel generators, and vertex rows that differ by
         a lineality vector, pass ``_split`` alike and meet in
-        ``_canonical``.  ``start``, a ``_dual_start`` over these vertex
-        rows and rays, already holds the generators, so the conversion
-        continues from it with the lineality rows alone.
+        ``_canonical``.  ``start``, a polyhedron with these vertex rows
+        and rays, adds its own lineality: its ``_dual_start`` already holds
+        the generators and is zero on that lineality, so the conversion
+        continues from it with the given lineality rows alone.
         """
         if not vert_rows:
             return cls.empty(m)
@@ -270,6 +271,9 @@ class Polyhedron:
         constraints = [((0,) + l, True) for l in lineality]
         if start is None:
             constraints += [(g, False) for g in gens]
+        else:
+            lineality = (*start.lineality, *lineality)
+            start = start._dual_start()
         dual_rays, dual_lin, _ = dual_description(m + 1, constraints, start=start)
         facets, eqs = _hrep(dual_rays, dual_lin, gens)
         flat, extreme = _split(gens, dual_rays)
@@ -465,13 +469,13 @@ class Polyhedron:
     def plus_span(self, basis) -> "Polyhedron":
         """Minkowski sum with the linear span of the given vectors: the
         same generators with the vectors added to the lineality, a hull
-        continued from this polyhedron's own rows (``_dual_start``)."""
+        continued from this polyhedron's own rows (``_dual_start``) with
+        the span's rows alone."""
         lin = [int_row(_check_len(tuple(b), self.m, "span vector")) for b in basis]
         if self.is_empty:
             return self
         return Polyhedron._from_generator_rows(self.m, self.vertex_rows, self.rays,
-                                               self.lineality + tuple(lin),
-                                               start=self._dual_start())
+                                               lin, start=self)
 
     def product(self, other: "Polyhedron") -> "Polyhedron":
         """Cartesian product, coordinates of ``other`` appended after self's."""

@@ -1,6 +1,7 @@
 """Shared helpers: independent oracles and deterministic sampling, and a
 per-test time limit."""
 
+import json
 import signal
 from fractions import Fraction
 from itertools import combinations
@@ -56,6 +57,18 @@ def pytest_runtest_protocol(item, nextitem):
 
 def fixture_path(name: str) -> Path:
     return FIXTURE_DIR / f"{name}.cyc"
+
+
+def cycle_to_dict(cycle: TropicalCycle) -> dict:
+    """The JSON object of a cycle's file."""
+    return {"blocks": list(cycle.ambient.blocks),
+            "facets": [cycfile.facet_to_dict(f) for f in cycle.facets]}
+
+
+def dumps_oracle(cycle: TropicalCycle) -> str:
+    """A cycle's file text through ``json``'s indent encoder, the layout
+    ``cycfile.dumps`` writes directly."""
+    return json.dumps(cycle_to_dict(cycle), indent=1, sort_keys=True) + "\n"
 
 
 def transverse_degree_oracle(c1: TropicalCycle, c2: TropicalCycle) -> int:

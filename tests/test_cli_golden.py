@@ -1,10 +1,13 @@
 """CLI reports pinned byte for byte.
 
 ``cli_golden.json`` maps each command line below to the sha256 of its
-stdout and its exit code.  The test replays every command in a fresh
-interpreter from the repository root and, on a mismatch, shows the actual
-stdout.  ``python tests/test_cli_golden.py`` rewrites the record from the
-current code; do that only when a report is meant to change.
+stdout and its exit code.  A subcommand that can write its output cycle
+(``WRITES``) runs with ``-o``, and its record also pins the sha256 of the
+written file (``null`` when it writes none).  The test replays every
+command in a fresh interpreter from the repository root and, on a
+mismatch, shows the actual stdout.  ``python tests/test_cli_golden.py``
+rewrites the record from the current code; do that only when a report or
+a cycle file is meant to change.
 """
 
 import hashlib
@@ -12,6 +15,7 @@ import json
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -19,9 +23,14 @@ import pytest
 ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = Path(__file__).resolve().parent / "cli_golden.json"
 
-# The README commands that write no file.
+# The subcommands that take -o.
+WRITES = ("intersect", "recession", "translate", "product", "minkowski",
+          "project", "hyperplane")
+
+# The README commands, without their -o; ``degree`` reads a written file.
 README = [
     "check-balance fixtures/standard_line.cyc",
+    "intersect fixtures/standard_line.cyc fixtures/scaled_line_d2.cyc --seed 7",
     "multidegree fixtures/example33a.cyc --type 1,1",
     "ranks fixtures/example33b.cyc",
     "criterion fixtures/example33b.cyc --type 1,0,1",
@@ -29,6 +38,7 @@ README = [
     "admissible fixtures/example33a.cyc --strategy coords",
     "project fixtures/example33a.cyc --blocks 1",
     "minkowski fixtures/example33a.cyc 0,0,0,1",
+    "hyperplane 0,-1,-2",
     "translate fixtures/standard_line.cyc 1,2",
     "product fixtures/diagonal_11.cyc fixtures/diagonal_11.cyc",
     "positive-divisor fixtures/standard_plane.cyc",
@@ -67,38 +77,69 @@ INTERSECT = [
     " --seed 3",
 ]
 
+# Pure Minkowski sums (the README's is impure and writes no file) and a
+# translation by rationals: written files with rays, lineality and
+# non-integral vertices.
+WRITTEN = [
+    "minkowski fixtures/example33b.cyc 1,0,0,0",
+    "minkowski fixtures/scaled_line_d2.cyc 1,0",
+    "minkowski fixtures/coordinate_hyperplanes_3.cyc 1,0,0",
+    "translate fixtures/example33b.cyc 1/2,-2/3,0,7",
+]
+
 COMMANDS = list(dict.fromkeys(README + MULTIDEGREES + MSUPP + ADMISSIBLE
-                              + BALANCE + INTERSECT))
+                              + BALANCE + INTERSECT + WRITTEN))
 
 
-def run(command: str) -> subprocess.CompletedProcess:
+def argv(command: str, out: Path) -> list[str]:
+    """The command's arguments, with ``-o out`` for a subcommand of ``WRITES``."""
+    args = command.split()
+    return args + ["-o", str(out)] if args[0] in WRITES else args
+
+
+def record(command: str, code: int, stdout: bytes, out: Path) -> dict:
+    """The golden record of a run of ``argv(command, out)``."""
+    rec = {"exit": code, "stdout_sha256": hashlib.sha256(stdout).hexdigest()}
+    if command.split()[0] in WRITES:
+        rec["file_sha256"] = (hashlib.sha256(out.read_bytes()).hexdigest()
+                              if out.exists() else None)
+    return rec
+
+
+def run(command: str, out: Path) -> tuple[subprocess.CompletedProcess, dict]:
+    """Run the command in a fresh interpreter; return the process and its
+    record."""
     env = dict(os.environ)
     env.pop("TROPDEG_SEED", None)
     src = str(ROOT / "src")
     env["PYTHONPATH"] = src + os.pathsep + env["PYTHONPATH"] \
         if env.get("PYTHONPATH") else src
-    return subprocess.run([sys.executable, "-m", "tropdeg.cli", *command.split()],
+    proc = subprocess.run([sys.executable, "-m", "tropdeg.cli", *argv(command, out)],
                           capture_output=True, env=env, cwd=ROOT)
-
-
-def record(proc: subprocess.CompletedProcess) -> dict:
-    return {"exit": proc.returncode,
-            "stdout_sha256": hashlib.sha256(proc.stdout).hexdigest()}
+    return proc, record(command, proc.returncode, proc.stdout, out)
 
 
 def test_golden_covers_commands():
     assert sorted(json.loads(GOLDEN.read_text())) == sorted(COMMANDS)
 
 
+def test_writes_are_the_output_subcommands():
+    from tropdeg.cli import COMMANDS as SUBCOMMANDS
+    assert sorted(WRITES) == sorted(name for name, spec in SUBCOMMANDS.items()
+                                    if "output" in spec.flags)
+
+
 @pytest.mark.parametrize("command", COMMANDS)
-def test_cli_report_matches_golden(command):
+def test_cli_report_matches_golden(command, tmp_path):
     expected = json.loads(GOLDEN.read_text())[command]
-    proc = run(command)
-    assert record(proc) == expected, (
+    proc, rec = run(command, tmp_path / "out.cyc")
+    assert rec == expected, (
         f"tropdeg {command}\nstdout:\n{proc.stdout.decode(errors='replace')}"
         f"\nstderr:\n{proc.stderr.decode(errors='replace')}")
 
 
 if __name__ == "__main__":
-    GOLDEN.write_text(json.dumps({c: record(run(c)) for c in COMMANDS},
-                                 indent=1, sort_keys=True) + "\n")
+    with tempfile.TemporaryDirectory() as tmp:
+        records = {c: run(c, Path(tmp) / f"{i}.cyc")[1]
+                   for i, c in enumerate(COMMANDS)}
+    GOLDEN.write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")

@@ -2,15 +2,14 @@
 
 Every command of ``test_cli_golden.py`` runs through ``cli.main`` in this
 one interpreter, with the intern pool and the caches left warm by whatever
-ran before, in file order and in two seeded shuffles.  Each exit code and
-stdout digest must equal ``cli_golden.json``.  The fresh-interpreter replay
+ran before, in file order and in two seeded shuffles.  Each exit code,
+stdout digest and written file digest must equal ``cli_golden.json``.  The fresh-interpreter replay
 stays in ``test_cli_golden.py``.  The exit code of each library error
 class is pinned here too.
 """
 
 import contextlib
 import dataclasses
-import hashlib
 import inspect
 import io
 import json
@@ -18,27 +17,27 @@ import random
 
 import pytest
 
-from test_cli_golden import COMMANDS, GOLDEN, ROOT
+from test_cli_golden import COMMANDS, GOLDEN, ROOT, argv, record
 from tropdeg import cli, errors
 
 
 @pytest.mark.parametrize("shuffle_seed", [None, 1, 2],
                          ids=["file-order", "shuffle-1", "shuffle-2"])
-def test_in_process_replay_matches_golden(shuffle_seed, monkeypatch):
+def test_in_process_replay_matches_golden(shuffle_seed, monkeypatch, tmp_path):
     expected = json.loads(GOLDEN.read_text())
     commands = list(COMMANDS)
     if shuffle_seed is not None:
         random.Random(shuffle_seed).shuffle(commands)
     monkeypatch.delenv("TROPDEG_SEED", raising=False)
     monkeypatch.chdir(ROOT)
-    for command in commands:
+    for i, command in enumerate(commands):
         out = io.StringIO()
+        written = tmp_path / f"{i}.cyc"
         with contextlib.redirect_stdout(out), \
                 contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(command.split())
+            code = cli.main(argv(command, written))
         stdout = out.getvalue()
-        got = {"exit": code,
-               "stdout_sha256": hashlib.sha256(stdout.encode()).hexdigest()}
+        got = record(command, code, stdout.encode(), written)
         assert got == expected[command], f"tropdeg {command}\nstdout:\n{stdout}"
 
 

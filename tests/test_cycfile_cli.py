@@ -3,15 +3,18 @@ import json
 import re
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
 
-from conftest import FIXTURE_DIR, fixture_path, fresh
+from conftest import (FIXTURE_DIR, coordinate_subspaces, cycle_to_dict,
+                      dumps_oracle, fixture_path, fresh, tropical_linear_space)
 from tropdeg import cli, cycfile, cycles, fixtures
-from tropdeg.cycles import check_balancing, validate_complex
-from tropdeg.errors import InputError
-from tropdeg.ops import tropical_hyperplane
+from tropdeg.cycles import (BlockStructure, TropicalCycle, check_balancing,
+                            validate_complex)
+from tropdeg.errors import InputError, InvariantError
+from tropdeg.ops import minkowski_sum_subspace, tropical_hyperplane
 from tropdeg.polyhedra import Polyhedron
 
 PYTHON = sys.executable
@@ -39,15 +42,6 @@ def test_generator_files_pinned():
         "3ca882b8bd4b6ba65a68e6a9cb0d5ce83109d80fa717dd2b37b139e9754c685f"
 
 
-def test_roundtrip_identity():
-    for name in fixtures.CORPUS:
-        cycle = fixtures.CORPUS[name]()
-        text = cycfile.dumps(cycle)
-        again = cycfile.loads(text)
-        assert again == cycle
-        assert cycfile.dumps(again) == text
-
-
 def test_product_roundtrip_identity():
     """A product of translated hyperplanes, whose cells have equalities and
     inequalities with nonzero constant terms, survives its file."""
@@ -57,6 +51,69 @@ def test_product_roundtrip_identity():
     assert cycfile.dumps(again) == cycfile.dumps(cycle)
 
 
+def _hand_built_cycles():
+    """An empty cycle, a 0-dimensional one, and facets with vertices of
+    every sign, size and denominator, with rays and lineality together
+    and with weight 0."""
+    big = 2 ** 64
+    yield TropicalCycle(BlockStructure((2,)), [])
+    yield TropicalCycle(BlockStructure((1, 1)), [
+        (Polyhedron.from_generators(2, [(Fraction(1, 2), -3)]), 2),
+        (Polyhedron.from_generators(2, [(0, 0)]), 0)])
+    yield TropicalCycle(BlockStructure((2, 1)), [
+        (Polyhedron.from_generators(3, [(-big - 1, Fraction(-7, 3), 3 * big),
+                                        (Fraction(big + 1, 2), 0, -1),
+                                        (Fraction(-1, big), 5, Fraction(1, 3))]), 1),
+        (Polyhedron.from_generators(3, [(Fraction(-5, 2), 0, 0)], rays=[(1, 0, 0)],
+                                    lineality=[(0, 1, 1)]), 3),
+        (Polyhedron.from_generators(3, [(0, 0, 0)], rays=[(0, 0, -1), (2, 2, 0)],
+                                    lineality=[(1, 2, 3), (0, 1, -1)]), 7)])
+
+
+def _dump_pool():
+    """(name, cycle) of generator seeds 0-59, the pure coordinate Minkowski
+    sums of seeds 0-4 and 27, the shipped fixtures, tropical linear spaces
+    of seeds 0-99 and the hand-built cycles."""
+    for s in range(60):
+        yield f"seed {s}", fixtures.generate_admissible(s)
+    for s in (0, 1, 2, 3, 4, 27):
+        cycle = fixtures.generate_admissible(s)
+        for coords, gens in coordinate_subspaces(cycle.m):
+            try:
+                result = minkowski_sum_subspace(cycle, gens)
+            except InvariantError:  # seed 27's known push-forward defect
+                continue
+            if result.is_pure:
+                yield f"seed {s} + span {coords}", result.cycle
+    for name, build in fixtures.CORPUS.items():
+        yield name, build()
+    for s in range(100):
+        yield f"linear space {s}", tropical_linear_space(s)
+    for i, cycle in enumerate(_hand_built_cycles()):
+        yield f"hand-built {i}", cycle
+
+
+@pytest.fixture(scope="module")
+def dump_pool():
+    return list(_dump_pool())
+
+
+def test_dumps_matches_json_encoder(dump_pool):
+    """The direct writer gives the text of ``json``'s indent encoder."""
+    assert len(dump_pool) > 250
+    assert [name for name, cycle in dump_pool
+            if cycfile.dumps(cycle) != dumps_oracle(cycle)] == []
+
+
+def test_roundtrip_identity(dump_pool):
+    """Parse -> serialize -> parse is the identity on the same pool."""
+    for name, cycle in dump_pool:
+        text = cycfile.dumps(cycle)
+        again = cycfile.loads(text)
+        assert again == cycle, name
+        assert cycfile.dumps(again) == text, name
+
+
 def test_rational_strings():
     text = json.dumps({
         "blocks": [2],
@@ -64,7 +121,6 @@ def test_rational_strings():
     })
     cycle = cycfile.loads(text)
     facet = cycle.facets[0]
-    from fractions import Fraction
     assert facet.poly.vertices == ((Fraction(1, 2), Fraction(3)),)
     assert facet.weight == 2
 
@@ -145,7 +201,7 @@ def _bad_inputs(tmp_path):
     """A cycle file that is not a valid complex (a facet listed twice) and
     one that is valid but unbalanced (a single ray), with the words their
     reports must contain."""
-    data = cycfile.cycle_to_dict(fixtures.standard_line())
+    data = cycle_to_dict(fixtures.standard_line())
     data["facets"].append(data["facets"][0])
     twice = tmp_path / "twice.cyc"
     twice.write_text(json.dumps(data))
@@ -212,7 +268,7 @@ def test_cli_exit_codes(tmp_path):
 
     unbalanced = tmp_path / "unbalanced.cyc"
     line = fixtures.standard_line()
-    data = cycfile.cycle_to_dict(line)
+    data = cycle_to_dict(line)
     data["facets"][0]["weight"] = 2
     unbalanced.write_text(json.dumps(data))
     proc = run_cli("intersect", str(unbalanced), str(fixture_path("standard_line")))

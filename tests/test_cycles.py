@@ -92,9 +92,12 @@ def test_facet_weights_must_be_integral(weight):
 
 def test_facet_weights_are_normalized_to_ints():
     point = Polyhedron.point((0, 0))
-    for weight in (Fraction(2), 2.0, True):
+    for weight in (Fraction(2), 2.0):
         facet = WeightedFacet(point, weight)
         assert type(facet.weight) is int and facet.weight == int(weight)
+    # a bool is no weight, though Fraction(True) == 1
+    with pytest.raises(InvalidComplexError, match="is not numeric"):
+        WeightedFacet(point, True)
     # a fractional weight on the standard line would balance at the vertex
     line = fixtures.standard_line()
     with pytest.raises(InvalidComplexError):

@@ -10,9 +10,11 @@ against integer sign tests, on the random polyhedra of
 ``test_polyhedra``, the support facets of generator seeds 0-9 and
 hand-made cases.
 
-``plus_span`` must hand the double description the lineality and span
-rows only, never the generators, from one cached start state; the masks
-of such a continued hull are checked against integer sign tests too.
+``plus_span`` must hand the double description the span rows only, never
+the generators or the polyhedron's own lineality rows (each is zero on
+every row of the start state), from one cached start state; the masks of
+a hull continued by lineality and span rows are checked against integer
+sign tests too.
 """
 
 from fractions import Fraction
@@ -121,4 +123,4 @@ def test_plus_span_continues_from_the_cached_start(monkeypatch):
     assert len(calls) == len(spans)
     for (constraints, start), span in zip(calls, spans):
         assert start is wedge._cache["dual_start"]
-        assert constraints == [((0,) + l, True) for l in wedge.lineality + tuple(span)]
+        assert constraints == [((0,) + l, True) for l in span]

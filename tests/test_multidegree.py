@@ -153,6 +153,28 @@ def test_numeric_strings_are_not_numbers(case):
         call()
 
 
+BOOLEANS = {
+    "projection_dim": (BadBlockIndexError,
+                       lambda: ops.projection_dim(fixtures.example33a(), [True])),
+    "block_size": (DimensionMismatchError, lambda: BlockStructure((True, 2))),
+    "type_vector": (TypeMismatchError,
+                    lambda: positivity_criterion(fixtures.example33b(),
+                                                 (True, False, True))),
+    "facet_weight": (InvalidComplexError,
+                     lambda: WeightedFacet(Polyhedron.point((0,)), True)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BOOLEANS))
+def test_booleans_are_not_numbers(case):
+    """``True`` and ``False`` are refused although ``Fraction`` takes them
+    for 1 and 0, as ``cycfile.parse_int`` refuses them, with the error
+    class of the argument they were passed as."""
+    error, call = BOOLEANS[case]
+    with pytest.raises(error, match="is not numeric"):
+        call()
+
+
 def test_positivity_criterion():
     res = positivity_criterion(diagonal(), (1, 0))
     assert res.holds and res.facet_witness is not None
