@@ -22,9 +22,8 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
-from typing import Callable
 
 from . import cycfile
 from . import cycles as cyc
@@ -37,6 +36,9 @@ EXIT_OK = 0
 EXIT_INPUT = 1
 EXIT_CONTRACT = 2
 EXIT_INVARIANT = 3
+
+#: the caveat of a ``-o`` run whose result is not a pure cycle
+NOT_WRITTEN = "no cycle file written: the result is not pure"
 
 #: every flag a subcommand may declare: option strings, argparse keywords
 FLAGS = {
@@ -86,10 +88,13 @@ def _run(args) -> dict:
     if "seed" in spec.flags:
         args.seed = _seed(args)
     outputs, out_cycle, caveats = spec.handler(args, *cycles)
+    writes = "output" in spec.flags and args.output
     if out_cycle is not None:
         outputs["cycle"] = _cycle_summary(out_cycle)
-        if "output" in spec.flags and args.output:
+        if writes:
             cycfile.save(args.output, out_cycle)
+    elif writes:
+        caveats = [*caveats, NOT_WRITTEN]
     report = {"command": args.command, "inputs": [info for _, info in loaded],
               "outputs": outputs, "caveats": sorted(caveats)}
     if "seed" in spec.flags:
@@ -340,14 +345,13 @@ def _cmd_facet_witness(args, cycle):
     return outputs, None, ()
 
 
-@dataclass(frozen=True)
-class Command:
-    handler: Callable
-    help: str
-    files: tuple[str, ...] = ("file",)
-    positional: tuple = ()          # (name, nargs, help) after the files
-    flags: tuple[str, ...] = ()     # keys of FLAGS
-    balanced: bool = False          # inputs must be valid and balanced
+class Command(namedtuple("Command", "handler help files positional flags balanced",
+                         defaults=(("file",), (), (), False))):
+    """A subcommand: its handler and help, its cycle-file arguments, the
+    (name, nargs, help) of its positionals after the files, the keys of
+    ``FLAGS`` it reads, and whether its inputs must be valid and balanced."""
+
+    __slots__ = ()
 
 
 _PAIR = ("file1", "file2")  # two cycle-file arguments

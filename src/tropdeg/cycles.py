@@ -7,7 +7,7 @@ separate, report-style checks: construction never repairs or refines input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from itertools import combinations
 
 from . import linalg
@@ -28,17 +28,22 @@ from .polyhedra import (
 )
 
 
-@dataclass(frozen=True)
-class BlockStructure:
-    """Ambient factorization R^{m_1} x ... x R^{m_k}."""
+class BlockStructure(namedtuple("BlockStructure", "blocks")):
+    """Ambient factorization R^{m_1} x ... x R^{m_k}: ``blocks`` holds the
+    positive sizes m_i, checked on construction, also by ``_make`` and
+    ``_replace``."""
 
-    blocks: tuple[int, ...]
+    __slots__ = ()
 
-    def __post_init__(self):
-        blocks = integral_row(self.blocks, DimensionMismatchError, "block sizes")
-        if not blocks or any(b < 1 for b in blocks):
-            raise DimensionMismatchError(f"bad block sizes {self.blocks}")
-        object.__setattr__(self, "blocks", blocks)
+    def __new__(cls, blocks):
+        checked = integral_row(blocks, DimensionMismatchError, "block sizes")
+        if not checked or any(b < 1 for b in checked):
+            raise DimensionMismatchError(f"bad block sizes {blocks}")
+        return super().__new__(cls, checked)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
     @property
     def k(self) -> int:
@@ -78,18 +83,23 @@ class BlockStructure:
         return [j for i in self.subset(subset) for j in self.block_range(i)]
 
 
-@dataclass(frozen=True)
-class WeightedFacet:
-    poly: Polyhedron
-    weight: int
+class WeightedFacet(namedtuple("WeightedFacet", "poly weight")):
+    """A nonempty ``Polyhedron`` with a non-negative int weight, checked on
+    construction, also by ``_make`` and ``_replace``."""
 
-    def __post_init__(self):
-        weight = integral_row((self.weight,), InvalidComplexError, "facet weight")[0]
+    __slots__ = ()
+
+    def __new__(cls, poly, weight):
+        weight = integral_row((weight,), InvalidComplexError, "facet weight")[0]
         if weight < 0:
             raise InvalidComplexError(f"negative weight {weight}")
-        object.__setattr__(self, "weight", weight)
-        if self.poly.is_empty:
+        if poly.is_empty:
             raise InvalidComplexError("empty facet polyhedron")
+        return super().__new__(cls, poly, weight)
+
+    @classmethod
+    def _make(cls, iterable):
+        return cls(*iterable)
 
 
 class TropicalCycle:
@@ -144,30 +154,30 @@ class TropicalCycle:
                 f"facets={len(self.support_facets)})")
 
 
-@dataclass(frozen=True)
-class ComplexReport:
-    ok: bool
-    pure: bool
-    weights_ok: bool
-    bad_pairs: tuple[tuple[int, int], ...]   # facet index pairs that fail the face condition
+class ComplexReport(namedtuple("ComplexReport", "ok pure weights_ok bad_pairs")):
+    """Validity of a complex; ``bad_pairs`` holds the facet index pairs that
+    fail the face condition."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.ok
 
 
-@dataclass(frozen=True)
-class Codim1Record:
-    face: Polyhedron
-    # (facet index i, a lift in L_P of the lattice normal u_{P/Q}), P the
-    # i-th support facet: a vector of L_P on which P's facet row takes its
-    # least positive value; primitive, and unique modulo L_Q
-    incident: tuple[tuple[int, IntVec], ...]
+class Codim1Record(namedtuple("Codim1Record", "face incident")):
+    """A codimension-1 face Q and its incident support facets: each entry
+    of ``incident`` is (facet index i, a lift in L_P of the lattice normal
+    u_{P/Q}), P the i-th support facet: a vector of L_P on which P's facet
+    row takes its least positive value; primitive, and unique modulo L_Q."""
+
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class BalanceReport:
-    balanced: bool
-    violations: tuple[Codim1Record, ...]
+class BalanceReport(namedtuple("BalanceReport", "balanced violations")):
+    """Balancing of a cycle; ``violations`` holds the unbalanced
+    ``Codim1Record``s."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.balanced

@@ -14,7 +14,7 @@ result object says so.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import product
 
@@ -34,12 +34,11 @@ ADMISSIBILITY_CAVEAT = (
     "positivity prediction is valid only for translation-admissible cycles")
 
 
-@dataclass(frozen=True)
-class DivisorSet:
-    """One positive divisor per block; defaults to standard hyperplanes."""
+class DivisorSet(namedtuple("DivisorSet", "blocks divisors")):
+    """One positive divisor per block of the ``BlockStructure`` ``blocks``;
+    defaults to standard hyperplanes."""
 
-    blocks: BlockStructure
-    divisors: tuple[TropicalCycle, ...]
+    __slots__ = ()
 
     @classmethod
     def standard(cls, blocks: BlockStructure) -> "DivisorSet":
@@ -70,12 +69,11 @@ class DivisorSet:
                     f"divisor {i} is not positive (witness line {witness})")
 
 
-@dataclass(frozen=True)
-class RankFunction:
-    """I subset of [k] -> dim pi_I of the support; rank(empty) = 0."""
+class RankFunction(namedtuple("RankFunction", "k table")):
+    """I subset of [k] -> dim pi_I of the support; rank(empty) = 0.
+    ``table`` holds the (sorted subset, rank) pairs."""
 
-    k: int
-    table: tuple[tuple[tuple[int, ...], int], ...]
+    __slots__ = ()
 
     def rank(self, subset) -> int:
         key = tuple(sorted(subset))
@@ -85,12 +83,14 @@ class RankFunction:
         raise KeyError(f"subset {key} not tabulated")
 
 
-@dataclass(frozen=True)
-class CriterionResult:
-    holds: bool
-    violating_subset: tuple[int, ...] | None
-    facet_witness: WeightedFacet | None
-    caveat: str = ADMISSIBILITY_CAVEAT
+class CriterionResult(namedtuple("CriterionResult",
+                                 "holds violating_subset facet_witness caveat",
+                                 defaults=(ADMISSIBILITY_CAVEAT,))):
+    """The criterion's verdict, the block subset that violates it and the
+    ``WeightedFacet`` that witnesses it (each ``None`` when absent), and
+    the admissibility caveat."""
+
+    __slots__ = ()
 
     def __bool__(self):
         return self.holds

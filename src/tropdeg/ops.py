@@ -16,7 +16,7 @@ restricted to block coordinates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from itertools import combinations
 
@@ -32,9 +32,8 @@ from .errors import (
     WrongDimensionError,
     WrongDimensionsError,
 )
-from .linalg import (IntVec, integral_row, is_zero_vec, primitive, rank,
-                     reduce_mod, rref, saturate, sign_normalized, vdot, vneg,
-                     vsub)
+from .linalg import (integral_row, is_zero_vec, primitive, rank, reduce_mod,
+                     rref, saturate, sign_normalized, vdot, vneg, vsub)
 from .polyhedra import Polyhedron, is_covered, refine_cells
 
 _MASK64 = (1 << 64) - 1
@@ -202,24 +201,24 @@ def _displacement_flags(cones, order, signs):
 # push-forwards along linear maps
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
-class ImpurityReport:
-    """Witness that an image is not pure-dimensional."""
+class ImpurityReport(namedtuple("ImpurityReport", "facet_index image top_dim")):
+    """Witness that an image is not pure-dimensional: the input facet
+    ``facet_index`` has the lower-dimensional, uncovered image ``image``,
+    below the top dimension ``top_dim``."""
 
-    facet_index: int          # input facet whose image is the witness
-    image: Polyhedron         # its (lower-dimensional, uncovered) image
-    top_dim: int
+    __slots__ = ()
 
     def __str__(self):
         return (f"image of facet {self.facet_index} has dimension "
                 f"{self.image.dim} < {self.top_dim} and is not covered")
 
 
-@dataclass(frozen=True)
-class PushforwardResult:
-    cycle: TropicalCycle | None
-    impurity: ImpurityReport | None
-    absorbed: tuple[int, ...] = ()
+class PushforwardResult(namedtuple("PushforwardResult", "cycle impurity absorbed",
+                                   defaults=((),))):
+    """The image cycle (``None`` when impure), the ``ImpurityReport`` (``None``
+    when pure) and the indices of the absorbed lower-dimensional images."""
+
+    __slots__ = ()
 
     @property
     def is_pure(self) -> bool:
@@ -421,20 +420,18 @@ NO_COUNTEREXAMPLE_FOUND = "NoCounterexampleFound"
 COUNTEREXAMPLE_FOUND = "CounterexampleFound"
 
 
-@dataclass(frozen=True)
-class AdmissibilityVerdict:
+class AdmissibilityVerdict(namedtuple("AdmissibilityVerdict",
+                                      "status witness strategy tested")):
     """Outcome of the refutation search.
 
     The search is sound but not complete: NoCounterexampleFound is not a
     proof of translation-admissibility, and the verdict records the
     strategy and how many subspaces were tested so callers cannot mistake
-    it for one.
+    it for one.  ``witness`` is the spanning vectors of the refuting
+    subspace, or ``None``.
     """
 
-    status: str
-    witness: tuple[IntVec, ...] | None
-    strategy: str
-    tested: int
+    __slots__ = ()
 
     @property
     def found(self) -> bool:

@@ -9,7 +9,6 @@ class is pinned here too.
 """
 
 import contextlib
-import dataclasses
 import inspect
 import io
 import json
@@ -79,7 +78,7 @@ def test_error_class_base_and_exit_code(name, monkeypatch):
     def handler(args):
         raise error("raised by the test handler")
 
-    spec = dataclasses.replace(cli.COMMANDS["hyperplane"], handler=handler)
+    spec = cli.COMMANDS["hyperplane"]._replace(handler=handler)
     monkeypatch.setitem(cli.COMMANDS, "hyperplane", spec)
     out = io.StringIO()
     with contextlib.redirect_stdout(out):

@@ -378,6 +378,24 @@ def test_cli_project_and_minkowski():
     proc = run_cli("minkowski", str(fixture_path("example33a")), "0,0,0,1")
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["outputs"]["pure"] is False
+    assert cli.NOT_WRITTEN not in json.loads(proc.stdout)["caveats"]
+
+
+@pytest.mark.parametrize("args", [
+    ("minkowski", "example33a", "0,0,0,1"),
+    ("project", "example33b", "--blocks", "1,2"),
+])
+def test_cli_output_of_an_impure_result_says_nothing_was_written(args, tmp_path):
+    out = tmp_path / "out.cyc"
+    out.write_text("stale\n")
+    command, name, *rest = args
+    proc = run_cli(command, str(fixture_path(name)), *rest, "-o", str(out))
+    assert proc.returncode == 0
+    report = json.loads(proc.stdout)
+    assert report["outputs"]["pure"] is False
+    assert "cycle" not in report["outputs"]
+    assert cli.NOT_WRITTEN in report["caveats"]
+    assert out.read_text() == "stale\n"
 
 
 def test_cli_ranks_criterion_msupp_submodular_witness():

@@ -2,13 +2,12 @@
 
 Every backticked token in the table's rows that is a Python identifier,
 optionally followed by a call signature, must name an attribute of a
-``tropdeg`` module, an attribute of a class defined in one, or a dataclass
-field.  Single-letter names and the notation ``L_n`` and ``MSupp`` are
-not names of the library.  A deleted or renamed function thus cannot stay
-in the docs.
+``tropdeg`` module or an attribute of a class defined in one (a record's
+fields among them).  Single-letter names and the notation ``L_n`` and
+``MSupp`` are not names of the library.  A deleted or renamed function
+thus cannot stay in the docs.
 """
 
-import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -34,7 +33,8 @@ def layout_names():
 
 
 def library_names():
-    """Module attributes, class attributes and dataclass fields of tropdeg."""
+    """Module attributes and class attributes (record fields among them) of
+    tropdeg."""
     names = set()
     for info in pkgutil.iter_modules(tropdeg.__path__):
         module = importlib.import_module(f"tropdeg.{info.name}")
@@ -42,8 +42,6 @@ def library_names():
         for obj in vars(module).values():
             if inspect.isclass(obj) and obj.__module__ == module.__name__:
                 names |= set(dir(obj))
-                if dataclasses.is_dataclass(obj):
-                    names |= {f.name for f in dataclasses.fields(obj)}
     return names
 
 

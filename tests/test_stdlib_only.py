@@ -1,13 +1,21 @@
 """The runtime is stdlib-only: every absolute import in ``src/tropdeg``
-names a module of the standard library.  The double-description format
-lives behind ``polyhedra``: no other module imports its kernel, and
-inside ``polyhedra`` only the cut (H->V) and the hull (V->H) run it."""
+names a module of the standard library, and none of the modules that
+are slow to import (``dataclasses`` pulls in ``inspect``, ``ast``, ``dis``
+and ``tokenize``), so every CLI call starts without them.  The
+double-description format lives behind ``polyhedra``: no other module
+imports its kernel, and inside ``polyhedra`` only the cut (H->V) and the
+hull (V->H) run it."""
 
 import ast
+import os
+import subprocess
 import sys
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tropdeg"
+
+#: standard modules the library must not import: each costs start-up time
+SLOW_IMPORTS = {"dataclasses", "typing", "inspect"}
 
 
 #: the double-description kernel, private to ``polyhedra``
@@ -36,6 +44,24 @@ def test_src_imports_only_the_standard_library():
                for line, name in absolute_imports(path)
                if name not in sys.stdlib_module_names]
     assert not foreign, "non-stdlib imports: " + ", ".join(foreign)
+
+
+def test_src_imports_no_slow_module():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    slow = [f"{path.name}:{line}: {name}" for path in files
+            for line, name in absolute_imports(path) if name in SLOW_IMPORTS]
+    assert not slow, "slow imports: " + ", ".join(slow)
+
+
+def test_cli_import_loads_no_slow_module():
+    # -S: no site-packages, so no installed .pth file adds imports of its own
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    code = ("import sys, tropdeg.cli; "
+            "print(' '.join(sorted({'dataclasses', 'inspect'} & set(sys.modules))))")
+    proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.split() == []
 
 
 def test_only_polyhedra_imports_the_double_description():
