@@ -3,6 +3,9 @@
 A cycle is a list of weighted facets; lower faces are derived, never stored.
 Validation (purity + the complex condition) and the balancing condition are
 separate, report-style checks: construction never repairs or refines input.
+Balancing builds no face: the facet rows of the support facets are grouped
+by their face's canonical V-rep, read off each facet's tight masks, and the
+weighted normal sum is tested against an incident facet's rows.
 """
 
 from __future__ import annotations
@@ -224,25 +227,43 @@ def _require_valid(cycle: TropicalCycle) -> None:
             f"weights_ok={report.weights_ok}, bad_pairs={report.bad_pairs})")
 
 
-def codim1_faces(cycle: TropicalCycle) -> tuple[Codim1Record, ...]:
-    """Codimension-1 faces of the support with their lattice normals.
+def _ridges(cycle: TropicalCycle):
+    """(P, facet row, incident) per codimension-1 face of the valid support,
+    ``incident`` listing (facet index, lattice normal) per incident facet.
 
-    Faces equal as point sets are merged across facets.  For every
-    incident facet P, with Q = P cap {row = 0} for its facet row, the
-    stored vector lies in L_P = Lin(P) cap Z^m and maps to the generator
-    u_{P/Q} of L_P / L_Q that points into P (Allermann-Rau 2010).
-    """
+    The facet rows of every support facet P are grouped by the canonical
+    V-rep of their face: P's lineality with the vertex rows and rays in the
+    row's tight mask (``_facet_masks``).  A face of P has P's lineality,
+    and its extreme generators are P's that it holds, so equal keys mean
+    equal point sets.  No face polyhedron is built."""
     _require_valid(cycle)
-    support = cycle.support_facets
-    merged: dict = {}
-    for idx, wf in enumerate(support):
+    groups: dict = {}
+    for idx, wf in enumerate(cycle.support_facets):
         p = wf.poly
-        for row, q in zip(p.ineqs, p.facet_faces()):
-            entry = merged.setdefault(q.key, (q, []))
-            entry[1].append((idx, _lattice_normal(p, row)))
-    return tuple(
-        Codim1Record(face=q, incident=tuple(sorted(inc)))
-        for q, inc in (merged[k] for k in sorted(merged)))
+        n = len(p.vertex_rows)
+        for row, t in zip(p.ineqs, p._facet_masks()):
+            key = (p.lineality,
+                   tuple(g for i, g in enumerate(p.vertex_rows) if t >> i & 1),
+                   tuple(r for i, r in enumerate(p.rays, n) if t >> i & 1))
+            groups.setdefault(key, (p, row, []))[2].append((idx, _lattice_normal(p, row)))
+    return groups.values()
+
+
+def _record(p: Polyhedron, row, incident) -> Codim1Record:
+    return Codim1Record(face=p.face(row), incident=tuple(sorted(incident)))
+
+
+def codim1_faces(cycle: TropicalCycle) -> tuple[Codim1Record, ...]:
+    """Codimension-1 faces of the support with their lattice normals, in
+    the order of the faces' keys.
+
+    Faces equal as point sets are merged across facets (``_ridges``).
+    For every incident facet P, with Q = P cap {row = 0} for its facet
+    row, the stored vector lies in L_P = Lin(P) cap Z^m and maps to the
+    generator u_{P/Q} of L_P / L_Q that points into P (Allermann-Rau 2010).
+    """
+    records = [_record(*ridge) for ridge in _ridges(cycle)]
+    return tuple(sorted(records, key=lambda r: r.face.key))
 
 
 def _lattice_normal(p: Polyhedron, row) -> IntVec:
@@ -261,19 +282,24 @@ def _lattice_normal(p: Polyhedron, row) -> IntVec:
 
 
 def check_balancing(cycle: TropicalCycle) -> BalanceReport:
-    """Weighted primitive normals sum into Lin(Q) at every codimension-1 face."""
+    """Weighted primitive normals sum into Lin(Q) at every codimension-1
+    face Q; the violations are the ``codim1_faces`` records that fail.
+
+    Q is not built: with P a facet incident to Q and ``row`` its facet
+    row, Lin(Q) is the common kernel of the normals of P's equality rows
+    and of ``row``.  Only a violated face is built, for its record."""
     if "balance" in cycle._cache:
         return cycle._cache["balance"]
     support = cycle.support_facets
     violations = []
-    for record in codim1_faces(cycle):
+    for p, row, incident in _ridges(cycle):
         total = (0,) * cycle.m
-        for idx, v in record.incident:
+        for idx, v in incident:
             w = support[idx].weight
             total = tuple(a + w * b for a, b in zip(total, v))
-        # Lin(Q) is the common kernel of the normals of Q's equality rows
-        if any(vdot(eq[1:], total) != 0 for eq in record.face.eqs):
-            violations.append(record)
+        if vdot(row[1:], total) != 0 or any(vdot(eq[1:], total) != 0 for eq in p.eqs):
+            violations.append(_record(p, row, incident))
+    violations.sort(key=lambda r: r.face.key)
     report = BalanceReport(balanced=not violations, violations=tuple(violations))
     cycle._cache["balance"] = report
     return report
@@ -299,7 +325,7 @@ def degree0(cycle: TropicalCycle) -> int:
 
 
 def translate(cycle: TropicalCycle, v) -> TropicalCycle:
-    v = frac_vec(v)
+    v = frac_vec(v, "translation vector")
     if len(v) != cycle.m:
         raise DimensionMismatchError(
             f"translation vector of length {len(v)} in R^{cycle.m}")

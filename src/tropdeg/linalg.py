@@ -29,7 +29,7 @@ import math
 from fractions import Fraction
 from operator import mul
 
-from .errors import ContractError, DimensionMismatchError, ZeroVectorError
+from .errors import ContractError, DimensionMismatchError, InputError, ZeroVectorError
 
 Vec = tuple[Fraction, ...]
 IntVec = tuple[int, ...]
@@ -38,8 +38,17 @@ IntVec = tuple[int, ...]
 INFINITE = math.inf
 
 
-def frac_vec(entries) -> Vec:
-    return tuple(Fraction(e) for e in entries)
+def frac_vec(entries, what: str = "vector") -> Vec:
+    """The entries as Fractions; raises ``InputError`` when one is a string
+    or a ``bool``, which ``Fraction`` would take for a number, or not a
+    finite number.  For entry points only: the kernels trust their rows."""
+    entries = tuple(entries)
+    try:
+        if any(isinstance(e, (str, bytes, bool)) for e in entries):
+            raise TypeError
+        return tuple(Fraction(e) for e in entries)
+    except (TypeError, ValueError, OverflowError):
+        raise InputError(f"{what} {entries!r} is not numeric") from None
 
 
 def vsub(u, v):

@@ -32,8 +32,8 @@ from .errors import (
     WrongDimensionError,
     WrongDimensionsError,
 )
-from .linalg import (integral_row, is_zero_vec, primitive, rank, reduce_mod,
-                     rref, saturate, sign_normalized, vdot, vneg, vsub)
+from .linalg import (frac_vec, integral_row, is_zero_vec, primitive, rank,
+                     reduce_mod, rref, saturate, sign_normalized, vdot, vneg, vsub)
 from .polyhedra import Polyhedron, is_covered, refine_cells
 
 _MASK64 = (1 << 64) - 1
@@ -253,10 +253,23 @@ def minkowski_sum_subspace(cycle: TropicalCycle, span_gens) -> PushforwardResult
     cyc.require_balanced(cycle)
     if any(len(vec) != cycle.m for vec in span_gens):
         raise DimensionMismatchError(f"span vectors must have length {cycle.m}")
-    basis = saturate(span_gens, cycle.m)
+    basis = _span_basis(span_gens, cycle.m)
     if not basis:
         return PushforwardResult(cycle, None)
     return _image_cycle(_facet_sums(cycle, basis), cycle.ambient)
+
+
+def _span_basis(gens, m: int) -> tuple:
+    """A basis of L_V, V the span of ``gens``: their primitive nonzero rows
+    as they are when the Smith diagonal of those rows is one 1 per row
+    (they are independent and generate a saturated lattice), else
+    ``saturate``.  The facet sums and their lattices do not depend on
+    which basis of L_V is taken."""
+    rows = tuple(primitive(g) for g in gens if not is_zero_vec(g))
+    diagonal = linalg.snf_diagonal(rows) if rows else ()
+    if len(diagonal) == len(rows) and all(d == 1 for d in diagonal):
+        return rows
+    return saturate(gens, m)
 
 
 def _facet_sums(cycle: TropicalCycle, basis):
@@ -349,7 +362,7 @@ def tropical_hyperplane(coeffs) -> TropicalCycle:
     All weights 1; for zero coefficients this is the standard fan with
     vertex at the origin.
     """
-    coeffs = [Fraction(e) for e in coeffs]
+    coeffs = frac_vec(coeffs, "hyperplane coefficients")
     m = len(coeffs) - 1
     if m < 1:
         raise DimensionMismatchError("need at least two coefficients")
@@ -371,18 +384,18 @@ def is_positive_divisor(cycle: TropicalCycle):
     """True when the facet direction spaces intersect only in the origin.
 
     Returns (flag, witness) with a primitive line direction contained in
-    every facet when the divisor is not positive.
+    every facet when the divisor is not positive; the pair is memoized on
+    the cycle, so a divisor is checked once.
     """
     m = cycle.m
     if cycle.dim != m - 1:
         raise WrongCodimensionError(
             f"divisor must have codimension 1, got dim {cycle.dim} in R^{m}")
-    rows = []
-    for f in cycle.support_facets:
-        rows.extend(r[1:] for r in f.poly.eqs)
-    if linalg.rank(rows) == m:
-        return True, None
-    return False, linalg.int_kernel(rows, m)[0]
+    if "positive" not in cycle._cache:
+        rows = [r[1:] for f in cycle.support_facets for r in f.poly.eqs]
+        cycle._cache["positive"] = ((True, None) if linalg.rank(rows) == m
+                                    else (False, linalg.int_kernel(rows, m)[0]))
+    return cycle._cache["positive"]
 
 
 def pair_positive(c1: TropicalCycle, c2: TropicalCycle):

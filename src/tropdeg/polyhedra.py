@@ -36,8 +36,12 @@ of rows and generators, and builds in one of three ways:
   their generators off the polyhedron's own, and ``translate``,
   ``product`` and ``full_space`` map rows and generators.
 
-The other side is read off integer sign tests between the rows and the
-generators (``_hrep``, ``_split``).  ``_canonical`` interns the result:
+The other side is read off tight bitmasks (``_hrep``, ``_split``): the
+masks that ``dual_description`` returns, transposed where rows and
+generators swap roles (zero rows and generators take no bit and are
+dropped before it), or, for the read-offs, ``_tight_mask``.
+``_facet_masks`` holds a polyhedron's own incidence and checks that each
+row is facet-defining.  ``_canonical`` interns the result:
 a point set has one key however it was built.  Constructors hand it raw
 rows and generators, as the double description accepts redundant ones
 (Fukuda-Prodon 1996).  The key is read off the canonical rows alone, so
@@ -234,10 +238,11 @@ class Polyhedron:
 
     @classmethod
     def from_hrep(cls, m: int, ineqs=(), eqs=()) -> "Polyhedron":
-        """Polyhedron {x : c0 + c.x >= 0 for ineqs, == 0 for eqs}."""
-        ineqs = [_check_len(int_row(r), m + 1, "constraint row") for r in ineqs]
-        eqs = [_check_len(int_row(r), m + 1, "constraint row") for r in eqs]
-        return cls.full_space(m)._cut_canonical(eqs, ineqs)
+        """Polyhedron {x : c0 + c.x >= 0 for ineqs, == 0 for eqs}; zero
+        rows hold everywhere and are dropped, as they take no mask bit."""
+        rows = lambda given: [r for r in (_check_len(int_row(r), m + 1, "constraint row")
+                                          for r in given) if any(r)]
+        return cls.full_space(m)._cut_canonical(rows(eqs), rows(ineqs))
 
     @classmethod
     def from_generators(cls, m: int, vertices=(), rays=(), lineality=()) -> "Polyhedron":
@@ -257,33 +262,44 @@ class Polyhedron:
 
         One V->H conversion gives the facets of the homogenization cone;
         they meet in its lineality, so a generator tight on all of them is
-        a lineality vector (never a vertex row, of height d > 0).  Zero,
-        duplicate and parallel generators, and vertex rows that differ by
-        a lineality vector, pass ``_split`` alike and meet in
-        ``_canonical``.  ``start``, a polyhedron with these vertex rows
-        and rays, adds its own lineality: its ``_dual_start`` already holds
-        the generators and is zero on that lineality, so the conversion
-        continues from it with the given lineality rows alone.
+        a lineality vector (never a vertex row, of height d > 0).  Both
+        incidences are read off the conversion's masks: a dual ray's mask
+        holds the generators tight on it, and its transpose each
+        generator's tight dual rays.  Zero rays and lineality vectors take
+        no mask bit and are dropped; duplicate and parallel generators,
+        and vertex rows that differ by a lineality vector, pass ``_split``
+        alike and meet in ``_canonical``.  ``start``, a polyhedron with
+        these vertex rows and rays, adds its own lineality: its
+        ``_dual_start`` already holds the generators (bits ``0`` to
+        ``len(gens) - 1``) and is zero on that lineality, so the
+        conversion continues from it with the given lineality rows alone.
         """
         if not vert_rows:
             return cls.empty(m)
+        rays = [r for r in rays if any(r)]
+        lineality = [l for l in lineality if any(l)]
         gens = [*vert_rows, *((0,) + r for r in rays)]
         constraints = [((0,) + l, True) for l in lineality]
         if start is None:
             constraints += [(g, False) for g in gens]
+            first = len(lineality)     # the generators' first mask bit
         else:
             lineality = (*start.lineality, *lineality)
             start = start._dual_start()
-        dual_rays, dual_lin, _ = dual_description(m + 1, constraints, start=start)
-        facets, eqs = _hrep(dual_rays, dual_lin, gens)
-        flat, extreme = _split(gens, dual_rays)
+            first = 0
+        dual_rays, dual_lin, masks = dual_description(m + 1, constraints, start=start)
+        full = (1 << len(gens)) - 1
+        facets, eqs = _hrep(dual_rays, dual_lin, [mask >> first & full for mask in masks],
+                            full, (1 << len(vert_rows)) - 1)
+        flat, extreme = _split(gens, _transpose(masks, range(first, first + len(gens))),
+                               (1 << len(dual_rays)) - 1)
         return _canonical(m, facets, eqs, [g for g in extreme if g[0] > 0],
                           [g[1:] for g in extreme if g[0] == 0],
                           [*lineality, *(g[1:] for g in flat)])
 
     @classmethod
     def point(cls, coords) -> "Polyhedron":
-        coords = frac_vec(coords)
+        coords = frac_vec(coords, "point")
         return cls.from_generators(len(coords), vertices=[coords])
 
     @classmethod
@@ -363,43 +379,69 @@ class Polyhedron:
         on every inequality that is not tight on the whole polyhedron."""
         if self.is_empty:
             raise EmptyPolyhedronError("relative interior of the empty set")
-        gens = self.vertex_rows + tuple((0,) + r for r in self.rays)
-        return int_row([sum(col) for col in zip(*gens)])
+        return int_row([sum(col) for col in zip(*self._gens())])
 
     def relative_interior_point(self) -> Vec:
         return _row_point(self.interior_row())
 
     # -- derived polyhedra ----------------------------------------------------
 
+    def _gens(self) -> tuple[HomRow, ...]:
+        """The generators of the homogenization cone that the masks run
+        over: the vertex rows, then the rays ``(0, r)``."""
+        return self.vertex_rows + tuple((0,) + r for r in self.rays)
+
+    def _facet_masks(self) -> tuple[int, ...]:
+        """The cached tight bitmask of each facet row over ``_gens``, the
+        one incidence of this nonempty polyhedron that its start states,
+        faces and ridges read.
+
+        As the faces of the homogenization cone are ordered like their
+        tight sets (Fukuda-Prodon 1996), a row is facet-defining exactly
+        when its tight set holds a vertex row, is not everything and lies
+        in no other row's; else InvariantError."""
+        masks = self._cache.get("facet_masks")
+        if masks is None:
+            gens = self._gens()
+            masks = tuple(_tight_mask(r, gens) for r in self.ineqs)
+            full, verts = (1 << len(gens)) - 1, (1 << len(self.vertex_rows)) - 1
+            if len(set(masks)) < len(masks) or any(
+                    t == full or not t & verts or any(t & u == t for u in masks if u != t)
+                    for t in masks):
+                raise InvariantError("inequality is not facet-defining")
+            self._cache["facet_masks"] = masks
+        return masks
+
     def _dd_start(self):
         """The cached start state of this nonempty polyhedron's double
-        description: the vertex rows and rays ``(0, r)`` with their tight
-        bitmasks over ``x0 >= 0`` (bit 0) and the facet rows (bits ``1`` to
-        ``len(ineqs)``), the lineality ``(0, l)``, and the row count."""
+        description: ``_gens`` with their tight bitmasks over ``x0 >= 0``
+        (bit 0, tight on the rays) and the facet rows (bits ``1`` to
+        ``len(ineqs)``, the transpose of ``_facet_masks``), the lineality
+        ``(0, l)``, and the row count."""
         start = self._cache.get("dd_start")
         if start is None:
-            rows = ((1,) + (0,) * self.m,) + self.ineqs
-            gens = self.vertex_rows + tuple((0,) + r for r in self.rays)
+            gens = self._gens()
+            n = len(self.vertex_rows)
+            masks = _transpose(self._facet_masks(), range(len(gens)))
             start = self._cache["dd_start"] = (
-                tuple((g, _tight_mask(g, rows)) for g in gens),
+                tuple((g, mask << 1 | (i >= n)) for i, (g, mask) in enumerate(zip(gens, masks))),
                 tuple((0,) + l for l in self.lineality),
-                len(rows))
+                1 + len(self.ineqs))
         return start
 
     def _dual_start(self):
         """The cached start state of the double description of this
         nonempty polyhedron's dual cone: the facet rows, and ``x0 >= 0``
-        when it is a facet (rays and lineality span ``dim`` dimensions),
-        with their tight bitmasks over the vertex rows and rays ``(0, r)``;
-        the equality rows as the lineality; the generator count."""
+        (tight on the rays) when it is a facet (rays and lineality span
+        ``dim`` dimensions), with their tight bitmasks over ``_gens``; the
+        equality rows as the lineality; the generator count."""
         start = self._cache.get("dual_start")
         if start is None:
-            gens = self.vertex_rows + tuple((0,) + r for r in self.rays)
-            rows = self.ineqs
+            rows = tuple(zip(self.ineqs, self._facet_masks()))
+            n, n_gens = len(self.vertex_rows), len(self.vertex_rows) + len(self.rays)
             if linalg.rank(self.rays + self.lineality) == self.dim:
-                rows += ((1,) + (0,) * self.m,)
-            start = self._cache["dual_start"] = (
-                tuple((r, _tight_mask(r, gens)) for r in rows), self.eqs, len(gens))
+                rows += (((1,) + (0,) * self.m, (1 << n_gens) - (1 << n)),)
+            start = self._cache["dual_start"] = (rows, self.eqs, n_gens)
         return start
 
     def _cut(self, eqs, ineqs):
@@ -419,14 +461,19 @@ class Polyhedron:
         return out
 
     def _cut_canonical(self, eqs, ineqs) -> "Polyhedron":
-        """The polyhedron of ``_cut``: its vertex rows, rays and lineality,
-        and the H-rep ``_hrep`` of the joint rows."""
-        gen_rays, gen_lin, _ = self._cut(eqs, ineqs)
-        verts = [r for r in gen_rays if r[0] > 0]
+        """The polyhedron of ``_cut`` by nonzero rows: its vertex rows, rays
+        and lineality, and the H-rep ``_hrep`` of the joint rows, whose
+        tight masks over the rays are the transpose of the rays' masks at
+        the bits of the facet rows and the added inequalities."""
+        gen_rays, gen_lin, masks = self._cut(eqs, ineqs)
+        verts = sum(1 << i for i, r in enumerate(gen_rays) if r[0] > 0)
         if not verts:
             return Polyhedron.empty(self.m)
-        facets, all_eqs = _hrep(self.ineqs + tuple(ineqs), self.eqs + tuple(eqs), gen_rays)
-        return _canonical(self.m, facets, all_eqs, verts,
+        n_p, n_e = len(self.ineqs), len(eqs)
+        bits = [*range(1, 1 + n_p), *range(1 + n_p + n_e, 1 + n_p + n_e + len(ineqs))]
+        facets, all_eqs = _hrep(self.ineqs + tuple(ineqs), self.eqs + tuple(eqs),
+                                _transpose(masks, bits), (1 << len(gen_rays)) - 1, verts)
+        return _canonical(self.m, facets, all_eqs, [r for r in gen_rays if r[0] > 0],
                           [r[1:] for r in gen_rays if r[0] == 0],
                           [l[1:] for l in gen_lin])
 
@@ -448,9 +495,10 @@ class Polyhedron:
         if self.is_empty:
             raise EmptyPolyhedronError("recession cone of the empty set")
         origin = (1,) + (0,) * self.m
-        facets, eqs = _hrep([(0,) + r[1:] for r in self.ineqs],
-                            [(0,) + r[1:] for r in self.eqs],
-                            (origin,) + tuple((0,) + r for r in self.rays))
+        gens = (origin,) + tuple((0,) + r for r in self.rays)
+        rows = [(0,) + r[1:] for r in self.ineqs]
+        facets, eqs = _hrep(rows, [(0,) + r[1:] for r in self.eqs],
+                            [_tight_mask(r, gens) for r in rows], (1 << len(gens)) - 1, 1)
         return _canonical(self.m, facets, eqs, [origin], self.rays, self.lineality)
 
     def translate(self, v) -> "Polyhedron":
@@ -513,27 +561,27 @@ class Polyhedron:
 
     def face(self, ineq_row: HomRow) -> "Polyhedron":
         """The face where a valid inequality (one of ``ineqs``) is tight,
-        with no double description: the vertex rows and rays on the
-        hyperplane, the lineality, and ``_hrep`` of the rows with
-        ``ineq_row`` among the equalities."""
-        verts = tuple(g for g in self.vertex_rows if vdot(ineq_row, g) == 0)
+        with no double description: the generators in its tight mask
+        ``t``, the lineality, and ``_hrep`` of the rows with ``ineq_row``
+        among the equalities, their masks over the face's generators being
+        ``_facet_masks`` cut to ``t``."""
+        n = len(self.vertex_rows)
+        t = _tight_mask(ineq_row, self._gens())
+        verts = t & ((1 << n) - 1)
         if not verts:
             return Polyhedron.empty(self.m)
-        rays = tuple(r for r in self.rays if vdot(ineq_row[1:], r) == 0)
         facets, eqs = _hrep(self.ineqs, self.eqs + (tuple(ineq_row),),
-                            verts + tuple((0,) + r for r in rays))
-        return _canonical(self.m, facets, eqs, verts, rays, self.lineality)
+                            [u & t for u in self._facet_masks()], t, verts)
+        return _canonical(self.m, facets, eqs,
+                          [g for i, g in enumerate(self.vertex_rows) if t >> i & 1],
+                          [r for i, r in enumerate(self.rays, n) if t >> i & 1],
+                          self.lineality)
 
     def facet_faces(self) -> tuple["Polyhedron", ...]:
-        """Codimension-1 faces (one per irredundant inequality)."""
+        """Codimension-1 faces (one per irredundant inequality); a row that
+        is not facet-defining raises InvariantError (``_facet_masks``)."""
         if "facets" not in self._cache:
-            faces = []
-            for row in self.ineqs:
-                f = self.face(row)
-                if f.is_empty or f.dim != self.dim - 1:
-                    raise InvariantError("inequality is not facet-defining")
-                faces.append(f)
-            self._cache["facets"] = tuple(faces)
+            self._cache["facets"] = tuple(self.face(row) for row in self.ineqs)
         return self._cache["facets"]
 
     def all_faces(self) -> tuple["Polyhedron", ...]:
@@ -598,8 +646,9 @@ def _check_len(vec, n, what="vector"):
 
 
 def _point_row(point, m, what="point") -> HomRow:
-    """The integer row ``(d, d*x)``, ``d > 0``, of a rational point of R^m."""
-    return int_row((1, *_check_len(tuple(point), m, what)))
+    """The integer row ``(d, d*x)``, ``d > 0``, of a rational point of R^m;
+    a string, ``bool`` or non-finite entry raises ``InputError``."""
+    return int_row((1, *frac_vec(_check_len(tuple(point), m, what), what)))
 
 
 def _row_point(row: HomRow) -> Vec:
@@ -629,30 +678,36 @@ def _tight_mask(x, ys) -> int:
     return sum(1 << j for j, y in enumerate(ys) if vdot(x, y) == 0)
 
 
-def _split(rows, gens):
-    """(rows tight on every generator, the other rows whose tight sets are
+def _transpose(masks, bits) -> list[int]:
+    """For each bit position ``b`` of ``bits``, the mask with bit ``i`` set
+    for each ``masks[i]`` that holds bit ``b``: rows' masks over generators
+    from generators' masks over rows, or back."""
+    return [sum(1 << i for i, mask in enumerate(masks) if mask >> b & 1) for b in bits]
+
+
+def _split(rows, masks, full):
+    """(rows whose tight mask is ``full``, the other rows whose masks are
     maximal among the other rows'; the first rows' set is everything and
-    would hide every facet).  For rows nonnegative on the cone of ``gens``
-    these are the implicit equalities and the facet rows, as faces of a
-    cone are ordered like their tight sets (Fukuda-Prodon 1996); with rows
-    and generators swapped, the lineality and the extreme generators."""
-    full = (1 << len(gens)) - 1
-    masks = [_tight_mask(r, gens) for r in rows]
+    would hide every facet).  For rows nonnegative on a cone and their
+    tight masks over its generators these are the implicit equalities and
+    the facet rows, as faces of a cone are ordered like their tight sets
+    (Fukuda-Prodon 1996); with rows and generators swapped, the lineality
+    and the extreme generators."""
     rest = {t for t in masks if t != full}
     maximal = {t for t in rest if not any(t & u == t and t != u for u in rest)}
     return ([r for r, t in zip(rows, masks) if t == full],
             [r for r, t in zip(rows, masks) if t in maximal])
 
 
-def _hrep(ineqs, eqs, gens) -> tuple[list[HomRow], list[HomRow]]:
-    """(facet rows, equality rows) of a nonempty polyhedron from its rows and
-    the generators of its homogenization (vertex rows, rays ``(0, r)``): the
+def _hrep(ineqs, eqs, masks, full, verts) -> tuple[list[HomRow], list[HomRow]]:
+    """(facet rows, equality rows) of a nonempty polyhedron from its rows,
+    their tight masks over the generators of its homogenization, ``full``
+    the mask of all generators and ``verts`` that of the vertex rows: the
     ``_split`` facets tight on a vertex row, as one tight on rays only
     bounds the face at infinity, and the given and implicit equalities;
     ``_canonical`` canonicalizes both."""
-    implicit, maximal = _split(ineqs, gens)
-    facets = [r for r in maximal if any(g[0] > 0 and vdot(r, g) == 0 for g in gens)]
-    return facets, list(eqs) + implicit
+    implicit, maximal = _split(list(zip(ineqs, masks)), masks, full)
+    return [r for r, t in maximal if t & verts], list(eqs) + [r for r, _ in implicit]
 
 
 def _canon_generators(vert_rows, rays, lineality):

@@ -23,7 +23,7 @@ from tropdeg.ops import (_MASK64, _SEED_STRIDE, PushforwardResult, Rng,
                          _check_seed, _towards, pushforward_linear,
                          stable_intersect, tropical_hyperplane)
 from tropdeg.polyhedra import (Polyhedron, _canon_eqs, _canon_generators,
-                               _canon_ineqs, _check_len, _point_row,
+                               _canon_ineqs, _canonical, _check_len, _point_row,
                                dual_description, refine_by_hyperplanes)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -328,6 +328,109 @@ def low_face_spans(meeting, m: int):
 def face_oracle(p: Polyhedron, row) -> Polyhedron:
     """The face of p where ``row`` is tight, by a fresh H->V conversion."""
     return Polyhedron.from_hrep(p.m, p.ineqs, p.eqs + (row,))
+
+
+def ridge_merge_oracle(cycle: TropicalCycle) -> list:
+    """``codim1_faces`` by building the face of every facet row of every
+    support facet with ``face_oracle`` and merging faces with equal keys,
+    records in key order; a face that is empty or not of codimension 1
+    raises InvariantError.
+
+    The merge that ``cycles._ridges`` replaced with keys of tight
+    generators; kept as a differential oracle.
+    """
+    merged: dict = {}
+    for idx, wf in enumerate(cycle.support_facets):
+        p = wf.poly
+        for row in p.ineqs:
+            q = face_oracle(p, row)
+            if q.is_empty or q.dim != p.dim - 1:
+                raise InvariantError("inequality is not facet-defining")
+            merged.setdefault(q.key, (q, []))[1].append((idx, cyc._lattice_normal(p, row)))
+    return [cyc.Codim1Record(face=q, incident=tuple(sorted(inc)))
+            for q, inc in (merged[k] for k in sorted(merged))]
+
+
+def balance_violations_oracle(cycle: TropicalCycle) -> list:
+    """The ``ridge_merge_oracle`` records whose weighted normal sum is not
+    zero on the normal of every equality row of the built face."""
+    support = cycle.support_facets
+    out = []
+    for record in ridge_merge_oracle(cycle):
+        total = (0,) * cycle.m
+        for idx, v in record.incident:
+            total = tuple(a + support[idx].weight * b for a, b in zip(total, v))
+        if any(vdot(eq[1:], total) for eq in record.face.eqs):
+            out.append(record)
+    return out
+
+
+def sign_test_split(rows, gens):
+    """``polyhedra._split`` with each row's tight set recomputed by integer
+    sign tests over ``gens``; the incidence read that the masks of the
+    double description replaced, kept as a differential oracle."""
+    full = (1 << len(gens)) - 1
+    masks = [sum(1 << j for j, g in enumerate(gens) if vdot(r, g) == 0) for r in rows]
+    rest = {t for t in masks if t != full}
+    maximal = {t for t in rest if not any(t & u == t and t != u for u in rest)}
+    return ([r for r, t in zip(rows, masks) if t == full],
+            [r for r, t in zip(rows, masks) if t in maximal])
+
+
+def sign_test_hrep(ineqs, eqs, gens):
+    """``polyhedra._hrep`` on ``sign_test_split``."""
+    implicit, maximal = sign_test_split(ineqs, gens)
+    facets = [r for r in maximal if any(g[0] > 0 and vdot(r, g) == 0 for g in gens)]
+    return facets, list(eqs) + implicit
+
+
+def sign_test_cut(p: Polyhedron, eqs, ineqs) -> Polyhedron:
+    """``p._cut_canonical(eqs, ineqs)`` with the H-rep read by sign tests."""
+    gen_rays, gen_lin, _ = p._cut(eqs, ineqs)
+    verts = [r for r in gen_rays if r[0] > 0]
+    if not verts:
+        return Polyhedron.empty(p.m)
+    facets, all_eqs = sign_test_hrep(p.ineqs + tuple(ineqs), p.eqs + tuple(eqs), gen_rays)
+    return _canonical(p.m, facets, all_eqs, verts, [r[1:] for r in gen_rays if r[0] == 0],
+                      [l[1:] for l in gen_lin])
+
+
+def sign_test_hull(m, vert_rows, rays, lineality, start=None) -> Polyhedron:
+    """``Polyhedron._from_generator_rows`` with both incidences read by
+    sign tests; zero generators are kept, as sign tests take them."""
+    gens = [*vert_rows, *((0,) + tuple(r) for r in rays)]
+    constraints = [((0,) + tuple(l), True) for l in lineality]
+    if start is None:
+        constraints += [(g, False) for g in gens]
+    else:
+        lineality = (*start.lineality, *lineality)
+        start = start._dual_start()
+    dual_rays, dual_lin, _ = dual_description(m + 1, constraints, start=start)
+    facets, eqs = sign_test_hrep(dual_rays, dual_lin, gens)
+    flat, extreme = sign_test_split(gens, dual_rays)
+    return _canonical(m, facets, eqs, [g for g in extreme if g[0] > 0],
+                      [g[1:] for g in extreme if g[0] == 0],
+                      [*lineality, *(g[1:] for g in flat)])
+
+
+def sign_test_face(p: Polyhedron, row) -> Polyhedron:
+    """``Polyhedron.face`` with the H-rep read by sign tests."""
+    verts = tuple(g for g in p.vertex_rows if vdot(row, g) == 0)
+    if not verts:
+        return Polyhedron.empty(p.m)
+    rays = tuple(r for r in p.rays if vdot(row[1:], r) == 0)
+    facets, eqs = sign_test_hrep(p.ineqs, p.eqs + (tuple(row),),
+                                 verts + tuple((0,) + r for r in rays))
+    return _canonical(p.m, facets, eqs, verts, rays, p.lineality)
+
+
+def sign_test_recession_cone(p: Polyhedron) -> Polyhedron:
+    """``Polyhedron.recession_cone`` with the H-rep read by sign tests."""
+    origin = (1,) + (0,) * p.m
+    facets, eqs = sign_test_hrep([(0,) + r[1:] for r in p.ineqs],
+                                 [(0,) + r[1:] for r in p.eqs],
+                                 (origin,) + tuple((0,) + r for r in p.rays))
+    return _canonical(p.m, facets, eqs, [origin], p.rays, p.lineality)
 
 
 def box_rows(lo, hi):

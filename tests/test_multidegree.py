@@ -1,11 +1,15 @@
 from fractions import Fraction
+import contextlib
+import io
 import itertools
+import json
 from types import SimpleNamespace
 
 import pytest
 
-from conftest import derived_seed, fresh, iterated_multidegree, transverse_degree_oracle
-from tropdeg import fixtures, ops
+from conftest import (derived_seed, fixture_path, fresh, iterated_multidegree,
+                      transverse_degree_oracle)
+from tropdeg import cli, cycfile, fixtures, linalg, ops
 from tropdeg.cycles import (
     BlockStructure,
     TropicalCycle,
@@ -101,6 +105,45 @@ def test_multidegree_rejects_nonpositive_divisor():
         multidegree(fixtures.standard_line(), (1,), divs, seed=0)
 
 
+def test_divisor_positivity_is_checked_once(monkeypatch):
+    """``is_positive_divisor`` memoizes its verdict on the divisor: a second
+    validation of the standard divisors costs no ``rank``."""
+    blocks = BlockStructure((2, 1, 3))
+    divs = DivisorSet.standard(blocks)
+    divs.validate(blocks)
+    ranks = []
+    rank = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: ranks.append(rows) or rank(rows))
+    divs.validate(blocks)
+    multidegree(fixtures.standard_line(), (1,), seed=0)
+    assert ranks == []
+    # a fresh copy of a divisor is checked again
+    assert ops.is_positive_divisor(fresh(divs.divisors[0])) == (True, None)
+    assert len(ranks) == 1
+
+
+def test_nonpositive_divisor_raises_the_same_witness_every_call(tmp_path):
+    flat = TropicalCycle(BlockStructure((2,)),
+                         [(Polyhedron.from_hrep(2, eqs=[(0, 1, 0)]), 1)])
+    divs = DivisorSet(BlockStructure((2,)), (flat,))
+    for _ in range(3):
+        with pytest.raises(NonPositiveDivisorError,
+                           match=r"^divisor 1 is not positive \(witness line \(0, 1\)\)$"):
+            divs.validate(divs.blocks)
+    path = tmp_path / "flat.cyc"
+    cycfile.save(path, flat)
+    argv = ["multidegree", str(fixture_path("standard_line")), "--type", "1",
+            "--divisor", f"1:{path}"]
+    reports = []
+    for _ in range(2):
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out):
+            assert cli.main(argv) == 2
+        reports.append(json.loads(out.getvalue()))
+    assert reports[0] == reports[1]
+    assert reports[0]["error"] == "divisor 1 is not positive (witness line (0, 1))"
+
+
 def test_rank_function():
     ranks = rank_function(fixtures.example33b())
     assert ranks.rank([1]) == 2
@@ -141,6 +184,13 @@ NUMERIC_STRINGS = {
     "facet_weight": (InvalidComplexError,
                      lambda: WeightedFacet(Polyhedron.point((0,)), "2")),
     "block_size": (DimensionMismatchError, lambda: BlockStructure(("2",))),
+    # the rational entry points: vertices, translations, coefficients
+    "vertex": (InputError, lambda: Polyhedron.from_generators(2, [("1", 0)])),
+    "point": (InputError, lambda: Polyhedron.point(("1", 0))),
+    "cycle_translation": (InputError, lambda: translate(fixtures.standard_line(), ["1", 2])),
+    "translation": (InputError, lambda: Polyhedron.point([1, 0]).translate(["x", 0])),
+    "containment": (InputError, lambda: Polyhedron.point([1, 0]).contains(["1", 0])),
+    "coefficients": (InputError, lambda: tropical_hyperplane(["1/2", 0, 0])),
 }
 
 
@@ -162,6 +212,10 @@ BOOLEANS = {
                                                  (True, False, True))),
     "facet_weight": (InvalidComplexError,
                      lambda: WeightedFacet(Polyhedron.point((0,)), True)),
+    "vertex": (InputError, lambda: Polyhedron.from_generators(2, [(True, 0)])),
+    "cycle_translation": (InputError,
+                          lambda: translate(fixtures.standard_line(), [False, 2])),
+    "coefficients": (InputError, lambda: tropical_hyperplane([True, 0])),
 }
 
 
@@ -173,6 +227,19 @@ def test_booleans_are_not_numbers(case):
     error, call = BOOLEANS[case]
     with pytest.raises(error, match="is not numeric"):
         call()
+
+
+@pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 1j])
+def test_non_finite_entries_are_not_numbers(value):
+    """The rational entry points raise ``InputError``, not the bare
+    ``OverflowError``, ``ValueError`` or ``TypeError`` of ``Fraction``;
+    finite floats are taken exactly."""
+    for call in (lambda: tropical_hyperplane([value, 1]),
+                 lambda: Polyhedron.from_generators(2, [(value, 0)]),
+                 lambda: Polyhedron.point([1, 0]).translate([value, 0])):
+        with pytest.raises(InputError, match="is not numeric"):
+            call()
+    assert Polyhedron.point([0.5, 0]).vertices == ((Fraction(1, 2), Fraction(0)),)
 
 
 def test_positivity_criterion():
@@ -538,7 +605,7 @@ def test_invariant_under_translation_and_recession():
 def test_matches_iterated_on_points():
     pts = TropicalCycle(BlockStructure((1, 2)),
                         [(Polyhedron.point((0, 1, 2)), 2),
-                         (Polyhedron.point((1, 0, "1/2")), 3)])
+                         (Polyhedron.point((1, 0, Fraction(1, 2))), 3)])
     assert _agree(pts, (0, 0), seed=3) == 5
 
 

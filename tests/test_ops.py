@@ -357,7 +357,8 @@ def test_hyperplane_translated_membership_oracle():
 def test_hyperplane_files_pinned():
     """Cycle files of five hyperplanes, pinned byte for byte."""
     text = "".join(cycfile.dumps(tropical_hyperplane(c)) for c in (
-        [1, -1], [0, 0, 0], [0, -1, -2], [0, 0, 0, 0], ["1/2", 3, "-7/3", 0, 1]))
+        [1, -1], [0, 0, 0], [0, -1, -2], [0, 0, 0, 0],
+        [Fraction(1, 2), 3, Fraction(-7, 3), 0, 1]))
     assert hashlib.sha256(text.encode()).hexdigest() == \
         "088bfeeef2936b3a7232b6dc5781c613e17463a2f10389bb3aeec80f9cc344e1"
 
