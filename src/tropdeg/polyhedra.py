@@ -240,7 +240,7 @@ class Polyhedron:
     def from_hrep(cls, m: int, ineqs=(), eqs=()) -> "Polyhedron":
         """Polyhedron {x : c0 + c.x >= 0 for ineqs, == 0 for eqs}; zero
         rows hold everywhere and are dropped, as they take no mask bit."""
-        rows = lambda given: [r for r in (_check_len(int_row(r), m + 1, "constraint row")
+        rows = lambda given: [r for r in (_given_row(r, m + 1, "constraint row")
                                           for r in given) if any(r)]
         return cls.full_space(m)._cut_canonical(rows(eqs), rows(ineqs))
 
@@ -251,8 +251,8 @@ class Polyhedron:
         At least one vertex is required for a nonempty result.
         """
         rows = [_point_row(v, m, "vertex") for v in vertices]
-        ray_vecs = [int_row(_check_len(r, m, "ray")) for r in rays]
-        lin_vecs = [int_row(_check_len(l, m, "lineality vector")) for l in lineality]
+        ray_vecs = [_given_row(r, m, "ray") for r in rays]
+        lin_vecs = [_given_row(l, m, "lineality vector") for l in lineality]
         return cls._from_generator_rows(m, rows, ray_vecs, lin_vecs)
 
     @classmethod
@@ -519,7 +519,7 @@ class Polyhedron:
         same generators with the vectors added to the lineality, a hull
         continued from this polyhedron's own rows (``_dual_start``) with
         the span's rows alone."""
-        lin = [int_row(_check_len(tuple(b), self.m, "span vector")) for b in basis]
+        lin = [_given_row(b, self.m, "span vector") for b in basis]
         if self.is_empty:
             return self
         return Polyhedron._from_generator_rows(self.m, self.vertex_rows, self.rays,
@@ -643,6 +643,16 @@ def _check_len(vec, n, what="vector"):
     if len(vec) != n:
         raise DimensionMismatchError(f"{what} of length {len(vec)}, expected {n}")
     return vec
+
+
+def _given_row(vec, n, what) -> IntVec:
+    """``int_row`` of a rational vector of length n given to an entry
+    point; a string, ``bool`` or non-finite entry raises ``InputError``.
+    A tuple of ints is checked by one type scan, as ``int_row`` does."""
+    vec = _check_len(tuple(vec), n, what)
+    if all(type(e) is int for e in vec):
+        return _divide_gcd(vec)
+    return int_row(frac_vec(vec, what))
 
 
 def _point_row(point, m, what="point") -> HomRow:

@@ -138,6 +138,26 @@ def _iterated_once(cycle, n, divs, seed) -> int:
     return degree0(cur)
 
 
+def chain_power(divisor: TropicalCycle, n: int) -> TropicalCycle:
+    """Lambda^n as a chain of stable self-intersections: R^b for n = 0,
+    Lambda for n = 1, and Lambda cut by Lambda n - 1 times.
+
+    The construction that ``divisor_power`` keeps for other divisors and
+    replaces by a closed form for the standard hyperplane; written out
+    here, without ``divisor_power``'s cache, as that closed form's oracle.
+    """
+    if n == 0:
+        power = TropicalCycle(BlockStructure((divisor.m,)),
+                              [WeightedFacet(Polyhedron.full_space(divisor.m), 1)])
+        cyc.require_balanced(power)
+        return power
+    cyc.require_balanced(divisor)
+    power = divisor
+    for _ in range(n - 1):
+        power = stable_intersect(power, divisor)
+    return power
+
+
 def fraction_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Q; returns (rows, pivot columns).
 

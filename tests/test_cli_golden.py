@@ -58,6 +58,18 @@ MULTIDEGREES = [f"multidegree fixtures/{name}.cyc --type {t} --seed {seed}"
 
 MSUPP = [f"msupp fixtures/{name}.cyc --mode bruteforce" for name in TYPES]
 
+# Divisors read from files: powers of a non-standard divisor (the chain of
+# stable self-intersections) and of a file holding the standard line (the
+# closed-form fan).
+DIVISORS = [
+    "multidegree fixtures/example33a.cyc --type 2,0"
+    " --divisor 1:fixtures/coordinate_hyperplanes_2.cyc",
+    "msupp fixtures/example33a.cyc --mode bruteforce"
+    " --divisor 2:fixtures/coordinate_hyperplanes_2.cyc",
+    "multidegree fixtures/example33a.cyc --type 0,2"
+    " --divisor 2:fixtures/standard_line.cyc",
+]
+
 # The admissibility search, the CLI's user of Minkowski sums, on every
 # shipped fixture with both candidate strategies.
 FIXTURES = sorted(p.stem for p in (ROOT / "fixtures").glob("*.cyc"))
@@ -87,8 +99,8 @@ WRITTEN = [
     "translate fixtures/example33b.cyc 1/2,-2/3,0,7",
 ]
 
-COMMANDS = list(dict.fromkeys(README + MULTIDEGREES + MSUPP + ADMISSIBLE
-                              + BALANCE + INTERSECT + WRITTEN))
+COMMANDS = list(dict.fromkeys(README + MULTIDEGREES + MSUPP + DIVISORS
+                              + ADMISSIBLE + BALANCE + INTERSECT + WRITTEN))
 
 
 def argv(command: str, out: Path) -> list[str]:

@@ -7,8 +7,8 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import (derived_seed, fixture_path, fresh, iterated_multidegree,
-                      transverse_degree_oracle)
+from conftest import (chain_power, derived_seed, fixture_path, fresh,
+                      iterated_multidegree, transverse_degree_oracle)
 from tropdeg import cli, cycfile, fixtures, linalg, ops
 from tropdeg.cycles import (
     BlockStructure,
@@ -191,6 +191,10 @@ NUMERIC_STRINGS = {
     "translation": (InputError, lambda: Polyhedron.point([1, 0]).translate(["x", 0])),
     "containment": (InputError, lambda: Polyhedron.point([1, 0]).contains(["1", 0])),
     "coefficients": (InputError, lambda: tropical_hyperplane(["1/2", 0, 0])),
+    # the integer-row entry points: rays, constraint rows, span vectors
+    "ray": (InputError, lambda: Polyhedron.from_generators(2, [(0, 0)], rays=[("1", 0)])),
+    "constraint_row": (InputError, lambda: Polyhedron.from_hrep(1, ineqs=[("1", True)])),
+    "span_vector": (InputError, lambda: Polyhedron.point([0, 0]).plus_span([("1", 0)])),
 }
 
 
@@ -216,6 +220,10 @@ BOOLEANS = {
     "cycle_translation": (InputError,
                           lambda: translate(fixtures.standard_line(), [False, 2])),
     "coefficients": (InputError, lambda: tropical_hyperplane([True, 0])),
+    "lineality": (InputError,
+                  lambda: Polyhedron.from_generators(2, [(0, 0)], lineality=[(True, 0)])),
+    "constraint_row": (InputError, lambda: Polyhedron.from_hrep(1, eqs=[(1, True)])),
+    "span_vector": (InputError, lambda: Polyhedron.point([0, 0]).plus_span([(0, False)])),
 }
 
 
@@ -236,10 +244,15 @@ def test_non_finite_entries_are_not_numbers(value):
     finite floats are taken exactly."""
     for call in (lambda: tropical_hyperplane([value, 1]),
                  lambda: Polyhedron.from_generators(2, [(value, 0)]),
-                 lambda: Polyhedron.point([1, 0]).translate([value, 0])):
+                 lambda: Polyhedron.point([1, 0]).translate([value, 0]),
+                 lambda: Polyhedron.from_generators(2, [(0, 0)], rays=[(value, 0)]),
+                 lambda: Polyhedron.from_hrep(1, ineqs=[(value, 1)]),
+                 lambda: Polyhedron.point([0, 0]).plus_span([(0, value)])):
         with pytest.raises(InputError, match="is not numeric"):
             call()
     assert Polyhedron.point([0.5, 0]).vertices == ((Fraction(1, 2), Fraction(0)),)
+    assert Polyhedron.from_generators(2, [(0, 0)], rays=[(0.5, Fraction(1, 4))]).rays \
+        == ((2, 1),)
 
 
 def test_positivity_criterion():
@@ -397,9 +410,14 @@ def test_pullback_checks_block_and_divisor():
 
 
 def test_divisor_power_checks_the_exponent():
+    """The exponent is checked before the cache is asked, since ``True``
+    hashes like ``1``: a ``bool`` raises with ``Lambda^1`` cached or not."""
     h = standard_hyperplane(2)
+    divisor_power.cache_clear()
+    with pytest.raises(TypeMismatchError, match="is not numeric"):
+        divisor_power(h, True)
     assert divisor_power(h, 1.0) is divisor_power(h, 1) is h
-    for n in (-1, -5, 1.5, Fraction(1, 2)):
+    for n in (-1, -5, 1.5, Fraction(1, 2), True, False):
         with pytest.raises(TypeMismatchError):
             divisor_power(h, n)
 
@@ -539,6 +557,49 @@ def test_divisor_power_continues_from_the_cached_power(monkeypatch):
     cube = divisor_power(plane, 3)
     assert calls == [(square, plane)]
     assert cube.dim == 0 and degree0(cube) == 1
+
+
+@pytest.mark.parametrize("b", range(1, 6))
+def test_standard_powers_match_the_chain(b):
+    """The closed-form powers of the standard hyperplane in R^b are the
+    chain's cycles, with its valid and balanced verdicts; past n = b both
+    are empty."""
+    h = standard_hyperplane(b)
+    divisor_power.cache_clear()
+    for n in range(b + 2):
+        power, chain = divisor_power(h, n), chain_power(h, n)
+        assert (power.key, power.ambient) == (chain.key, chain.ambient)
+        assert power.is_empty == (n > b)
+        if n <= b:
+            assert _marks(power) == _marks(chain) == (True, True)
+
+
+def test_only_other_divisors_take_the_chain(monkeypatch):
+    """The standard hyperplane, also read from a file, needs no stable
+    intersection for any power; other divisors take n - 1 of them for
+    Lambda^n."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    real = ops.stable_intersect
+    monkeypatch.setattr(ops, "stable_intersect", counting)
+    standard = [standard_hyperplane(b) for b in range(1, 5)]
+    standard += [cycfile.load(fixture_path(name)) for name in ("standard_line", "standard_plane")]
+    for divisor in standard:
+        divisor_power.cache_clear()
+        for n in range(divisor.m + 2):
+            divisor_power(divisor, n)
+    assert calls == []
+    for divisor in (tropical_hyperplane([0, 1, 2, 3]), fixtures.coordinate_hyperplanes(2),
+                    fixtures.scaled_line(2)):
+        divisor_power.cache_clear()
+        calls.clear()
+        power = divisor_power(divisor, divisor.m)
+        assert len(calls) == divisor.m - 1
+        assert power == chain_power(divisor, divisor.m)
 
 
 def test_divisor_power_cache_is_bounded():
