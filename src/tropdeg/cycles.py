@@ -325,10 +325,13 @@ def degree0(cycle: TropicalCycle) -> int:
 
 
 def translate(cycle: TropicalCycle, v) -> TropicalCycle:
+    """The cycle moved by v; the cycle itself when v is zero."""
     v = frac_vec(v, "translation vector")
     if len(v) != cycle.m:
         raise DimensionMismatchError(
             f"translation vector of length {len(v)} in R^{cycle.m}")
+    if not any(v):
+        return cycle
     out = TropicalCycle(cycle.ambient,
                         [WeightedFacet(f.poly.translate(v), f.weight)
                          for f in cycle.facets])

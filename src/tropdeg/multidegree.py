@@ -5,10 +5,10 @@ cycle C with L_n = Lambda_1^{n_1} x ... x Lambda_k^{n_k}, where
 Lambda_i^{n_i} is the n_i-fold stable self-intersection of block i's
 positive divisor.  By associativity of stable intersection and pull-back
 this equals the degree of C cut by n_i pullbacks of each divisor.  The
-powers of the standard hyperplane are built in closed form, as the
-standard tropical linear spaces; any other divisor's power is the chain of
-n_i - 1 stable self-intersections.  The divisor powers are cached per
-(divisor, n_i), a bounded number of them.
+powers of any tropical hyperplane, the standard fan translated to its apex
+(c0 - c_i), are the standard tropical linear spaces translated to that apex;
+any other divisor's power is the chain of n_i - 1 stable self-intersections.
+The divisor powers are cached per (divisor, n_i), a bounded number of them.
 The rank function I -> dim pi_I tabulates projection dimensions over all
 block subsets; the criterion compares the two.  The criterion's positivity
 prediction is only valid for translation-admissible cycles, and its
@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from collections import namedtuple
 from functools import lru_cache
-from itertools import combinations, product
+from itertools import product
 
 from . import cycles as cyc
 from . import ops
@@ -30,7 +30,7 @@ from .errors import (
     TypeMismatchError,
     WrongDimensionError,
 )
-from .linalg import identity_rows, integral_row
+from .linalg import integral_row
 from .polyhedra import Polyhedron
 
 ADMISSIBILITY_CAVEAT = (
@@ -114,12 +114,9 @@ def _check_type(cycle: TropicalCycle, n) -> tuple[int, ...]:
     return n
 
 
-@lru_cache(maxsize=None)
 def standard_hyperplane(b: int) -> TropicalCycle:
-    """The standard tropical hyperplane in R^b, built and balance-checked once."""
-    hyperplane = ops.tropical_hyperplane([0] * (b + 1))
-    cyc.require_balanced(hyperplane)
-    return hyperplane
+    """The standard tropical hyperplane in R^b: ``ops.standard_linear_space(b, 1)``."""
+    return ops.standard_linear_space(b, 1)
 
 
 def _full_space(b: int) -> TropicalCycle:
@@ -149,63 +146,40 @@ def pullback(divisor: TropicalCycle, block: int,
                          for i, b in enumerate(blocks.blocks, 1)), blocks=blocks)
 
 
-def _standard_power(divisor: TropicalCycle, n: int) -> TropicalCycle:
-    """Lambda^n, n >= 2, of the standard hyperplane in R^b in closed form:
-    the standard tropical linear space, whose cones are spanned by b - n of
-    the rays e_1, ..., e_b, -(e_1 + ... + e_b), each of weight 1 (the
-    Bergman fan of the uniform matroid); the empty cycle for n > b."""
-    b = divisor.m
-    if n > b:
-        return cyc.empty_cycle(divisor.ambient)
-    rays = [*identity_rows(b), (-1,) * b]
-    power = TropicalCycle(divisor.ambient, [
-        WeightedFacet(Polyhedron.from_generators(b, [(0,) * b], rays=cone), 1)
-        for cone in combinations(rays, b - n)])
-    cyc.require_balanced(power)
-    return power
-
-
 #: powers kept by ``divisor_power``; the standard divisors of blocks of
 #: sizes 1-3 need 9, and other divisors evict the least recently used
 DIVISOR_POWER_CACHE_SIZE = 32
 
 
+@lru_cache(maxsize=DIVISOR_POWER_CACHE_SIZE, typed=True)
 def divisor_power(divisor: TropicalCycle, n: int) -> TropicalCycle:
-    """Lambda^n: R^b for n = 0, Lambda for n = 1, else the standard
-    tropical linear space of codimension n when Lambda is the standard
-    hyperplane (cycle equality, so a file holding it qualifies), and
+    """Lambda^n: R^b for n = 0, Lambda for n = 1, the standard tropical
+    linear space of codimension n translated to v when Lambda is the
+    standard hyperplane translated to v, the first vertex of its first
+    support facet (cycle equality, so a file holding it qualifies), and
     ``stable_intersect(Lambda^(n-1), Lambda)`` for any other divisor.
 
-    The exponent is checked before the cache is asked: a negative,
-    non-integral or ``bool`` exponent raises TypeMismatchError.  Each
-    power is balance-checked once and cached; cycles hash by their key,
-    and the cache keeps the ``DIVISOR_POWER_CACHE_SIZE`` powers used last.
-    Each self-intersection of the chain is checked under the default
-    seed's direction by ``stable_intersect``.
+    The exponent is checked first; a negative, non-integral or ``bool``
+    exponent raises TypeMismatchError (the cache is typed, as ``True``
+    hashes like ``1``).  Each power is balance-checked once and cached;
+    cycles hash by their key, and the cache keeps the
+    ``DIVISOR_POWER_CACHE_SIZE`` powers used last.  Each self-intersection
+    of the chain is checked under the default seed's direction by
+    ``stable_intersect``.
     """
     n = integral_row((n,), TypeMismatchError, "divisor power exponent")[0]
     if n < 0:
         raise TypeMismatchError(f"negative divisor power exponent {n}")
-    return _power(divisor, n)
-
-
-@lru_cache(maxsize=DIVISOR_POWER_CACHE_SIZE)
-def _power(divisor: TropicalCycle, n: int) -> TropicalCycle:
-    """``divisor_power`` for an exponent already checked to be an int >= 0."""
     if n == 0:
         return _full_space(divisor.m)
     cyc.require_balanced(divisor)
     if n == 1:
         return divisor
-    if divisor == standard_hyperplane(divisor.m):
-        return _standard_power(divisor, n)
-    return ops.stable_intersect(_power(divisor, n - 1), divisor)
-
-
-# the cache's interface, and its uncached body, on the checked entry point
-divisor_power.cache_info = _power.cache_info
-divisor_power.cache_clear = _power.cache_clear
-divisor_power.__wrapped__ = _power.__wrapped__
+    if not divisor.is_empty:
+        apex = divisor.support_facets[0].poly.vertices[0]
+        if divisor == cyc.translate(standard_hyperplane(divisor.m), apex):
+            return cyc.translate(ops.standard_linear_space(divisor.m, n), apex)
+    return ops.stable_intersect(divisor_power(divisor, n - 1), divisor)
 
 
 def multidegree(cycle: TropicalCycle, n, divs: DivisorSet | None = None,

@@ -8,9 +8,9 @@ no draw (see ``_displacement_flags``).
 Seeds are ints; every stable intersection is checked under the seed's
 signed permutation of ``u(eps)``.  All constructed cycles are checked
 balanced (``cycles.assert_balanced``) before being returned.
-Tropical hyperplane cells are cut out by differences of the homogenized
-term rows, and projection dimensions are ranks of direction bases
-restricted to block coordinates.
+A tropical hyperplane is the standard one translated to its apex (c0 - c_i),
+and projection dimensions are ranks of direction bases restricted to block
+coordinates.
 """
 
 from __future__ import annotations
@@ -18,6 +18,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from fractions import Fraction
+from functools import lru_cache
 from itertools import combinations
 
 from . import cycles as cyc
@@ -28,13 +29,15 @@ from .errors import (
     InputError,
     InvariantError,
     SeedDependenceError,
+    TypeMismatchError,
     WrongCodimensionError,
     WrongDimensionError,
     WrongDimensionsError,
 )
-from .linalg import (frac_vec, integral_row, is_zero_vec, primitive, rank,
-                     reduce_mod, rref, saturate, sign_normalized, vdot, vneg, vsub)
-from .polyhedra import Polyhedron, is_covered, refine_cells
+from .linalg import (frac_vec, identity_rows, integral_row, is_zero_vec,
+                     primitive, rank, reduce_mod, rref, saturate, sign_normalized,
+                     vdot, vneg)
+from .polyhedra import Polyhedron, _given_row, is_covered, refine_cells
 
 _MASK64 = (1 << 64) - 1
 _SEED_STRIDE = 0x9E3779B97F4A7C15
@@ -264,12 +267,14 @@ def _span_basis(gens, m: int) -> tuple:
     as they are when the Smith diagonal of those rows is one 1 per row
     (they are independent and generate a saturated lattice), else
     ``saturate``.  The facet sums and their lattices do not depend on
-    which basis of L_V is taken."""
-    rows = tuple(primitive(g) for g in gens if not is_zero_vec(g))
+    which basis of L_V is taken.  A string, ``bool`` or non-finite entry
+    raises ``InputError``."""
+    rows = tuple(r for r in (_given_row(g, m, "span vector") for g in gens)
+                 if not is_zero_vec(r))
     diagonal = linalg.snf_diagonal(rows) if rows else ()
     if len(diagonal) == len(rows) and all(d == 1 for d in diagonal):
         return rows
-    return saturate(gens, m)
+    return saturate(rows, m)
 
 
 def _facet_sums(cycle: TropicalCycle, basis):
@@ -347,7 +352,8 @@ def projection_pushforward(cycle: TropicalCycle, subset) -> PushforwardResult:
     blocks = cycle.ambient
     subset = blocks.subset(subset)
     coords = blocks.coords_of(subset)
-    matrix = [tuple(1 if t == j else 0 for t in range(cycle.m)) for j in coords]
+    unit = identity_rows(cycle.m)
+    matrix = [unit[j] for j in coords]
     out_blocks = BlockStructure(tuple(blocks.blocks[i - 1] for i in subset))
     return pushforward_linear(cycle, matrix, out_blocks)
 
@@ -356,28 +362,39 @@ def projection_pushforward(cycle: TropicalCycle, subset) -> PushforwardResult:
 # divisors and positivity
 # ---------------------------------------------------------------------------
 
-def tropical_hyperplane(coeffs) -> TropicalCycle:
-    """Locus where min(c0, c1+a1, ..., cm+am) is attained at least twice.
+@lru_cache(maxsize=None, typed=True)
+def standard_linear_space(b: int, n: int) -> TropicalCycle:
+    """The standard tropical linear space of codimension n in R^b, the
+    n-fold stable self-intersection of the standard hyperplane: the cones
+    spanned by b - n of the rays e_1, ..., e_b, -(e_1 + ... + e_b), each of
+    weight 1; empty for n > b.  Balance-checked once and cached per (b, n);
+    a bad b raises DimensionMismatchError, an n that is not an int >= 1
+    TypeMismatchError."""
+    blocks = BlockStructure((b,))
+    n = integral_row((n,), TypeMismatchError, "linear space codimension")[0]
+    if n < 1:
+        raise TypeMismatchError(f"linear space codimension {n} < 1")
+    b = blocks.m
+    if n > b:
+        return cyc.empty_cycle(blocks)
+    rays = [*identity_rows(b), (-1,) * b]
+    fan = TropicalCycle(blocks, [
+        WeightedFacet(Polyhedron.from_generators(b, [(0,) * b], rays=cone), 1)
+        for cone in combinations(rays, b - n)])
+    cyc.require_balanced(fan)
+    return fan
 
-    All weights 1; for zero coefficients this is the standard fan with
-    vertex at the origin.
+
+def tropical_hyperplane(coeffs) -> TropicalCycle:
+    """Locus where min(c0, c1+a1, ..., cm+am) is attained at least twice:
+    the standard hyperplane translated to its apex (c0 - c1, ..., c0 - cm),
+    all weights 1, carrying its valid and balanced verdicts.
     """
     coeffs = frac_vec(coeffs, "hyperplane coefficients")
     m = len(coeffs) - 1
     if m < 1:
         raise DimensionMismatchError("need at least two coefficients")
-
-    # the homogenized row (c_l, e_l) of each term c_l + a_l, with e_0 = 0
-    terms = [(c,) + tuple(int(t == l) for t in range(1, m + 1))
-             for l, c in enumerate(coeffs)]
-    facets = []
-    for i, j in combinations(range(m + 1), 2):
-        cell = Polyhedron.from_hrep(
-            m, eqs=[vsub(terms[i], terms[j])],
-            ineqs=[vsub(terms[l], terms[i]) for l in range(m + 1) if l not in (i, j)])
-        if not cell.is_empty and cell.dim == m - 1:
-            facets.append(WeightedFacet(cell, 1))
-    return TropicalCycle(BlockStructure((m,)), facets)
+    return cyc.translate(standard_linear_space(m, 1), [coeffs[0] - c for c in coeffs[1:]])
 
 
 def is_positive_divisor(cycle: TropicalCycle):
@@ -479,8 +496,7 @@ def _candidates(cycle, strategy, seed):
     m = cycle.m
     for part, n in parts:
         if part == "coords":
-            basis = [tuple(1 if t == j else 0 for t in range(m))
-                     for j in range(m)]
+            basis = identity_rows(m)
             for size in range(1, m + 1):
                 for subset in combinations(range(m), size):
                     yield [basis[j] for j in subset]

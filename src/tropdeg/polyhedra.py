@@ -545,11 +545,14 @@ class Polyhedron:
         rows of length m).
 
         A rational matrix is allowed: the images are taken to their
-        ``int_row``.
+        ``int_row``.  A string, ``bool`` or non-finite entry raises
+        ``InputError``.
         """
         m_out = len(matrix)
         if any(len(row) != self.m for row in matrix):
             raise DimensionMismatchError(f"matrix rows are not of length {self.m}")
+        if not all(type(e) is int for row in matrix for e in row):
+            matrix = [frac_vec(row, "matrix row") for row in matrix]
         if self.is_empty:
             return Polyhedron.empty(m_out)
         apply = lambda x: [vdot(row, x) for row in matrix]

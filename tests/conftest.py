@@ -158,6 +158,25 @@ def chain_power(divisor: TropicalCycle, n: int) -> TropicalCycle:
     return power
 
 
+def hyperplane_oracle(coeffs) -> TropicalCycle:
+    """The tropical hyperplane of ``coeffs`` cut out cell by cell: for each
+    pair of terms, the cell where they are equal and no other term is
+    smaller, from the differences of the homogenized term rows (c_l, e_l),
+    e_0 = 0.  The construction that ``tropical_hyperplane`` replaced by a
+    translate of the standard fan; every cell is a facet."""
+    m = len(coeffs) - 1
+    terms = [(Fraction(c),) + tuple(int(t == l) for t in range(1, m + 1))
+             for l, c in enumerate(coeffs)]
+    facets = []
+    for i, j in combinations(range(m + 1), 2):
+        cell = Polyhedron.from_hrep(
+            m, eqs=[vsub(terms[i], terms[j])],
+            ineqs=[vsub(terms[l], terms[i]) for l in range(m + 1) if l not in (i, j)])
+        assert cell.dim == m - 1
+        facets.append(WeightedFacet(cell, 1))
+    return TropicalCycle(BlockStructure((m,)), facets)
+
+
 def fraction_rref(rows) -> tuple[list[list[Fraction]], list[int]]:
     """Reduced row echelon form over Q; returns (rows, pivot columns).
 

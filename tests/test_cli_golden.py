@@ -59,8 +59,10 @@ MULTIDEGREES = [f"multidegree fixtures/{name}.cyc --type {t} --seed {seed}"
 MSUPP = [f"msupp fixtures/{name}.cyc --mode bruteforce" for name in TYPES]
 
 # Divisors read from files: powers of a non-standard divisor (the chain of
-# stable self-intersections) and of a file holding the standard line (the
-# closed-form fan).
+# stable self-intersections), of a file holding the standard line and of
+# one holding a translated line (``translated_line.cyc``, written by
+# ``hyperplane 1/2,-3,0``; the closed-form fan, translated).  The
+# translated line is test data, not a shipped fixture.
 DIVISORS = [
     "multidegree fixtures/example33a.cyc --type 2,0"
     " --divisor 1:fixtures/coordinate_hyperplanes_2.cyc",
@@ -68,7 +70,16 @@ DIVISORS = [
     " --divisor 2:fixtures/coordinate_hyperplanes_2.cyc",
     "multidegree fixtures/example33a.cyc --type 0,2"
     " --divisor 2:fixtures/standard_line.cyc",
+    "multidegree fixtures/example33a.cyc --type 0,2"
+    " --divisor 2:tests/translated_line.cyc",
+    "msupp fixtures/example33a.cyc --mode bruteforce"
+    " --divisor 1:tests/translated_line.cyc",
 ]
+
+# Tropical hyperplanes: zero, integer and rational coefficients in R^1 to
+# R^4; the record pins the written file too.
+HYPERPLANES = [f"hyperplane {coeffs}" for coeffs in
+               ("0,5", "1/2,-3,0,7/3", "3,1,4,1,5", "0,0,0,0,0")]
 
 # The admissibility search, the CLI's user of Minkowski sums, on every
 # shipped fixture with both candidate strategies.
@@ -99,7 +110,7 @@ WRITTEN = [
     "translate fixtures/example33b.cyc 1/2,-2/3,0,7",
 ]
 
-COMMANDS = list(dict.fromkeys(README + MULTIDEGREES + MSUPP + DIVISORS
+COMMANDS = list(dict.fromkeys(README + MULTIDEGREES + MSUPP + DIVISORS + HYPERPLANES
                               + ADMISSIBLE + BALANCE + INTERSECT + WRITTEN))
 
 

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 
 import pytest
 
-from conftest import (chain_power, derived_seed, fixture_path, fresh,
+from conftest import (ROOT, chain_power, derived_seed, fixture_path, fresh,
                       iterated_multidegree, transverse_degree_oracle)
 from tropdeg import cli, cycfile, fixtures, linalg, ops
 from tropdeg.cycles import (
@@ -41,7 +41,7 @@ from tropdeg.multidegree import (
     standard_hyperplane,
     type_vectors,
 )
-from tropdeg.ops import stable_intersect, tropical_hyperplane
+from tropdeg.ops import Rng, stable_intersect, tropical_hyperplane
 from tropdeg.polyhedra import Polyhedron
 
 
@@ -410,8 +410,8 @@ def test_pullback_checks_block_and_divisor():
 
 
 def test_divisor_power_checks_the_exponent():
-    """The exponent is checked before the cache is asked, since ``True``
-    hashes like ``1``: a ``bool`` raises with ``Lambda^1`` cached or not."""
+    """The cache is typed, since ``True`` hashes like ``1``: a ``bool``
+    raises with ``Lambda^1`` cached or not."""
     h = standard_hyperplane(2)
     divisor_power.cache_clear()
     with pytest.raises(TypeMismatchError, match="is not numeric"):
@@ -467,7 +467,7 @@ def test_pullback_carries_marks():
     assert validate_complex(fresh(pb)).ok
     assert check_balancing(fresh(pb)).balanced
 
-    unchecked = pullback(tropical_hyperplane([0, 0, 0]), 2, BlockStructure((1, 2)))
+    unchecked = pullback(fresh(tropical_hyperplane([0, 0, 0])), 2, BlockStructure((1, 2)))
     assert "valid" not in unchecked._cache and "balance" not in unchecked._cache
 
 
@@ -544,7 +544,7 @@ def test_divisor_power():
 def test_divisor_power_continues_from_the_cached_power(monkeypatch):
     """With Lambda^2 cached, Lambda^3 is one more stable intersection."""
     divisor_power.cache_clear()
-    plane = tropical_hyperplane([0, 1, 2, 3])
+    plane = fixtures.coordinate_hyperplanes(3)
     square = divisor_power(plane, 2)
     calls = []
 
@@ -556,7 +556,7 @@ def test_divisor_power_continues_from_the_cached_power(monkeypatch):
     monkeypatch.setattr(ops, "stable_intersect", counting)
     cube = divisor_power(plane, 3)
     assert calls == [(square, plane)]
-    assert cube.dim == 0 and degree0(cube) == 1
+    assert cube.dim == 0 and degree0(cube) == 6
 
 
 @pytest.mark.parametrize("b", range(1, 6))
@@ -574,10 +574,27 @@ def test_standard_powers_match_the_chain(b):
             assert _marks(power) == _marks(chain) == (True, True)
 
 
+@pytest.mark.parametrize("b", range(1, 6))
+def test_translated_hyperplane_powers_match_the_chain(b):
+    """Powers 2 to b + 1 of hyperplanes with rational apexes, in closed
+    form, are the chain's cycles, with its valid and balanced verdicts;
+    past n = b both are empty."""
+    rng = Rng(3301 + b)
+    for _ in range(4):
+        h = tropical_hyperplane(rng.vector(b + 1, num_bound=40, den_bound=6))
+        divisor_power.cache_clear()
+        for n in range(2, b + 2):
+            power, chain = divisor_power(h, n), chain_power(h, n)
+            assert (power.key, power.ambient) == (chain.key, chain.ambient)
+            assert power.is_empty == (n > b)
+            if n <= b:
+                assert _marks(power) == _marks(chain) == (True, True)
+
+
 def test_only_other_divisors_take_the_chain(monkeypatch):
-    """The standard hyperplane, also read from a file, needs no stable
-    intersection for any power; other divisors take n - 1 of them for
-    Lambda^n."""
+    """Tropical hyperplanes, standard or translated, also read from a
+    file, need no stable intersection for any power; other divisors take
+    n - 1 of them for Lambda^n."""
     calls = []
 
     def counting(*args, **kwargs):
@@ -588,12 +605,14 @@ def test_only_other_divisors_take_the_chain(monkeypatch):
     monkeypatch.setattr(ops, "stable_intersect", counting)
     standard = [standard_hyperplane(b) for b in range(1, 5)]
     standard += [cycfile.load(fixture_path(name)) for name in ("standard_line", "standard_plane")]
+    standard += [tropical_hyperplane([0, 1, 2, 3]), tropical_hyperplane([Fraction(1, 2), -3, 0]),
+                 cycfile.load(ROOT / "tests" / "translated_line.cyc")]
     for divisor in standard:
         divisor_power.cache_clear()
         for n in range(divisor.m + 2):
             divisor_power(divisor, n)
     assert calls == []
-    for divisor in (tropical_hyperplane([0, 1, 2, 3]), fixtures.coordinate_hyperplanes(2),
+    for divisor in (fixtures.coordinate_hyperplanes(3), fixtures.coordinate_hyperplanes(2),
                     fixtures.scaled_line(2)):
         divisor_power.cache_clear()
         calls.clear()

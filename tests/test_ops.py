@@ -10,6 +10,7 @@ from conftest import (
     cycle_contains,
     fraction_direction_pool,
     fresh,
+    hyperplane_oracle,
     min_attained_twice,
     random_generators,
     seeded_points,
@@ -32,6 +33,7 @@ from tropdeg.errors import (
     DimensionMismatchError,
     EmptySubsetError,
     InputError,
+    TypeMismatchError,
     UnbalancedCycleError,
     WrongCodimensionError,
     WrongDimensionsError,
@@ -266,6 +268,17 @@ def test_minkowski_rejects_span_vectors_of_wrong_length():
             minkowski_sum_subspace(line, gens)
 
 
+def test_minkowski_span_vectors_must_be_numeric():
+    """Strings, booleans and NaN raise InputError; rational vectors span
+    what their integer multiples span."""
+    line = fixtures.standard_line()
+    want = minkowski_sum_subspace(line, [(1, 0)]).cycle
+    assert minkowski_sum_subspace(line, [(Fraction(1, 2), 0)]).cycle == want
+    for vec in (("1", "0"), (True, False), (math.nan, 0)):
+        with pytest.raises(InputError, match="is not numeric"):
+            minkowski_sum_subspace(line, [vec])
+
+
 def test_projection_dim():
     g = fixtures.example33a()
     assert projection_dim(g, [1]) == 2
@@ -367,6 +380,40 @@ def test_hyperplane_dimension_one():
     pt = tropical_hyperplane([0, 0])
     assert pt.dim == 0 and degree0(pt) == 1
     assert pt.support_facets[0].poly.vertices == ((Fraction(0),),)
+
+
+@pytest.mark.parametrize("m", range(1, 6))
+def test_hyperplane_matches_the_cut_oracle(m):
+    """The standard fan translated to the apex is the cell-by-cell cut:
+    the same cycle key and facet order, for zero coefficients and for 60
+    drawn rational coefficient vectors."""
+    rng = Rng(7001 + m)
+    vectors = [[0] * (m + 1)] + [rng.vector(m + 1, num_bound=40, den_bound=6)
+                                 for _ in range(60)]
+    for coeffs in vectors:
+        got, want = tropical_hyperplane(coeffs), hyperplane_oracle(coeffs)
+        assert (got.key, got.ambient) == (want.key, want.ambient)
+        assert got.facets == want.facets
+
+
+def test_hyperplane_carries_its_verdicts():
+    """A hyperplane is a translate of the balance-checked standard fan, so
+    it carries both verdicts, and the standard one is the fan itself."""
+    assert tropical_hyperplane([0, 0, 0]) is ops.standard_linear_space(2, 1)
+    h = tropical_hyperplane([Fraction(1, 2), -3, 0, Fraction(7, 3)])
+    assert h._cache["valid"].ok and h._cache["balance"].balanced
+    assert cycles.validate_complex(fresh(h)).ok
+    assert check_balancing(fresh(h)).balanced
+
+
+def test_standard_linear_space_checks_its_arguments():
+    for n in (0, -2, 1.5, True, "1"):
+        with pytest.raises(TypeMismatchError):
+            ops.standard_linear_space(2, n)
+    for b in (0, -1, True, "2"):
+        with pytest.raises(DimensionMismatchError):
+            ops.standard_linear_space(b, 1)
+    assert ops.standard_linear_space(2, 3).is_empty
 
 
 def test_positive_divisor():

@@ -6,7 +6,7 @@ import pytest
 from conftest import (coordinate_subspaces, coords_in_rows, random_generators,
                       same_polyhedron, uninterned)
 from tropdeg import fixtures
-from tropdeg.errors import DimensionMismatchError, EmptyPolyhedronError
+from tropdeg.errors import DimensionMismatchError, EmptyPolyhedronError, InputError
 from tropdeg.ops import Rng
 from tropdeg.polyhedra import (Polyhedron, common_refinement, hyperplane_pool,
                                is_covered)
@@ -196,6 +196,16 @@ def test_linear_image_rejects_wrong_row_length():
         for matrix in ([(1,)], [(1, 0, 0)], [(1, 0), (0,)]):
             with pytest.raises(DimensionMismatchError):
                 p.linear_image(matrix)
+
+
+def test_linear_image_matrix_entries_must_be_numeric():
+    """Strings, booleans and NaN in a matrix row raise InputError, on
+    nonempty and empty polyhedra."""
+    diag = Polyhedron.from_generators(2, vertices=[(0, 0)], lineality=[(1, 1)])
+    for p in (diag, Polyhedron.empty(2)):
+        for row in (("1", "0"), (True, False), (float("nan"), 0)):
+            with pytest.raises(InputError, match="matrix row .* is not numeric"):
+                p.linear_image([row])
 
 
 def test_linear_image_of_a_rational_matrix():

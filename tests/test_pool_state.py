@@ -1,11 +1,12 @@
 """Outputs do not depend on what ran before them in the same interpreter.
 
-The intern pool and the ``lru_cache``s of ``multidegree`` are memoization
-only.  The items of the ``md_sweep`` benchmark (generator seeds 0-39: rank
-table, multidegree, criterion and witness key of every type vector) and
-the coordinate-subspace Minkowski sums of generator seeds 0-9 run three
-times in one interpreter: cold, with the pool and the caches cleared;
-warm; and warm in reversed order.  So do the Minkowski sums of
+The intern pool and the caches of ``divisor_power`` and
+``standard_linear_space`` are memoization only.  The items of the
+``md_sweep`` benchmark (generator seeds 0-39: rank table, multidegree,
+criterion and witness key of every type vector) and the
+coordinate-subspace Minkowski sums of generator seeds 0-9 run three times
+in one interpreter: cold, with the pool and the caches cleared; warm; and
+warm in reversed order.  So do the Minkowski sums of
 ``splitting_sums``, whose refinement splits cells: ``Polyhedron.split``
 continues the double description from a start state that each interned
 polyhedron caches.  Every item's output must be the same each time.
@@ -18,8 +19,8 @@ import pytest
 from conftest import coordinate_subspaces, splitting_sums
 from tropdeg import cycfile, fixtures
 from tropdeg.multidegree import (divisor_power, multidegree, positivity_criterion,
-                                 rank_function, standard_hyperplane, type_vectors)
-from tropdeg.ops import minkowski_sum_subspace
+                                 rank_function, type_vectors)
+from tropdeg.ops import minkowski_sum_subspace, standard_linear_space
 from tropdeg.polyhedra import Polyhedron
 
 MD_SEEDS = range(40)
@@ -46,7 +47,7 @@ def _mk_item(cycle, gens):
 
 def _clear_caches():
     divisor_power.cache_clear()
-    standard_hyperplane.cache_clear()
+    standard_linear_space.cache_clear()
 
 
 @pytest.fixture

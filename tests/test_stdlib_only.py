@@ -1,8 +1,9 @@
 """The runtime is stdlib-only: every absolute import in ``src/tropdeg``
 names a module of the standard library, and none of the modules that
 are slow to import (``dataclasses`` pulls in ``inspect``, ``ast``, ``dis``
-and ``tokenize``), so every CLI call starts without them.  The
-double-description format lives behind ``polyhedra``: no other module
+and ``tokenize``), so every CLI call starts without them.  No module
+imports a name it never uses: each CLI process compiles every module.
+The double-description format lives behind ``polyhedra``: no other module
 imports its kernel, and inside ``polyhedra`` only the cut (H->V) and the
 hull (V->H) run it."""
 
@@ -62,6 +63,38 @@ def test_cli_import_loads_no_slow_module():
     proc = subprocess.run([sys.executable, "-S", "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.split() == []
+
+
+def imported_names(path: Path):
+    """(line, bound name) of every import in a file, ``__future__`` aside."""
+    for node in nodes(path):
+        if isinstance(node, ast.Import):
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name.split(".")[0]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            for alias in node.names:
+                yield node.lineno, alias.asname or alias.name
+
+
+def used_names(path: Path) -> set:
+    """The names a file reads, with the names its ``__all__`` exports."""
+    used = set()
+    for node in nodes(path):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Assign) and \
+                any(getattr(t, "id", None) == "__all__" for t in node.targets):
+            used.update(ast.literal_eval(node.value))
+    return used
+
+
+def test_src_imports_no_unused_name():
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    dead = [f"{path.name}:{line}: {name}" for path in files
+            for used in [used_names(path)]
+            for line, name in imported_names(path) if name not in used]
+    assert not dead, "unused imports: " + ", ".join(dead)
 
 
 def test_only_polyhedra_imports_the_double_description():
