@@ -38,11 +38,19 @@ IntVec = tuple[int, ...]
 INFINITE = math.inf
 
 
+def vector_entries(vec, error, what: str) -> tuple:
+    """``tuple(vec)`` for an entry point; a scalar raises ``error``."""
+    try:
+        return tuple(vec)
+    except TypeError:
+        raise error(f"{what} {vec!r} is not a vector") from None
+
+
 def frac_vec(entries, what: str = "vector") -> Vec:
     """The entries as Fractions; raises ``InputError`` when one is a string
     or a ``bool``, which ``Fraction`` would take for a number, or not a
     finite number.  For entry points only: the kernels trust their rows."""
-    entries = tuple(entries)
+    entries = vector_entries(entries, InputError, what)
     try:
         if any(isinstance(e, (str, bytes, bool)) for e in entries):
             raise TypeError
@@ -95,7 +103,7 @@ def _divide_gcd(entries) -> IntVec:
 def integral_row(entries, error, what: str) -> IntVec:
     """The entries as ints; raises ``error`` when one is a string, a
     ``bool`` or not an integral number, where ``int`` would truncate it."""
-    entries = tuple(entries)
+    entries = vector_entries(entries, error, what)
     if all(type(e) is int for e in entries):
         return entries
     try:

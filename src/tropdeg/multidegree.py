@@ -151,7 +151,6 @@ def pullback(divisor: TropicalCycle, block: int,
 DIVISOR_POWER_CACHE_SIZE = 32
 
 
-@lru_cache(maxsize=DIVISOR_POWER_CACHE_SIZE, typed=True)
 def divisor_power(divisor: TropicalCycle, n: int) -> TropicalCycle:
     """Lambda^n: R^b for n = 0, Lambda for n = 1, the standard tropical
     linear space of codimension n translated to v when Lambda is the
@@ -159,17 +158,21 @@ def divisor_power(divisor: TropicalCycle, n: int) -> TropicalCycle:
     support facet (cycle equality, so a file holding it qualifies), and
     ``stable_intersect(Lambda^(n-1), Lambda)`` for any other divisor.
 
-    The exponent is checked first; a negative, non-integral or ``bool``
-    exponent raises TypeMismatchError (the cache is typed, as ``True``
-    hashes like ``1``).  Each power is balance-checked once and cached;
-    cycles hash by their key, and the cache keeps the
-    ``DIVISOR_POWER_CACHE_SIZE`` powers used last.  Each self-intersection
-    of the chain is checked under the default seed's direction by
-    ``stable_intersect``.
+    A negative, non-integral, ``bool`` or unhashable exponent raises
+    TypeMismatchError before the typed cache sees it.  Each power is
+    balance-checked once; the cache (``cache_info``, ``cache_clear``) keeps
+    the ``DIVISOR_POWER_CACHE_SIZE`` used last.  Each self-intersection of
+    the chain is checked under the default seed's direction.
     """
     n = integral_row((n,), TypeMismatchError, "divisor power exponent")[0]
     if n < 0:
         raise TypeMismatchError(f"negative divisor power exponent {n}")
+    return _divisor_power(divisor, n)
+
+
+@lru_cache(maxsize=DIVISOR_POWER_CACHE_SIZE, typed=True)
+def _divisor_power(divisor: TropicalCycle, n: int) -> TropicalCycle:
+    """``divisor_power`` of a checked exponent."""
     if n == 0:
         return _full_space(divisor.m)
     cyc.require_balanced(divisor)
@@ -179,7 +182,11 @@ def divisor_power(divisor: TropicalCycle, n: int) -> TropicalCycle:
         apex = divisor.support_facets[0].poly.vertices[0]
         if divisor == cyc.translate(standard_hyperplane(divisor.m), apex):
             return cyc.translate(ops.standard_linear_space(divisor.m, n), apex)
-    return ops.stable_intersect(divisor_power(divisor, n - 1), divisor)
+    return ops.stable_intersect(_divisor_power(divisor, n - 1), divisor)
+
+
+divisor_power.cache_info, divisor_power.cache_clear, divisor_power.__wrapped__ = (
+    _divisor_power.cache_info, _divisor_power.cache_clear, _divisor_power.__wrapped__)
 
 
 def multidegree(cycle: TropicalCycle, n, divs: DivisorSet | None = None,

@@ -254,8 +254,6 @@ def minkowski_sum_subspace(cycle: TropicalCycle, span_gens) -> PushforwardResult
     L_sigma + L_V (the image of L_sigma x L_V under (x, y) -> x + y).
     """
     cyc.require_balanced(cycle)
-    if any(len(vec) != cycle.m for vec in span_gens):
-        raise DimensionMismatchError(f"span vectors must have length {cycle.m}")
     basis = _span_basis(span_gens, cycle.m)
     if not basis:
         return PushforwardResult(cycle, None)

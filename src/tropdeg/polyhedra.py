@@ -49,6 +49,11 @@ the pool is consulted before the generators are canonicalized, and a
 point set built before costs no generator work.  The empty polyhedron is
 a first-class value.
 
+Covering builds no refinement: ``is_covered`` subtracts the cover's cells
+from the target one by one, split only by crossing rows (``regiondiff``,
+Baotic 2005).  It is exact: a piece left over meets the cell in a nowhere
+dense set, and the union of the later cells is closed.
+
 The face condition of a complex builds no intersection:
 ``meets_off_faces`` cuts one cell by the other's rows and reads the
 result off the tight bitmasks of that cut.  The rows tight on the
@@ -68,11 +73,7 @@ from itertools import combinations
 from operator import and_, mul
 
 from . import linalg
-from .errors import (
-    DimensionMismatchError,
-    EmptyPolyhedronError,
-    InvariantError,
-)
+from .errors import DimensionMismatchError, EmptyPolyhedronError, InputError, InvariantError
 from .linalg import (
     IntVec,
     Vec,
@@ -83,9 +84,9 @@ from .linalg import (
     is_zero_vec,
     reduce_mod,
     rref,
-    sign_normalized,
     vdot,
     vneg,
+    vector_entries,
     vscale,
 )
 
@@ -548,9 +549,8 @@ class Polyhedron:
         ``int_row``.  A string, ``bool`` or non-finite entry raises
         ``InputError``.
         """
+        matrix = [_check_len(row, self.m, "matrix row") for row in matrix]
         m_out = len(matrix)
-        if any(len(row) != self.m for row in matrix):
-            raise DimensionMismatchError(f"matrix rows are not of length {self.m}")
         if not all(type(e) is int for row in matrix for e in row):
             matrix = [frac_vec(row, "matrix row") for row in matrix]
         if self.is_empty:
@@ -625,24 +625,20 @@ class Polyhedron:
         return has_pos, has_neg
 
     def split(self, row: HomRow) -> list["Polyhedron"]:
-        """Pieces of the same dimension on both sides of the hyperplane row."""
-        has_pos, has_neg = self.evaluate_signs(row)
-        if not (has_pos and has_neg):
+        """The pieces ``row >= 0`` and ``row <= 0``, both of the polyhedron's
+        dimension, when the hyperplane row crosses it; else ``[self]``."""
+        if not all(self.evaluate_signs(row)):
             return [self]
-        out = []
-        for signed in (row, vneg(row)):
-            piece = self._cut_canonical((), (signed,))
-            if not piece.is_empty and piece.dim == self.dim:
-                out.append(piece)
-        return out
+        return [self._cut_canonical((), (signed,)) for signed in (row, vneg(row))]
 
 
 # ---------------------------------------------------------------------------
 # canonicalization helpers
 # ---------------------------------------------------------------------------
 
-def _check_len(vec, n, what="vector"):
-    """The vector, after checking that it has length n."""
+def _check_len(vec, n, what="vector") -> tuple:
+    """The vector as a tuple of length n; a scalar raises ``InputError``."""
+    vec = vector_entries(vec, InputError, what)
     if len(vec) != n:
         raise DimensionMismatchError(f"{what} of length {len(vec)}, expected {n}")
     return vec
@@ -652,7 +648,7 @@ def _given_row(vec, n, what) -> IntVec:
     """``int_row`` of a rational vector of length n given to an entry
     point; a string, ``bool`` or non-finite entry raises ``InputError``.
     A tuple of ints is checked by one type scan, as ``int_row`` does."""
-    vec = _check_len(tuple(vec), n, what)
+    vec = _check_len(vec, n, what)
     if all(type(e) is int for e in vec):
         return _divide_gcd(vec)
     return int_row(frac_vec(vec, what))
@@ -661,7 +657,7 @@ def _given_row(vec, n, what) -> IntVec:
 def _point_row(point, m, what="point") -> HomRow:
     """The integer row ``(d, d*x)``, ``d > 0``, of a rational point of R^m;
     a string, ``bool`` or non-finite entry raises ``InputError``."""
-    return int_row((1, *frac_vec(_check_len(tuple(point), m, what), what)))
+    return int_row((1, *frac_vec(_check_len(point, m, what), what)))
 
 
 def _row_point(row: HomRow) -> Vec:
@@ -752,35 +748,6 @@ def _canonical(m, facets, eqs, vert_rows, rays, lineality) -> Polyhedron:
 # ---------------------------------------------------------------------------
 # covering and refinement
 # ---------------------------------------------------------------------------
-
-def hyperplane_pool(polys) -> list[HomRow]:
-    """Deduplicated constraint hyperplanes (equalities and facet rows)."""
-    seen = set()
-    out = []
-    for p in polys:
-        for row in p.eqs + p.ineqs:
-            h = sign_normalized(row)
-            if h not in seen:
-                seen.add(h)
-                out.append(h)
-    return out
-
-
-def refine_by_hyperplanes(cell: Polyhedron, rows) -> list[Polyhedron]:
-    """Subdivide a cell by hyperplanes, keeping pieces of the cell's dimension."""
-    cutting = []
-    for row in rows:
-        has_pos, has_neg = cell.evaluate_signs(row)
-        if has_pos and has_neg:
-            cutting.append(row)
-    pieces = [cell]
-    for row in cutting:
-        nxt = []
-        for p in pieces:
-            nxt.extend(p.split(row))
-        pieces = nxt
-    return pieces
-
 
 def _separates(row: HomRow, p: Polyhedron, sign: int = 1) -> bool:
     """Whether ``sign * row`` is negative on the whole of p, a polyhedron
@@ -898,7 +865,10 @@ def common_refinement(cells) -> list[Polyhedron]:
         out, carried = {}, {}
         for idx, cell in enumerate(current):
             cut = cuts.get(idx, set())
-            for piece in refine_by_hyperplanes(cell, sorted(cut)):
+            pieces = [cell]
+            for row in sorted(r for r in cut if all(cell.evaluate_signs(r))):  # crossing the cell
+                pieces = [q for piece in pieces for q in piece.split(row)]
+            for piece in pieces:
                 out.setdefault(piece.key, piece)
                 carried.setdefault(piece.key, set()).update(rows[cell.key], cut)
         rows = carried
@@ -919,15 +889,31 @@ def refine_cells(cells) -> list[tuple[Polyhedron, tuple[int, ...]]]:
 
 
 def is_covered(target: Polyhedron, cover) -> bool:
-    """Exact test for target being a subset of the union of the cover."""
+    """Exact test for target being a subset of the union of the cover, by
+    subtraction over a worklist of (piece, first cell to test) pairs.  A
+    cell is skipped when it is empty, ``quickly_disjoint`` from the piece,
+    or meets it in lower dimension (an equality, or an inequality positive
+    nowhere, is nonzero on it); each inequality crossing the piece splits
+    off the ``row <= 0`` side for the next cell."""
     cover = list(cover)
-    for p in cover:
-        if p.m != target.m:
-            raise DimensionMismatchError("cover member in a different ambient space")
-    if target.is_empty:
-        return True
-    for cell in refine_by_hyperplanes(target, hyperplane_pool(cover)):
-        row = cell.interior_row()
-        if not any(p.contains_row(row) for p in cover):
-            return False
+    if any(p.m != target.m for p in cover):
+        raise DimensionMismatchError("cover member in a different ambient space")
+    work = [] if target.is_empty else [(target, 0)]
+    while work:
+        t, first = work.pop()
+        for i, cell in enumerate(cover[first:], first):
+            if (cell.is_empty or quickly_disjoint(t, cell)
+                    or any(any(t.evaluate_signs(e)) for e in cell.eqs)):
+                continue
+            for row in cell.ineqs:
+                has_pos, has_neg = t.evaluate_signs(row)
+                if has_neg and not has_pos:
+                    break                       # t meets the cell in lower dimension
+                if has_neg:
+                    t, outside = t.split(row)
+                    work.append((outside, i + 1))
+            else:
+                break                           # t lies in the cell
+        else:
+            return False                        # no cell covers t
     return True

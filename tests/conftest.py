@@ -16,15 +16,15 @@ from tropdeg.cycles import (BlockStructure, TropicalCycle, WeightedFacet,
 from tropdeg.errors import (DimensionMismatchError, InputError, InvariantError,
                             SeedDependenceError)
 from tropdeg.linalg import (IntVec, int_row, integral_row, is_zero_vec,
-                            lattice_index, primitive, rref, saturate, snf, vdot,
-                            vneg, vsub)
+                            lattice_index, primitive, rref, saturate,
+                            sign_normalized, snf, vdot, vneg, vsub)
 from tropdeg.multidegree import DivisorSet, pullback
 from tropdeg.ops import (_MASK64, _SEED_STRIDE, PushforwardResult, Rng,
                          _check_seed, _towards, pushforward_linear,
                          stable_intersect, tropical_hyperplane)
 from tropdeg.polyhedra import (Polyhedron, _canon_eqs, _canon_generators,
                                _canon_ineqs, _canonical, _check_len, _point_row,
-                               dual_description, refine_by_hyperplanes)
+                               dual_description)
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURE_DIR = ROOT / "fixtures"
@@ -626,6 +626,32 @@ def _support_faces(cycle: TropicalCycle):
         for face in f.poly.all_faces():
             seen.setdefault(face.key, face)
     return list(seen.values())
+
+
+def refine_by_hyperplanes(cell: Polyhedron, rows) -> list[Polyhedron]:
+    """Subdivide a cell by hyperplanes, keeping pieces of the cell's
+    dimension.  Retired from ``tropdeg.polyhedra``, where
+    ``common_refinement`` splits its cells itself."""
+    cutting = [row for row in rows if all(cell.evaluate_signs(row))]
+    pieces = [cell]
+    for row in cutting:
+        pieces = [q for p in pieces for q in p.split(row)]
+    return pieces
+
+
+def covered_oracle(target: Polyhedron, cover) -> bool:
+    """Whether target lies in the union of the cover: refine the target by
+    every equality and facet hyperplane of the cover, then test the
+    interior point of each piece.  ``polyhedra.is_covered`` used this rule
+    before it covered by subtraction; kept as a differential oracle."""
+    cover = list(cover)
+    if any(p.m != target.m for p in cover):
+        raise DimensionMismatchError("cover member in a different ambient space")
+    if target.is_empty:
+        return True
+    pool = dict.fromkeys(sign_normalized(r) for p in cover for r in p.eqs + p.ineqs)
+    return all(any(p.contains_row(piece.interior_row()) for p in cover)
+               for piece in refine_by_hyperplanes(target, pool))
 
 
 def refine_against(cycle: TropicalCycle, hyperplanes) -> TropicalCycle:

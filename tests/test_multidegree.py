@@ -237,6 +237,31 @@ def test_booleans_are_not_numbers(case):
         call()
 
 
+SCALARS = {
+    "point": (InputError, lambda: Polyhedron.point(5)),
+    "vertex": (InputError, lambda: Polyhedron.from_generators(2, vertices=[1])),
+    "translation": (InputError, lambda: Polyhedron.point((0, 0)).translate(3)),
+    "coefficients": (InputError, lambda: tropical_hyperplane(3)),
+    "span_vector": (InputError,
+                    lambda: ops.minkowski_sum_subspace(fixtures.standard_line(), [1, 0])),
+    "matrix_row": (InputError, lambda: Polyhedron.point((0, 0)).linear_image([1, 0])),
+    "pushforward_matrix_row": (InputError, lambda: ops.pushforward_linear(
+        fixtures.standard_line(), [1, 0], BlockStructure((2,)))),
+    "frac_vec": (InputError, lambda: linalg.frac_vec(3)),
+    "integral_row": (InputError, lambda: linalg.integral_row(3, InputError, "x")),
+    "block_sizes": (DimensionMismatchError, lambda: BlockStructure(3)),
+}
+
+
+@pytest.mark.parametrize("case", sorted(SCALARS))
+def test_scalars_are_not_vectors(case):
+    """A scalar passed where a vector belongs raises the error class of
+    the argument it was passed as, not a bare ``TypeError``."""
+    error, call = SCALARS[case]
+    with pytest.raises(error, match="is not a vector"):
+        call()
+
+
 @pytest.mark.parametrize("value", [float("inf"), float("-inf"), float("nan"), 1j])
 def test_non_finite_entries_are_not_numbers(value):
     """The rational entry points raise ``InputError``, not the bare
@@ -417,7 +442,7 @@ def test_divisor_power_checks_the_exponent():
     with pytest.raises(TypeMismatchError, match="is not numeric"):
         divisor_power(h, True)
     assert divisor_power(h, 1.0) is divisor_power(h, 1) is h
-    for n in (-1, -5, 1.5, Fraction(1, 2), True, False):
+    for n in (-1, -5, 1.5, Fraction(1, 2), True, False, [1], {}):
         with pytest.raises(TypeMismatchError):
             divisor_power(h, n)
 

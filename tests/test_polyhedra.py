@@ -8,8 +8,7 @@ from conftest import (coordinate_subspaces, coords_in_rows, random_generators,
 from tropdeg import fixtures
 from tropdeg.errors import DimensionMismatchError, EmptyPolyhedronError, InputError
 from tropdeg.ops import Rng
-from tropdeg.polyhedra import (Polyhedron, common_refinement, hyperplane_pool,
-                               is_covered)
+from tropdeg.polyhedra import Polyhedron, common_refinement, is_covered
 
 
 def test_unit_square_h_to_v():
@@ -411,7 +410,7 @@ def _assert_refines(cells):
     assert validate_complex(complex_).ok
     assert all(is_covered(cell, pieces) for cell in cells)
     assert all(is_covered(piece, cells) for piece in pieces)
-    pool = hyperplane_pool(cells)
+    pool = {r for cell in cells for r in cell.eqs + cell.ineqs}
     for p in pieces:
         for f in p.all_faces():
             if f.dim == d - 1:

@@ -11,6 +11,7 @@ import ast
 import os
 import subprocess
 import sys
+from collections import namedtuple
 from pathlib import Path
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "tropdeg"
@@ -122,3 +123,32 @@ def test_only_the_cut_and_the_hull_run_the_double_description():
     assert callers == {"Polyhedron._cut", "Polyhedron._from_generator_rows"}
     # and no call outside those methods
     assert dd_calls(tree) == sum(dd_calls(methods[name]) for name in callers)
+
+
+def referenced_names(path: Path):
+    """Every name a file reads, and every attribute it looks up."""
+    for node in nodes(path):
+        if isinstance(node, ast.Name):
+            yield node.id
+        elif isinstance(node, ast.Attribute):
+            yield node.attr
+
+
+#: private names of the ``namedtuple`` API, which the records override
+#: for ``_replace`` to call
+NAMEDTUPLE_API = set(dir(namedtuple("Record", "")))
+
+
+def test_src_defines_no_unreferenced_private_helper():
+    """Every private (``_name``) function, method or class of the library
+    is referenced somewhere in it: a helper whose last caller is gone goes
+    with it.  Overrides of the ``namedtuple`` API are exempt."""
+    files = sorted(SRC.glob("*.py"))
+    assert files
+    referenced = {name for path in files for name in referenced_names(path)}
+    dead = [f"{path.name}:{node.lineno}: {node.name}" for path in files
+            for node in nodes(path)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.startswith("__")
+            and node.name not in referenced | NAMEDTUPLE_API]
+    assert not dead, "unreferenced private helpers: " + ", ".join(dead)
