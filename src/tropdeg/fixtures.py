@@ -176,8 +176,7 @@ def generate_admissible(seed: int, max_m: int = 6, max_k: int = 3) -> TropicalCy
 def _block_cycle(rng: Rng, b: int) -> TropicalCycle:
     """A small admissible cycle in R^b."""
     choice = rng.randint(0, 3)
-    full = TropicalCycle(BlockStructure((b,)),
-                         [WeightedFacet(Polyhedron.full_space(b), 1)])
+    full = ops.standard_linear_space(b, 0)
     if choice == 0 or b == 1 and choice == 3:
         return full
     if choice == 1:

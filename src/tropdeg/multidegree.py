@@ -8,7 +8,8 @@ this equals the degree of C cut by n_i pullbacks of each divisor.  The
 powers of any tropical hyperplane, the standard fan translated to its apex
 (c0 - c_i), are the standard tropical linear spaces translated to that apex;
 any other divisor's power is the chain of n_i - 1 stable self-intersections.
-The divisor powers are cached per (divisor, n_i), a bounded number of them.
+R^b is ``standard_linear_space(b, 0)``, and the powers n_i >= 2 are memoized
+on their divisor, so they live as long as it does.
 The rank function I -> dim pi_I tabulates projection dimensions over all
 block subsets; the criterion compares the two.  The criterion's positivity
 prediction is only valid for translation-admissible cycles, and its
@@ -18,7 +19,6 @@ result object says so.
 from __future__ import annotations
 
 from collections import namedtuple
-from functools import lru_cache
 from itertools import product
 
 from . import cycles as cyc
@@ -31,7 +31,6 @@ from .errors import (
     WrongDimensionError,
 )
 from .linalg import integral_row
-from .polyhedra import Polyhedron
 
 ADMISSIBILITY_CAVEAT = (
     "positivity prediction is valid only for translation-admissible cycles")
@@ -119,18 +118,6 @@ def standard_hyperplane(b: int) -> TropicalCycle:
     return ops.standard_linear_space(b, 1)
 
 
-def _full_space(b: int) -> TropicalCycle:
-    """R^b as a cycle with one unit-weight facet, validated and balance-checked.
-
-    The checks are trivial (one facet, no codimension-1 face) and let
-    products with it carry both marks.
-    """
-    full = TropicalCycle(BlockStructure((b,)),
-                         [WeightedFacet(Polyhedron.full_space(b), 1)])
-    cyc.require_balanced(full)
-    return full
-
-
 def pullback(divisor: TropicalCycle, block: int,
              blocks: BlockStructure) -> TropicalCycle:
     """divisor x product of the other blocks' full spaces, one product over ``blocks``.
@@ -142,51 +129,41 @@ def pullback(divisor: TropicalCycle, block: int,
     if divisor.m != size:
         raise DimensionMismatchError(
             f"divisor in R^{divisor.m} for block {block} of size {size}")
-    return cyc.product(*(divisor if i == block else _full_space(b)
+    return cyc.product(*(divisor if i == block else ops.standard_linear_space(b, 0)
                          for i, b in enumerate(blocks.blocks, 1)), blocks=blocks)
 
 
-#: powers kept by ``divisor_power``; the standard divisors of blocks of
-#: sizes 1-3 need 9, and other divisors evict the least recently used
-DIVISOR_POWER_CACHE_SIZE = 32
-
-
 def divisor_power(divisor: TropicalCycle, n: int) -> TropicalCycle:
-    """Lambda^n: R^b for n = 0, Lambda for n = 1, the standard tropical
-    linear space of codimension n translated to v when Lambda is the
-    standard hyperplane translated to v, the first vertex of its first
-    support facet (cycle equality, so a file holding it qualifies), and
-    ``stable_intersect(Lambda^(n-1), Lambda)`` for any other divisor.
+    """Lambda^n: R^b (``standard_linear_space(b, 0)``) for n = 0, Lambda
+    for n = 1, the standard tropical linear space of codimension n
+    translated to v when Lambda is the standard hyperplane translated to v,
+    the first vertex of its first support facet (cycle equality, so a file
+    holding it qualifies), and ``stable_intersect(Lambda^(n-1), Lambda)``
+    for any other divisor.
 
-    A negative, non-integral, ``bool`` or unhashable exponent raises
-    TypeMismatchError before the typed cache sees it.  Each power is
-    balance-checked once; the cache (``cache_info``, ``cache_clear``) keeps
-    the ``DIVISOR_POWER_CACHE_SIZE`` used last.  Each self-intersection of
-    the chain is checked under the default seed's direction.
+    A negative, non-integral or ``bool`` exponent raises
+    TypeMismatchError.  Each power is balance-checked once.  The powers
+    n >= 2 are memoized on the divisor (``_cache["powers"]``), so they live
+    as long as it does and the chain continues from the memoized
+    Lambda^(n-1); each self-intersection of the chain is checked under the
+    default seed's direction.
     """
     n = integral_row((n,), TypeMismatchError, "divisor power exponent")[0]
     if n < 0:
         raise TypeMismatchError(f"negative divisor power exponent {n}")
-    return _divisor_power(divisor, n)
-
-
-@lru_cache(maxsize=DIVISOR_POWER_CACHE_SIZE, typed=True)
-def _divisor_power(divisor: TropicalCycle, n: int) -> TropicalCycle:
-    """``divisor_power`` of a checked exponent."""
     if n == 0:
-        return _full_space(divisor.m)
+        return ops.standard_linear_space(divisor.m, 0)
     cyc.require_balanced(divisor)
     if n == 1:
         return divisor
-    if not divisor.is_empty:
-        apex = divisor.support_facets[0].poly.vertices[0]
-        if divisor == cyc.translate(standard_hyperplane(divisor.m), apex):
-            return cyc.translate(ops.standard_linear_space(divisor.m, n), apex)
-    return ops.stable_intersect(_divisor_power(divisor, n - 1), divisor)
-
-
-divisor_power.cache_info, divisor_power.cache_clear, divisor_power.__wrapped__ = (
-    _divisor_power.cache_info, _divisor_power.cache_clear, _divisor_power.__wrapped__)
+    powers = divisor._cache.setdefault("powers", {})
+    if n not in powers:
+        apex = None if divisor.is_empty else divisor.support_facets[0].poly.vertices[0]
+        if apex is not None and divisor == cyc.translate(standard_hyperplane(divisor.m), apex):
+            powers[n] = cyc.translate(ops.standard_linear_space(divisor.m, n), apex)
+        else:
+            powers[n] = ops.stable_intersect(divisor_power(divisor, n - 1), divisor)
+    return powers[n]
 
 
 def multidegree(cycle: TropicalCycle, n, divs: DivisorSet | None = None,

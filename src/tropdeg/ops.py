@@ -37,7 +37,7 @@ from .errors import (
 from .linalg import (frac_vec, identity_rows, integral_row, is_zero_vec,
                      primitive, rank, reduce_mod, rref, saturate, sign_normalized,
                      vdot, vneg)
-from .polyhedra import Polyhedron, _given_row, is_covered, refine_cells
+from .polyhedra import Polyhedron, _given_rows, is_covered, refine_cells
 
 _MASK64 = (1 << 64) - 1
 _SEED_STRIDE = 0x9E3779B97F4A7C15
@@ -233,7 +233,8 @@ def pushforward_linear(cycle: TropicalCycle, matrix,
     """Image cycle under an integer linear map (rows of length m): each
     facet's image through ``_image_cycle``."""
     cyc.require_balanced(cycle)
-    matrix = [integral_row(row, InputError, "matrix row") for row in matrix]
+    matrix = [integral_row(row, InputError, "matrix row")
+              for row in linalg.vector_entries(matrix, InputError, "matrix")]
     if len(matrix) != out_blocks.m or any(len(r) != cycle.m for r in matrix):
         raise DimensionMismatchError("matrix shape does not match the map")
     return _image_cycle(_linear_images(cycle, matrix), out_blocks)
@@ -267,8 +268,7 @@ def _span_basis(gens, m: int) -> tuple:
     ``saturate``.  The facet sums and their lattices do not depend on
     which basis of L_V is taken.  A string, ``bool`` or non-finite entry
     raises ``InputError``."""
-    rows = tuple(r for r in (_given_row(g, m, "span vector") for g in gens)
-                 if not is_zero_vec(r))
+    rows = tuple(r for r in _given_rows(gens, m, "span vector") if not is_zero_vec(r))
     diagonal = linalg.snf_diagonal(rows) if rows else ()
     if len(diagonal) == len(rows) and all(d == 1 for d in diagonal):
         return rows
@@ -363,22 +363,23 @@ def projection_pushforward(cycle: TropicalCycle, subset) -> PushforwardResult:
 @lru_cache(maxsize=None, typed=True)
 def standard_linear_space(b: int, n: int) -> TropicalCycle:
     """The standard tropical linear space of codimension n in R^b, the
-    n-fold stable self-intersection of the standard hyperplane: the cones
-    spanned by b - n of the rays e_1, ..., e_b, -(e_1 + ... + e_b), each of
-    weight 1; empty for n > b.  Balance-checked once and cached per (b, n);
-    a bad b raises DimensionMismatchError, an n that is not an int >= 1
+    n-fold stable self-intersection of the standard hyperplane: R^b as one
+    facet of weight 1 for n = 0, else the cones spanned by b - n of the
+    rays e_1, ..., e_b, -(e_1 + ... + e_b), each of weight 1; empty for
+    n > b.  Balance-checked once and cached per (b, n); a bad b raises
+    DimensionMismatchError, an n that is not an int >= 0
     TypeMismatchError."""
     blocks = BlockStructure((b,))
     n = integral_row((n,), TypeMismatchError, "linear space codimension")[0]
-    if n < 1:
-        raise TypeMismatchError(f"linear space codimension {n} < 1")
+    if n < 0:
+        raise TypeMismatchError(f"negative linear space codimension {n}")
     b = blocks.m
     if n > b:
         return cyc.empty_cycle(blocks)
     rays = [*identity_rows(b), (-1,) * b]
-    fan = TropicalCycle(blocks, [
-        WeightedFacet(Polyhedron.from_generators(b, [(0,) * b], rays=cone), 1)
-        for cone in combinations(rays, b - n)])
+    cones = [Polyhedron.from_generators(b, [(0,) * b], rays=cone)
+             for cone in combinations(rays, b - n)] if n else [Polyhedron.full_space(b)]
+    fan = TropicalCycle(blocks, [WeightedFacet(cone, 1) for cone in cones])
     cyc.require_balanced(fan)
     return fan
 

@@ -241,8 +241,7 @@ class Polyhedron:
     def from_hrep(cls, m: int, ineqs=(), eqs=()) -> "Polyhedron":
         """Polyhedron {x : c0 + c.x >= 0 for ineqs, == 0 for eqs}; zero
         rows hold everywhere and are dropped, as they take no mask bit."""
-        rows = lambda given: [r for r in (_given_row(r, m + 1, "constraint row")
-                                          for r in given) if any(r)]
+        rows = lambda given: [r for r in _given_rows(given, m + 1, "constraint row") if any(r)]
         return cls.full_space(m)._cut_canonical(rows(eqs), rows(ineqs))
 
     @classmethod
@@ -251,9 +250,10 @@ class Polyhedron:
 
         At least one vertex is required for a nonempty result.
         """
-        rows = [_point_row(v, m, "vertex") for v in vertices]
-        ray_vecs = [_given_row(r, m, "ray") for r in rays]
-        lin_vecs = [_given_row(l, m, "lineality vector") for l in lineality]
+        rows = [_point_row(v, m, "vertex")
+                for v in vector_entries(vertices, InputError, "vertices")]
+        ray_vecs = _given_rows(rays, m, "ray")
+        lin_vecs = _given_rows(lineality, m, "lineality vector")
         return cls._from_generator_rows(m, rows, ray_vecs, lin_vecs)
 
     @classmethod
@@ -549,7 +549,8 @@ class Polyhedron:
         ``int_row``.  A string, ``bool`` or non-finite entry raises
         ``InputError``.
         """
-        matrix = [_check_len(row, self.m, "matrix row") for row in matrix]
+        matrix = [_check_len(row, self.m, "matrix row")
+                  for row in vector_entries(matrix, InputError, "matrix")]
         m_out = len(matrix)
         if not all(type(e) is int for row in matrix for e in row):
             matrix = [frac_vec(row, "matrix row") for row in matrix]
@@ -652,6 +653,12 @@ def _given_row(vec, n, what) -> IntVec:
     if all(type(e) is int for e in vec):
         return _divide_gcd(vec)
     return int_row(frac_vec(vec, what))
+
+
+def _given_rows(vecs, n, what) -> list:
+    """``_given_row`` of each vector of a sequence given to an entry point;
+    a scalar in place of the sequence raises ``InputError``."""
+    return [_given_row(v, n, what) for v in vector_entries(vecs, InputError, what + "s")]
 
 
 def _point_row(point, m, what="point") -> HomRow:
@@ -892,9 +899,11 @@ def is_covered(target: Polyhedron, cover) -> bool:
     """Exact test for target being a subset of the union of the cover, by
     subtraction over a worklist of (piece, first cell to test) pairs.  A
     cell is skipped when it is empty, ``quickly_disjoint`` from the piece,
-    or meets it in lower dimension (an equality, or an inequality positive
-    nowhere, is nonzero on it); each inequality crossing the piece splits
-    off the ``row <= 0`` side for the next cell."""
+    or meets it in lower dimension (an equality is nonzero on it, or an
+    inequality is negative somewhere and positive nowhere on it), which is
+    tested before any split; each inequality crossing the piece splits off
+    the ``row <= 0`` side for the next cell, and the rest of the piece is
+    tested again by the cell's later rows."""
     cover = list(cover)
     if any(p.m != target.m for p in cover):
         raise DimensionMismatchError("cover member in a different ambient space")
@@ -905,10 +914,13 @@ def is_covered(target: Polyhedron, cover) -> bool:
             if (cell.is_empty or quickly_disjoint(t, cell)
                     or any(any(t.evaluate_signs(e)) for e in cell.eqs)):
                 continue
-            for row in cell.ineqs:
+            signs = [t.evaluate_signs(row) for row in cell.ineqs]
+            if any(neg and not pos for pos, neg in signs):
+                continue                        # t meets the cell in lower dimension
+            for row in (row for row, (_, neg) in zip(cell.ineqs, signs) if neg):
                 has_pos, has_neg = t.evaluate_signs(row)
                 if has_neg and not has_pos:
-                    break                       # t meets the cell in lower dimension
+                    break                       # so does the rest of t
                 if has_neg:
                     t, outside = t.split(row)
                     work.append((outside, i + 1))

@@ -144,7 +144,7 @@ def chain_power(divisor: TropicalCycle, n: int) -> TropicalCycle:
 
     The construction that ``divisor_power`` keeps for other divisors and
     replaces by a closed form for the standard hyperplane; written out
-    here, without ``divisor_power``'s cache, as that closed form's oracle.
+    here, with nothing memoized, as that closed form's oracle.
     """
     if n == 0:
         power = TropicalCycle(BlockStructure((divisor.m,)),

@@ -3,6 +3,7 @@ refine-then-point-test rule it replaced, and the admissibility verdicts
 that read it pinned by a digest."""
 
 import hashlib
+from fractions import Fraction
 
 import pytest
 
@@ -128,11 +129,16 @@ def test_cover_member_in_another_space_raises():
             covered(Polyhedron.empty(2), [Polyhedron.empty(3)])
 
 
-def test_target_inside_one_cell_costs_only_sign_tests(monkeypatch):
-    """A disjoint cell, a cell that meets the target in an edge and one
-    that holds it: no ``split``, and no polyhedron is built."""
+@pytest.mark.parametrize("cover", [
+    [_box((5, 5), (6, 6)), _box((2, 0), (3, 4)), _box((0, 0), (4, 4))],
+    # the row of x >= 3/2 crosses the target and sorts before y <= 1
+    [_box((Fraction(3, 2), -5), (10, 1)), _box((0, 0), (4, 4))],
+], ids=["edge", "crossing_row_first"])
+def test_target_inside_one_cell_costs_only_sign_tests(cover, monkeypatch):
+    """A disjoint cell, cells that meet the target in an edge, the second
+    of them with a row crossing it, and one that holds it: no ``split``,
+    and no polyhedron is built."""
     target = _box((1, 1), (2, 3))
-    cover = [_box((5, 5), (6, 6)), _box((2, 0), (3, 4)), _box((0, 0), (4, 4))]
 
     def no_split(self, row):
         raise AssertionError(f"split by {row}")

@@ -19,7 +19,6 @@ import pytest
 
 from conftest import concrete_direction, in_row_cone, low_face_spans
 from tropdeg import fixtures, ops
-from tropdeg import multidegree as md
 from tropdeg.linalg import vdot
 from tropdeg.multidegree import multidegree, type_vectors
 
@@ -54,8 +53,8 @@ def intersections():
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(ops, "_displacement_flags", record_flags)
         mp.setattr(ops, "stable_intersect", record)
-        # powers cached by earlier tests would skip their intersections
-        md.divisor_power.cache_clear()
+        # fresh standard divisors, with no power memoized on them by earlier tests
+        ops.standard_linear_space.cache_clear()
         for seed in SEEDS:
             cycle = fixtures.generate_admissible(seed)
             for n in type_vectors(cycle):

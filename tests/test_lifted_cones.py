@@ -22,7 +22,6 @@ import pytest
 
 from conftest import box_rows, displacement_cone_oracle
 from tropdeg import fixtures, ops
-from tropdeg import multidegree as md
 from tropdeg.linalg import vdot
 from tropdeg.multidegree import multidegree, type_vectors
 from tropdeg.polyhedra import Polyhedron
@@ -50,8 +49,8 @@ def _record(run):
 
 
 def _multidegrees():
-    # powers cached by earlier tests would skip their intersections
-    md.divisor_power.cache_clear()
+    # fresh standard divisors, with no power memoized on them by earlier tests
+    ops.standard_linear_space.cache_clear()
     for seed in GENERATOR_SEEDS:
         cycle = fixtures.generate_admissible(seed)
         for n in type_vectors(cycle):

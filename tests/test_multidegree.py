@@ -1,5 +1,6 @@
 from fractions import Fraction
 import contextlib
+import gc
 import io
 import itertools
 import json
@@ -26,7 +27,6 @@ from tropdeg.errors import (BadBlockIndexError, DimensionMismatchError,
                             NonPositiveDivisorError, SeedDependenceError,
                             TypeMismatchError)
 from tropdeg.multidegree import (
-    DIVISOR_POWER_CACHE_SIZE,
     DivisorSet,
     _check_type,
     check_submodular,
@@ -250,6 +250,14 @@ SCALARS = {
     "frac_vec": (InputError, lambda: linalg.frac_vec(3)),
     "integral_row": (InputError, lambda: linalg.integral_row(3, InputError, "x")),
     "block_sizes": (DimensionMismatchError, lambda: BlockStructure(3)),
+    # a scalar in place of a list of vectors
+    "vertices": (InputError, lambda: Polyhedron.from_generators(2, vertices=5)),
+    "constraint_rows": (InputError, lambda: Polyhedron.from_hrep(2, ineqs=5)),
+    "matrix": (InputError, lambda: Polyhedron.point((0, 0)).linear_image(5)),
+    "span_vectors": (InputError,
+                     lambda: ops.minkowski_sum_subspace(fixtures.standard_line(), 5)),
+    "pushforward_matrix": (InputError, lambda: ops.pushforward_linear(
+        fixtures.standard_line(), 5, BlockStructure((2,)))),
 }
 
 
@@ -435,10 +443,8 @@ def test_pullback_checks_block_and_divisor():
 
 
 def test_divisor_power_checks_the_exponent():
-    """The cache is typed, since ``True`` hashes like ``1``: a ``bool``
-    raises with ``Lambda^1`` cached or not."""
+    """A ``bool`` raises, though ``True == 1``."""
     h = standard_hyperplane(2)
-    divisor_power.cache_clear()
     with pytest.raises(TypeMismatchError, match="is not numeric"):
         divisor_power(h, True)
     assert divisor_power(h, 1.0) is divisor_power(h, 1) is h
@@ -567,8 +573,8 @@ def test_divisor_power():
 
 
 def test_divisor_power_continues_from_the_cached_power(monkeypatch):
-    """With Lambda^2 cached, Lambda^3 is one more stable intersection."""
-    divisor_power.cache_clear()
+    """With Lambda^2 memoized on the divisor, Lambda^3 is one more stable
+    intersection."""
     plane = fixtures.coordinate_hyperplanes(3)
     square = divisor_power(plane, 2)
     calls = []
@@ -590,7 +596,6 @@ def test_standard_powers_match_the_chain(b):
     chain's cycles, with its valid and balanced verdicts; past n = b both
     are empty."""
     h = standard_hyperplane(b)
-    divisor_power.cache_clear()
     for n in range(b + 2):
         power, chain = divisor_power(h, n), chain_power(h, n)
         assert (power.key, power.ambient) == (chain.key, chain.ambient)
@@ -607,7 +612,6 @@ def test_translated_hyperplane_powers_match_the_chain(b):
     rng = Rng(3301 + b)
     for _ in range(4):
         h = tropical_hyperplane(rng.vector(b + 1, num_bound=40, den_bound=6))
-        divisor_power.cache_clear()
         for n in range(2, b + 2):
             power, chain = divisor_power(h, n), chain_power(h, n)
             assert (power.key, power.ambient) == (chain.key, chain.ambient)
@@ -628,37 +632,40 @@ def test_only_other_divisors_take_the_chain(monkeypatch):
 
     real = ops.stable_intersect
     monkeypatch.setattr(ops, "stable_intersect", counting)
-    standard = [standard_hyperplane(b) for b in range(1, 5)]
+    # fresh copies of the cached standard hyperplanes, with no powers memoized
+    standard = [fresh(standard_hyperplane(b)) for b in range(1, 5)]
     standard += [cycfile.load(fixture_path(name)) for name in ("standard_line", "standard_plane")]
     standard += [tropical_hyperplane([0, 1, 2, 3]), tropical_hyperplane([Fraction(1, 2), -3, 0]),
                  cycfile.load(ROOT / "tests" / "translated_line.cyc")]
     for divisor in standard:
-        divisor_power.cache_clear()
         for n in range(divisor.m + 2):
             divisor_power(divisor, n)
     assert calls == []
     for divisor in (fixtures.coordinate_hyperplanes(3), fixtures.coordinate_hyperplanes(2),
                     fixtures.scaled_line(2)):
-        divisor_power.cache_clear()
         calls.clear()
         power = divisor_power(divisor, divisor.m)
         assert len(calls) == divisor.m - 1
         assert power == chain_power(divisor, divisor.m)
 
 
-def test_divisor_power_cache_is_bounded():
-    """More distinct divisors than the cache holds: it stays within its
-    bound, and every power, evicted or not, equals a fresh computation."""
-    lines = [tropical_hyperplane([0, a, 0]) for a in range(DIVISOR_POWER_CACHE_SIZE + 5)]
-    powers = []
-    for line in lines:
-        powers.append(divisor_power(line, 2))
-        assert divisor_power.cache_info().currsize <= DIVISOR_POWER_CACHE_SIZE
-    assert divisor_power.cache_info().maxsize == DIVISOR_POWER_CACHE_SIZE
-    for line, power in zip(lines, powers):
-        fresh_power = divisor_power.__wrapped__(line, 2)
-        assert power.dim == 0 and degree0(power) == 1
-        assert power == fresh_power == divisor_power(line, 2)
+def test_divisor_powers_live_on_their_divisor():
+    """Powers are memoized on their divisor and freed with it: building 40
+    translated ``coordinate_hyperplanes(2)`` and their squares, then
+    dropping them, leaves no more ``TropicalCycle`` alive than before."""
+    def live_cycles():
+        gc.collect()
+        return sum(isinstance(o, TropicalCycle) for o in gc.get_objects())
+
+    base = fixtures.coordinate_hyperplanes(2)
+    standard_hyperplane(2)      # cached once; the closed-form test reads it
+    before = live_cycles()
+    for a in range(1, 41):
+        divisor = translate(base, (a, 0))
+        square = divisor_power(divisor, 2)
+        assert degree0(square) == 2 and divisor_power(divisor, 2) is square
+    del divisor, square
+    assert live_cycles() == before
 
 
 # --- differential tests against the iterated chain of intersections --------

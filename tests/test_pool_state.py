@@ -1,12 +1,13 @@
 """Outputs do not depend on what ran before them in the same interpreter.
 
-The intern pool and the caches of ``divisor_power`` and
-``standard_linear_space`` are memoization only.  The items of the
-``md_sweep`` benchmark (generator seeds 0-39: rank table, multidegree,
-criterion and witness key of every type vector) and the
-coordinate-subspace Minkowski sums of generator seeds 0-9 run three times
-in one interpreter: cold, with the pool and the caches cleared; warm; and
-warm in reversed order.  So do the Minkowski sums of
+The intern pool, the cache of ``standard_linear_space`` and the powers
+that ``divisor_power`` memoizes on each divisor are memoization only.
+The items of the ``md_sweep`` benchmark (generator seeds 0-39: rank
+table, multidegree, criterion and witness key of every type vector) and
+the coordinate-subspace Minkowski sums of generator seeds 0-9 run three
+times in one interpreter: cold, with the pool and the cache cleared, so
+the standard divisors are rebuilt with no power memoized on them; warm;
+and warm in reversed order.  So do the Minkowski sums of
 ``splitting_sums``, whose refinement splits cells: ``Polyhedron.split``
 continues the double description from a start state that each interned
 polyhedron caches.  Every item's output must be the same each time.
@@ -18,8 +19,8 @@ import pytest
 
 from conftest import coordinate_subspaces, splitting_sums
 from tropdeg import cycfile, fixtures
-from tropdeg.multidegree import (divisor_power, multidegree, positivity_criterion,
-                                 rank_function, type_vectors)
+from tropdeg.multidegree import (multidegree, positivity_criterion, rank_function,
+                                 type_vectors)
 from tropdeg.ops import minkowski_sum_subspace, standard_linear_space
 from tropdeg.polyhedra import Polyhedron
 
@@ -45,18 +46,14 @@ def _mk_item(cycle, gens):
     return cycfile.dumps(result.cycle) if result.is_pure else str(result.impurity)
 
 
-def _clear_caches():
-    divisor_power.cache_clear()
-    standard_linear_space.cache_clear()
-
-
 @pytest.fixture
 def cold_state(monkeypatch):
-    """An empty intern pool and empty caches, both cleared again after."""
+    """An empty intern pool and an empty ``standard_linear_space`` cache,
+    both cleared again after."""
     monkeypatch.setattr(Polyhedron, "_interned", {})
-    _clear_caches()
+    standard_linear_space.cache_clear()
     yield
-    _clear_caches()
+    standard_linear_space.cache_clear()
 
 
 def test_outputs_do_not_depend_on_pool_state(cold_state, monkeypatch):
@@ -64,7 +61,7 @@ def test_outputs_do_not_depend_on_pool_state(cold_state, monkeypatch):
     sums = [(name, cycfile.dumps(cycle), gens) for name, cycle, gens in splitting_sums()]
     # the cycles are parsed on the cleared pool, as in a fresh interpreter
     Polyhedron._interned.clear()
-    _clear_caches()
+    standard_linear_space.cache_clear()
     cycles = {s: cycfile.loads(text) for s, text in texts.items()}
     cycles.update({name: cycfile.loads(text) for name, text, _ in sums})
     items = [(f"md {s} {n}", lambda s=s, n=n: _md_item(s, cycles[s], n))
