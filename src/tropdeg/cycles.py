@@ -24,11 +24,7 @@ from .errors import (
     WrongDimensionError,
 )
 from .linalg import IntVec, frac_vec, integral_row, vdot
-from .polyhedra import (
-    Polyhedron,
-    offending_pairs,
-    refine_cells,
-)
+from .polyhedra import Polyhedron, common_refinement, offending_pairs
 
 
 class BlockStructure(namedtuple("BlockStructure", "blocks")):
@@ -387,15 +383,15 @@ def recession_cycle(cycle: TropicalCycle) -> TropicalCycle:
         return empty_cycle(cycle.ambient)
     rec = [(f.poly.recession_cone(), f.weight) for f in support]
     top = [(cone, w) for cone, w in rec if cone.dim == cycle.dim]
-    out = refined_cycle(cycle.ambient, refine_cells([cone for cone, _ in top]),
+    out = refined_cycle(cycle.ambient, common_refinement([cone for cone, _ in top]),
                         [w for _, w in top])
     assert_balanced(out, "recession cycle")
     return out
 
 
 def refined_cycle(ambient: BlockStructure, pieces, weights) -> TropicalCycle:
-    """The cycle on ``refine_cells`` pieces, each weighing the sum of the
-    ``weights`` of its cells; pieces of weight zero are dropped.
+    """The cycle on ``common_refinement`` pairs, each piece weighing the sum
+    of the ``weights`` of its sources; pieces of weight zero are dropped.
 
     It stores the validity verdict of the refinement, whose last
     ``offending_pairs`` scan was empty: a subset of the pieces has no

@@ -78,7 +78,7 @@ class RankFunction(namedtuple("RankFunction", "k table")):
     __slots__ = ()
 
     def rank(self, subset) -> int:
-        key = tuple(sorted(subset))
+        key = tuple(sorted(set(subset)))
         for s, r in self.table:
             if s == key:
                 return r
@@ -267,22 +267,10 @@ def check_submodular(ranks: RankFunction):
 
 
 def exchange_property(vectors) -> bool:
-    """Polymatroid-base exchange axiom, checked by brute force."""
-    vecs = sorted(vectors)
-    for n in vecs:
-        for n2 in vecs:
-            for i in range(len(n)):
-                if n[i] <= n2[i]:
-                    continue
-                witness = False
-                for j in range(len(n)):
-                    if n[j] < n2[j]:
-                        cand = list(n)
-                        cand[i] -= 1
-                        cand[j] += 1
-                        if tuple(cand) in vectors:
-                            witness = True
-                            break
-                if not witness:
-                    return False
-    return True
+    """Polymatroid-base exchange axiom, checked by brute force: for all n,
+    n2 in the set and every i with n_i > n2_i, some j with n_j < n2_j has
+    n - e_i + e_j in the set."""
+    vectors = {tuple(v) for v in vectors}
+    return all(any(tuple(x - (t == i) + (t == j) for t, x in enumerate(n)) in vectors
+                   for j in range(len(n)) if n[j] < n2[j])
+               for n in vectors for n2 in vectors for i in range(len(n)) if n[i] > n2[i])

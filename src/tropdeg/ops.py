@@ -37,7 +37,7 @@ from .errors import (
 from .linalg import (frac_vec, identity_rows, integral_row, is_zero_vec,
                      primitive, rank, reduce_mod, rref, saturate, sign_normalized,
                      vdot, vneg)
-from .polyhedra import Polyhedron, _given_rows, is_covered, refine_cells
+from .polyhedra import Polyhedron, _given_rows, common_refinement, is_covered
 
 _MASK64 = (1 << 64) - 1
 _SEED_STRIDE = 0x9E3779B97F4A7C15
@@ -82,10 +82,10 @@ def stable_intersect(c1: TropicalCycle, c2: TropicalCycle, seed=0) -> TropicalCy
 
     The candidate pairs (facet pairs whose direction spaces span R^m and
     that meet in the output dimension), their lattice-index weights, the
-    refinement of their intersections and their displacement cone rows are
-    computed once.  The candidates whose cone holds ``u(eps)`` build the
-    cycle; under the seed's ``_check_direction`` every refined piece must
-    get the same weight, else SeedDependenceError.  Balance-checked.
+    ``common_refinement`` of their intersections and their displacement
+    cone rows are computed once.  The candidates whose cone holds ``u(eps)``
+    build the cycle; under the seed's ``_check_direction`` every refined
+    piece must get the same weight, else SeedDependenceError.
     """
     if c1.m != c2.m:
         raise DimensionMismatchError(
@@ -115,7 +115,7 @@ def stable_intersect(c1: TropicalCycle, c2: TropicalCycle, seed=0) -> TropicalCy
                 candidates.append((inter, f1.weight * f2.weight * index))
                 cones.append(_displacement_cone(p, q, inter.interior_row()))
 
-    pieces = refine_cells([c for c, _ in candidates])
+    pieces = common_refinement([c for c, _ in candidates])
 
     flags = _displacement_flags(cones, range(m), (1,) * m)
     again = _displacement_flags(cones, *_check_direction(m, seed))
@@ -303,10 +303,10 @@ def _image_cycle(images, out_blocks: BlockStructure) -> PushforwardResult:
 
     Each top image ``img`` with weight ``w`` and lattice generators ``gens``
     carries the weight ``w * [L_img : <gens>]`` once, where ``L_img`` is
-    ``Lin(img) ∩ Z^m``.  A refined piece sums the weights of the images
-    containing it.  That is its lattice-index weight: a piece is top
-    dimensional inside each such image, so ``Lin(piece) = Lin(img)`` and
-    ``L_piece = L_img``, and as ``L_img`` is saturated the index is the
+    ``Lin(img) ∩ Z^m``.  A ``common_refinement`` piece sums the weights of
+    the images it was cut from.  That is its lattice-index weight: a piece
+    is top dimensional inside each such image, so ``Lin(piece) = Lin(img)``
+    and ``L_piece = L_img``, and as ``L_img`` is saturated the index is the
     product of the nonzero Smith invariant factors of ``gens``.
     """
     verdict = _purity(images)
@@ -314,7 +314,7 @@ def _image_cycle(images, out_blocks: BlockStructure) -> PushforwardResult:
         return verdict
     top = [(img, _image_weight(img, w, gens))
            for i, (img, w, gens) in enumerate(images) if i not in verdict.absorbed]
-    out = cyc.refined_cycle(out_blocks, refine_cells([img for img, _ in top]),
+    out = cyc.refined_cycle(out_blocks, common_refinement([img for img, _ in top]),
                             [w for _, w in top])
     cyc.assert_balanced(out, "push-forward")
     return PushforwardResult(out, None, verdict.absorbed)
@@ -360,20 +360,25 @@ def projection_pushforward(cycle: TropicalCycle, subset) -> PushforwardResult:
 # divisors and positivity
 # ---------------------------------------------------------------------------
 
-@lru_cache(maxsize=None, typed=True)
 def standard_linear_space(b: int, n: int) -> TropicalCycle:
     """The standard tropical linear space of codimension n in R^b, the
     n-fold stable self-intersection of the standard hyperplane: R^b as one
     facet of weight 1 for n = 0, else the cones spanned by b - n of the
     rays e_1, ..., e_b, -(e_1 + ... + e_b), each of weight 1; empty for
-    n > b.  Balance-checked once and cached per (b, n); a bad b raises
-    DimensionMismatchError, an n that is not an int >= 0
-    TypeMismatchError."""
-    blocks = BlockStructure((b,))
+    n > b.  A bad b raises DimensionMismatchError, an n that is not an
+    int >= 0 TypeMismatchError; the checked ints key the cache of
+    ``_standard_linear_space``."""
+    b = BlockStructure((b,)).m
     n = integral_row((n,), TypeMismatchError, "linear space codimension")[0]
     if n < 0:
         raise TypeMismatchError(f"negative linear space codimension {n}")
-    b = blocks.m
+    return _standard_linear_space(b, n)
+
+
+@lru_cache(maxsize=None)
+def _standard_linear_space(b: int, n: int) -> TropicalCycle:
+    """``standard_linear_space`` of checked ints, balance-checked once."""
+    blocks = BlockStructure((b,))
     if n > b:
         return cyc.empty_cycle(blocks)
     rays = [*identity_rows(b), (-1,) * b]

@@ -841,9 +841,10 @@ def offending_pairs(polys) -> list[tuple[int, int]]:
             if a.key == b.key or meets_off_faces(a, b)]
 
 
-def common_refinement(cells) -> list[Polyhedron]:
-    """Refine same-dimension cells until every pairwise intersection is a
-    common face, that is until ``offending_pairs`` of the pieces is empty.
+def common_refinement(cells) -> list[tuple[Polyhedron, tuple[int, ...]]]:
+    """Refine cells of one dimension until every pairwise intersection is a
+    common face (``offending_pairs`` of the pieces is empty); returns the
+    ``(piece, sources)`` pairs sorted by piece key.
 
     In transverse position the input already is a complex and no cell is
     touched; otherwise only cells in offending pairs are split, round
@@ -854,22 +855,32 @@ def common_refinement(cells) -> list[Polyhedron]:
     the pair, both cells would be sign cells of the union of their rows and
     their intersection a common face; so every round splits a cell, and
     the finite arrangement bounds the rounds.
+
+    ``sources``, the ascending indices of the input cells a piece was cut
+    from, travel with the rows: equal cells and pieces of one key merge
+    theirs, and both halves of a split inherit them.  They are the cells
+    that contain the piece, as the cells have one dimension: a piece P in
+    a cell B has a relative interior point in a piece Q cut from B, the
+    common face of P and Q holds it, so P lies in Q and equals it by
+    dimension.  (A segment inside a square is not cut from it.)
     """
     out: dict = {}
     rows: dict = {}
-    for cell in cells:
+    sources: dict = {}
+    for i, cell in enumerate(cells):
         out.setdefault(cell.key, cell)
         rows.setdefault(cell.key, set()).update(cell.eqs + cell.ineqs)
+        sources.setdefault(cell.key, set()).add(i)
     current = sorted(out.values(), key=lambda p: p.key)
     while True:
         bad = offending_pairs(current)
         if not bad:
-            return current
+            return [(p, tuple(sorted(sources[p.key]))) for p in current]
         cuts: dict = {}
         for ia, ib in bad:
             cuts.setdefault(ia, set()).update(rows[current[ib].key])
             cuts.setdefault(ib, set()).update(rows[current[ia].key])
-        out, carried = {}, {}
+        out, carried, inherited = {}, {}, {}
         for idx, cell in enumerate(current):
             cut = cuts.get(idx, set())
             pieces = [cell]
@@ -878,21 +889,9 @@ def common_refinement(cells) -> list[Polyhedron]:
             for piece in pieces:
                 out.setdefault(piece.key, piece)
                 carried.setdefault(piece.key, set()).update(rows[cell.key], cut)
-        rows = carried
+                inherited.setdefault(piece.key, set()).update(sources[cell.key])
+        rows, sources = carried, inherited
         current = sorted(out.values(), key=lambda p: p.key)
-
-
-def refine_cells(cells) -> list[tuple[Polyhedron, tuple[int, ...]]]:
-    """``common_refinement(cells)``, each piece paired with the indices of
-    the cells that contain its ``interior_row()``: the pieces form a
-    complex and every cell is a union of pieces, so a piece lies in a cell
-    exactly when its interior point does."""
-    cells = list(cells)
-    out = []
-    for piece in common_refinement(cells):
-        row = piece.interior_row()
-        out.append((piece, tuple(i for i, c in enumerate(cells) if c.contains_row(row))))
-    return out
 
 
 def is_covered(target: Polyhedron, cover) -> bool:

@@ -639,6 +639,22 @@ def refine_by_hyperplanes(cell: Polyhedron, rows) -> list[Polyhedron]:
     return pieces
 
 
+def containing_cells(pieces, cells) -> list[tuple[Polyhedron, tuple[int, ...]]]:
+    """Each piece paired with the indices of the cells that contain its
+    ``interior_row()``.  For the pieces of ``common_refinement(cells)``
+    these are the cells that contain the piece, as the pieces form a
+    complex and every cell is a union of pieces.  ``polyhedra.refine_cells``
+    matched pieces to cells by this rule before ``common_refinement``
+    returned the cells each piece was cut from; kept as a differential
+    oracle."""
+    cells = list(cells)
+    out = []
+    for piece in pieces:
+        row = piece.interior_row()
+        out.append((piece, tuple(i for i, c in enumerate(cells) if c.contains_row(row))))
+    return out
+
+
 def covered_oracle(target: Polyhedron, cover) -> bool:
     """Whether target lies in the union of the cover: refine the target by
     every equality and facet hyperplane of the cover, then test the

@@ -54,7 +54,7 @@ def intersections():
         mp.setattr(ops, "_displacement_flags", record_flags)
         mp.setattr(ops, "stable_intersect", record)
         # fresh standard divisors, with no power memoized on them by earlier tests
-        ops.standard_linear_space.cache_clear()
+        ops._standard_linear_space.cache_clear()
         for seed in SEEDS:
             cycle = fixtures.generate_admissible(seed)
             for n in type_vectors(cycle):

@@ -2,14 +2,14 @@
 
 ``ops._image_cycle`` gives each top-dimensional image the weight
 ``w * [L_img : <gens>]`` once, and a refined piece sums the weights of the
-images containing it.  The oracle is the rule this replaced: for every
-piece, the sum over the images containing it of ``w`` times
-``relative_lattice_index`` of the generators in the piece's own direction
-basis.  Checked on every proper coordinate-subspace Minkowski sum of the
-generated cycles of seeds 0-9 and on every block projection of the shipped
-fixtures.  Where the public call returns a cycle, its facets are the
-pieces with positive oracle weight; where it raises, the oracle cycle is
-unbalanced too.
+images it was cut from.  The oracle is the rule this replaced: for every
+piece, the sum over the images containing its interior point
+(``containing_cells``) of ``w`` times ``relative_lattice_index`` of the
+generators in the piece's own direction basis.  Checked on every proper
+coordinate-subspace Minkowski sum of the generated cycles of seeds 0-9
+and on every block projection of the shipped fixtures.  Where the public
+call returns a cycle, its facets are the pieces with positive oracle
+weight; where it raises, the oracle cycle is unbalanced too.
 """
 
 from functools import partial
@@ -17,7 +17,8 @@ from itertools import combinations
 
 import pytest
 
-from conftest import FIXTURE_DIR, coordinate_subspaces, relative_lattice_index
+from conftest import (FIXTURE_DIR, containing_cells, coordinate_subspaces,
+                      relative_lattice_index)
 from tropdeg import fixtures, ops
 from tropdeg.cycfile import load
 from tropdeg.cycles import BlockStructure, TropicalCycle, check_balancing
@@ -53,14 +54,15 @@ def piece_weights(images):
     if not verdict.is_pure:
         return None
     top = [t for i, t in enumerate(images) if i not in verdict.absorbed]
+    cells = [img for img, _, _ in top]
+    refined = common_refinement(cells)
+    oracle = containing_cells([p for p, _ in refined], cells)
     out = []
-    for piece in common_refinement([img for img, _, _ in top]):
-        row = piece.interior_row()
-        inside = [t for t in top if t[0].contains_row(row)]
+    for (piece, sources), (_, inside) in zip(refined, oracle):
         out.append((piece,
-                    sum(ops._image_weight(img, w, gens) for img, w, gens in inside),
+                    sum(ops._image_weight(*top[i]) for i in sources),
                     sum(w * relative_lattice_index(piece.direction_basis(), gens)
-                        for _, w, gens in inside)))
+                        for _, w, gens in (top[i] for i in inside))))
     return out
 
 

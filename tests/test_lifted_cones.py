@@ -50,7 +50,7 @@ def _record(run):
 
 def _multidegrees():
     # fresh standard divisors, with no power memoized on them by earlier tests
-    ops.standard_linear_space.cache_clear()
+    ops._standard_linear_space.cache_clear()
     for seed in GENERATOR_SEEDS:
         cycle = fixtures.generate_admissible(seed)
         for n in type_vectors(cycle):

@@ -149,7 +149,9 @@ def test_rank_function():
     assert ranks.rank([1]) == 2
     assert ranks.rank([3]) == 1
     assert ranks.rank([1, 3]) == 2
+    assert ranks.rank([3, 1, 3]) == 2
     assert ranks.rank([]) == 0
+    assert rank_function(fixtures.example33a()).rank((1, 1)) == 2
     assert ranks.rank([1, 2, 3]) == fixtures.example33b().dim
 
     full_ranks = rank_function(full((2, 2)))
@@ -344,6 +346,7 @@ def test_check_submodular():
 
 def test_exchange_property():
     assert exchange_property({(1, 0), (0, 1)})
+    assert exchange_property([[1, 0], [0, 1]])
     assert exchange_property({(2, 0), (1, 1), (0, 2)})
     assert not exchange_property({(2, 0), (0, 2)})   # the example33a bruteforce set
 

@@ -407,12 +407,13 @@ def test_hyperplane_carries_its_verdicts():
 
 
 def test_standard_linear_space_checks_its_arguments():
-    for n in (-2, 1.5, True, "1"):
+    for n in (-2, 1.5, True, "1", [1], {}):
         with pytest.raises(TypeMismatchError):
             ops.standard_linear_space(2, n)
-    for b in (0, -1, True, "2"):
+    for b in (0, -1, True, "2", [2]):
         with pytest.raises(DimensionMismatchError):
             ops.standard_linear_space(b, 1)
+    assert ops.standard_linear_space(2.0, 1) is ops.standard_linear_space(2, 1)
     assert ops.standard_linear_space(2, 3).is_empty
     for b in range(1, 5):
         full = ops.standard_linear_space(b, 0)

@@ -3,8 +3,8 @@ from operator import add
 
 import pytest
 
-from conftest import (coordinate_subspaces, coords_in_rows, random_generators,
-                      same_polyhedron, uninterned)
+from conftest import (containing_cells, coordinate_subspaces, coords_in_rows,
+                      random_generators, same_polyhedron, uninterned)
 from tropdeg import fixtures
 from tropdeg.errors import DimensionMismatchError, EmptyPolyhedronError, InputError
 from tropdeg.ops import Rng
@@ -344,7 +344,7 @@ def test_common_refinement_dedupes_two_copies_of_a_product_cell():
         Polyhedron.from_hrep(1, eqs=[(-1, 1)]))
     twin = uninterned(lambda: Polyhedron.from_hrep(2, prod.ineqs, prod.eqs))
     assert twin is not prod and twin == prod
-    assert common_refinement([prod, twin]) == [prod]
+    assert common_refinement([prod, twin]) == [(prod, (0, 1))]
 
 
 def _sum_matches_hull(poly, span):
@@ -392,18 +392,20 @@ def test_common_refinement_overlap():
     b = Polyhedron.from_generators(1, vertices=[(1,), (3,)])
     cells = common_refinement([a, b])
     assert len(cells) == 3
-    keys = {tuple(sorted(v[0] for v in c.vertices)) for c in cells}
-    assert keys == {(0, 1), (1, 2), (2, 3)}
+    sources = {tuple(sorted(v[0] for v in c.vertices)): src for c, src in cells}
+    assert sources == {(0, 1): (0,), (1, 2): (0, 1), (2, 3): (1,)}
 
 
 def _assert_refines(cells):
     """common_refinement(cells) is a complex with the union of the cells,
-    and each piece is a cell of the arrangement of the input rows: every
-    facet of a piece lies on an input hyperplane that does not contain the
-    piece."""
+    each piece is a cell of the arrangement of the input rows (every facet
+    of a piece lies on an input hyperplane that does not contain the
+    piece), and its sources are the cells containing its interior point."""
     from tropdeg.cycles import BlockStructure, TropicalCycle, validate_complex
 
-    pieces = common_refinement(cells)
+    refined = common_refinement(cells)
+    pieces = [p for p, _ in refined]
+    assert refined == containing_cells(pieces, cells)
     m, d = cells[0].m, cells[0].dim
     assert all(p.dim == d for p in pieces)
     complex_ = TropicalCycle(BlockStructure((m,)), [(p, 1) for p in pieces])
@@ -462,5 +464,4 @@ def test_common_refinement_cells_in_different_planes():
 def test_common_refinement_already_complex():
     a = Polyhedron.from_generators(1, vertices=[(0,), (1,)])
     b = Polyhedron.from_generators(1, vertices=[(1,), (2,)])
-    cells = common_refinement([a, b])
-    assert sorted(c.key for c in cells) == sorted([a.key, b.key])
+    assert {p.key: src for p, src in common_refinement([a, b])} == {a.key: (0,), b.key: (1,)}

@@ -21,7 +21,7 @@ from conftest import coordinate_subspaces, splitting_sums
 from tropdeg import cycfile, fixtures
 from tropdeg.multidegree import (multidegree, positivity_criterion, rank_function,
                                  type_vectors)
-from tropdeg.ops import minkowski_sum_subspace, standard_linear_space
+from tropdeg.ops import _standard_linear_space, minkowski_sum_subspace
 from tropdeg.polyhedra import Polyhedron
 
 MD_SEEDS = range(40)
@@ -51,9 +51,9 @@ def cold_state(monkeypatch):
     """An empty intern pool and an empty ``standard_linear_space`` cache,
     both cleared again after."""
     monkeypatch.setattr(Polyhedron, "_interned", {})
-    standard_linear_space.cache_clear()
+    _standard_linear_space.cache_clear()
     yield
-    standard_linear_space.cache_clear()
+    _standard_linear_space.cache_clear()
 
 
 def test_outputs_do_not_depend_on_pool_state(cold_state, monkeypatch):
@@ -61,7 +61,7 @@ def test_outputs_do_not_depend_on_pool_state(cold_state, monkeypatch):
     sums = [(name, cycfile.dumps(cycle), gens) for name, cycle, gens in splitting_sums()]
     # the cycles are parsed on the cleared pool, as in a fresh interpreter
     Polyhedron._interned.clear()
-    standard_linear_space.cache_clear()
+    _standard_linear_space.cache_clear()
     cycles = {s: cycfile.loads(text) for s, text in texts.items()}
     cycles.update({name: cycfile.loads(text) for name, text, _ in sums})
     items = [(f"md {s} {n}", lambda s=s, n=n: _md_item(s, cycles[s], n))
